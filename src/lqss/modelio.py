@@ -23,7 +23,7 @@ SCHEMA_VERSION = 1
 
 def encode_matrix(x: np.ndarray) -> list:
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in x]
+    return np.stack([x.real, x.imag], -1).tolist()
 
 
 def decode_matrix(data, where: str) -> np.ndarray:
@@ -62,8 +62,13 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as one line of compact JSON.
+
+    ``json.dumps`` without indentation runs the C encoder; ``json.dump`` to a
+    file, or any indentation, takes the pure-Python one.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 

@@ -9,10 +9,17 @@ break into at most m(m-1)/2 two-channel beamsplitters plus output phases
 (triangular elimination), and the middle factor into m single-mode
 squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
 embedded matrices multiply out (left to right) to the decomposed matrix.
+
+Every device acts on at most two rows, so a schedule is multiplied out by
+row updates of one dim x dim array: the residual check of an m-channel
+schedule costs O(m^3), the same as the triangular elimination itself.  The
+check uses the device parameters as they are serialized, with all
+beamsplitter blocks built in one stacked call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,74 +100,117 @@ class Device:
 
     def embed(self, m: int, doubled: bool) -> np.ndarray:
         """Matrix of the device on m channels (2m x 2m when doubled)."""
-        if self.kind == "beamsplitter":
-            g = beamsplitter_matrix(**self.params)
-            u = np.eye(m, dtype=complex)
-            i, k = self.channels
-            u[np.ix_([i, k], [i, k])] = g
-            return _embed_unitary(u, doubled)
-        if self.kind == "phase":
-            u = np.eye(m, dtype=complex)
-            (i,) = self.channels
-            u[i, i] = np.exp(1j * self.params["theta"])
-            return _embed_unitary(u, doubled)
-        if self.kind == "squeezer":
+        out = np.eye(2 * m if doubled else m, dtype=complex)
+        for rows, block in _row_blocks([self], m, doubled)[0]:
+            out[rows, rows] = block
+        return out
+
+
+def beamsplitter_matrix(theta, phi=0.0, psi=0.0, zeta=0.0) -> np.ndarray:
+    """Two-channel unitary with transmission cos(theta/2) and three phases.
+
+    Array parameters broadcast and give a stack of shape (..., 2, 2).
+    """
+    theta, phi, psi, zeta = np.broadcast_arrays(theta, phi, psi, zeta)
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    out = np.stack([
+        np.stack([np.exp(1j * (phi + psi) / 2) * c,
+                  np.exp(1j * (psi - phi) / 2) * s], axis=-1),
+        np.stack([-np.exp(1j * (phi - psi) / 2) * s,
+                  np.exp(-1j * (phi + psi) / 2) * c], axis=-1),
+    ], axis=-2)
+    return np.exp(1j * zeta)[..., None, None] * out
+
+
+def squeezer_matrix(x, phi=0.0, psi=0.0) -> np.ndarray:
+    """Doubled-up 2 x 2 single-mode squeezer block (stacked like
+    ``beamsplitter_matrix`` for array parameters)."""
+    x, phi, psi = np.broadcast_arrays(x, phi, psi)
+    ch, sh = np.cosh(x), np.sinh(x)
+    return np.stack([
+        np.stack([np.exp(1j * (phi + psi)) * ch,
+                  np.exp(1j * (psi - phi)) * sh], axis=-1),
+        np.stack([np.exp(1j * (phi - psi)) * sh,
+                  np.exp(-1j * (phi + psi)) * ch], axis=-1),
+    ], axis=-2)
+
+
+def _phase_matrix(theta) -> np.ndarray:
+    return np.exp(1j * np.asarray(theta))[..., None, None]
+
+
+#: device kind -> (block builder, parameter names, their defaults; None marks
+#: a required parameter)
+_BLOCKS = {
+    "beamsplitter": (beamsplitter_matrix, ("theta", "phi", "psi", "zeta"),
+                     (None, 0.0, 0.0, 0.0)),
+    "phase": (_phase_matrix, ("theta",), (None,)),
+    "squeezer": (squeezer_matrix, ("x", "phi", "psi"), (None, 0.0, 0.0)),
+}
+
+
+def _row_blocks(devices: list, m: int, doubled: bool) -> list:
+    """The action of each device as (rows, block) pairs.
+
+    A device's embedded matrix is the identity except for ``block`` on
+    ``rows`` x ``rows``, where ``rows`` is a slice picking the device's one
+    or two rows in ascending order; on doubled-up channels a beamsplitter or
+    phase also acts on the rows + m with the conjugate block, and a squeezer
+    couples rows i and i + m.  Blocks are built from the device parameters,
+    one stacked call per device kind.
+    """
+    blocks = [None] * len(devices)
+    for kind, (build, names, defaults) in _BLOCKS.items():
+        index = [j for j, dev in enumerate(devices) if dev.kind == kind]
+        if not index:
+            continue
+        # a missing required parameter reads as None, which becomes NaN
+        args = np.array([list(map(devices[j].params.get, names, defaults))
+                         for j in index], dtype=float)
+        if np.isnan(args).any():
+            raise StructureError(
+                f"{kind} with a missing or NaN parameter ({', '.join(names)})")
+        stack = build(*args.T)
+        for j, block, conj in zip(index, stack, stack.conj()):
+            blocks[j] = block, conj
+    out = []
+    for dev, built in zip(devices, blocks):
+        if built is None:
+            raise StructureError(f"unknown device kind {dev.kind!r}")
+        block, conj = built
+        first, last = dev.channels[0], dev.channels[-1]
+        if dev.kind == "squeezer":
             if not doubled:
                 raise StructureError(
                     "squeezers only exist in doubled-up schedules")
-            (i,) = self.channels
-            out = np.eye(2 * m, dtype=complex)
-            blk = squeezer_matrix(self.params["x"],
-                                  self.params.get("phi", 0.0),
-                                  self.params.get("psi", 0.0))
-            out[np.ix_([i, i + m], [i, i + m])] = blk
-            return out
-        raise StructureError(f"unknown device kind {self.kind!r}")
-
-
-def _embed_unitary(u: np.ndarray, doubled: bool) -> np.ndarray:
-    if not doubled:
-        return u
-    m = u.shape[0]
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, :m] = u
-    out[m:, m:] = np.conj(u)
+            out.append([(slice(first, first + m + 1, m), block)])
+            continue
+        if last < first:
+            first, last = last, first
+            block, conj = block[::-1, ::-1], conj[::-1, ::-1]
+        step = max(last - first, 1)
+        updates = [(slice(first, last + 1, step), block)]
+        if doubled:
+            updates.append((slice(first + m, last + m + 1, step), conj))
+        out.append(updates)
     return out
 
 
-def beamsplitter_matrix(theta: float, phi: float = 0.0, psi: float = 0.0,
-                        zeta: float = 0.0) -> np.ndarray:
-    """Two-channel unitary with transmission cos(theta/2) and three phases."""
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    return np.exp(1j * zeta) * np.array([
-        [np.exp(1j * (phi + psi) / 2) * c, np.exp(1j * (psi - phi) / 2) * s],
-        [-np.exp(1j * (phi - psi) / 2) * s, np.exp(-1j * (phi + psi) / 2) * c],
-    ])
-
-
-def squeezer_matrix(x: float, phi: float = 0.0, psi: float = 0.0) -> np.ndarray:
-    """Doubled-up 2 x 2 single-mode squeezer block."""
-    ch, sh = np.cosh(x), np.sinh(x)
-    return np.array([
-        [np.exp(1j * (phi + psi)) * ch, np.exp(1j * (psi - phi)) * sh],
-        [np.exp(1j * (phi - psi)) * sh, np.exp(-1j * (phi + psi)) * ch],
-    ])
-
-
 def beamsplitter_params(g: np.ndarray) -> dict:
-    """Recover (theta, phi, psi, zeta) from an arbitrary 2 x 2 unitary."""
-    det = np.linalg.det(g)
-    zeta = float(np.angle(det) / 2.0)
-    gs = g * np.exp(-1j * zeta)
-    a, b = gs[0, 0], gs[0, 1]
-    theta = float(2.0 * np.arctan2(abs(b), abs(a)))
-    half_sum = float(np.angle(a)) if abs(a) > ANGLE_EPS else 0.0
-    half_diff = float(np.angle(b)) if abs(b) > ANGLE_EPS else 0.0
-    phi = half_sum - half_diff
-    psi = half_sum + half_diff
-    params = {"theta": theta, "phi": phi, "psi": psi, "zeta": zeta}
-    if np.linalg.norm(beamsplitter_matrix(**params) - g) > 1e-8:
+    """Recover (theta, phi, psi, zeta) from a 2 x 2 unitary, or from each
+    matrix of a (..., 2, 2) stack (the parameters are then arrays)."""
+    g = np.asarray(g, dtype=complex)
+    zeta = np.angle(np.linalg.det(g)) / 2.0
+    gs = g * np.exp(-1j * zeta)[..., None, None]
+    a, b = gs[..., 0, 0], gs[..., 0, 1]
+    theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    half_sum = np.where(np.abs(a) > ANGLE_EPS, np.angle(a), 0.0)
+    half_diff = np.where(np.abs(b) > ANGLE_EPS, np.angle(b), 0.0)
+    params = {"theta": theta, "phi": half_sum - half_diff,
+              "psi": half_sum + half_diff, "zeta": zeta}
+    miss = np.linalg.norm(beamsplitter_matrix(**params) - g, axis=(-2, -1))
+    if np.any(miss > 1e-8):
         raise NumericalError("beamsplitter parameter extraction failed")
     return params
 
@@ -174,10 +224,18 @@ class DeviceSchedule:
     devices: list = field(default_factory=list)
 
     def matrix(self) -> np.ndarray:
+        """Product of the embedded devices, first device leftmost.
+
+        The devices are applied last to first to the identity, each as an
+        update of the rows it touches, so the product costs O(dim) per
+        device instead of a dense dim x dim multiplication.
+        """
         dim = 2 * self.channels if self.doubled else self.channels
         out = np.eye(dim, dtype=complex)
-        for dev in self.devices:
-            out = out @ dev.embed(self.channels, self.doubled)
+        for updates in reversed(_row_blocks(self.devices, self.channels,
+                                            self.doubled)):
+            for rows, block in updates:
+                out[rows] = block @ out[rows]
         return out
 
     def residual(self, target: np.ndarray) -> float:
@@ -190,30 +248,36 @@ def reck_decompose(u: np.ndarray) -> DeviceSchedule:
 
     Entries below the diagonal are eliminated column by column from the
     bottom with two-channel rotations; the leftover diagonal becomes output
-    phase shifters.  At most m(m-1)/2 beamsplitters are produced.
+    phase shifters.  At most m(m-1)/2 beamsplitters are produced.  A rotation
+    at column ``col`` only touches columns ``col:`` of its two rows, since
+    the earlier columns of those rows are already eliminated.
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
     if np.linalg.norm(u @ u.conj().T - np.eye(m)) > 1e-8 * m:
         raise StructureError("reck decomposition requires a unitary matrix")
     work = u.copy()
-    rotations = []
+    rows, rotations = [], []
     for col in range(m - 1):
         for row in range(m - 1, col, -1):
-            a = work[row - 1, col]
-            b = work[row, col]
+            pair = work[row - 1:row + 1, col:]
+            a, b = pair[:, 0].tolist()
             if abs(b) <= ANGLE_EPS * max(1.0, abs(a)):
                 continue
-            nrm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            t = np.array([[np.conj(a), np.conj(b)], [-b, a]]) / nrm
-            work[[row - 1, row], :] = t @ work[[row - 1, row], :]
-            rotations.append((row - 1, t))
+            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            t = np.array([[a.conjugate(), b.conjugate()], [-b, a]]) / nrm
+            pair[...] = t @ pair
+            rows.append(row - 1)
+            rotations.append(t)
     schedule = DeviceSchedule(channels=m, doubled=False)
     # work = t_k .. t_1 u is diagonal, so u = t_1^dag .. t_k^dag diag
-    for row, t in rotations:
-        params = beamsplitter_params(t.conj().T)
-        schedule.devices.append(Device(
-            kind="beamsplitter", channels=(row, row + 1), params=params))
+    if rotations:
+        params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
+        columns = {key: value.tolist() for key, value in params.items()}
+        for j, row in enumerate(rows):
+            schedule.devices.append(Device(
+                kind="beamsplitter", channels=(row, row + 1),
+                params={key: value[j] for key, value in columns.items()}))
     for i in range(m):
         theta = float(np.angle(work[i, i]))
         if abs(theta) > ANGLE_EPS:

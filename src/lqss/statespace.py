@@ -203,6 +203,10 @@ def frequency_grid(m_mat: np.ndarray, num_freqs: int,
     return pts
 
 
+def _dims(shape: tuple) -> str:
+    return "x".join(str(d) for d in shape)
+
+
 def verify_realization(model: Model, realization, num_freqs: int = 20,
                        seed: int = 42, tol: float = 1e-8) -> VerifyReport:
     """Compare the model transfer function against the realized one on a
@@ -211,6 +215,17 @@ def verify_realization(model: Model, realization, num_freqs: int = 20,
         raise ParameterError(
             f"model kind {model.kind!r} does not match realization kind "
             f"{realization.kind!r}")
+    ports, modes = model.n_mat.shape
+    for name, mat, shape in (
+            ("pre network", realization.pre, (ports, ports)),
+            ("post network", realization.post, (ports, ports)),
+            ("N_hat", realization.nhat, (ports, modes)),
+            ("M_conc", realization.m_conc, (modes, modes))):
+        if np.shape(mat) != shape:
+            raise ParameterError(
+                f"realization {name} is {_dims(np.shape(mat))}, but a model "
+                f"with {model.n_ports} ports and {model.n_modes} modes needs "
+                f"{_dims(shape)}")
     model_ss = model.statespace()
     closed = close_feedback(realization.kind, realization.nhat,
                             realization.m_conc, realization.ntilde,

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from lqss import modelio
+from helpers import random_passive_model
+from lqss import modelio, synthesize_general, synthesize_passive
 from lqss.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -193,6 +194,24 @@ class TestVerify:
         assert report["passed"] is True
         assert len(report["errors"]) == 2  # one frequency, two contours
 
+    def test_netlist_of_another_size(self, tmp_path, capsys):
+        rng = np.random.default_rng(96)
+        paths = {}
+        for n in (4, 6):
+            m_mat, n_mat, s_mat = random_passive_model(n, n, rng)
+            model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat,
+                          s_mat=s_mat)
+            paths[n] = write_model(tmp_path / f"model{n}.json", model)
+            assert main(["synth", "--input", paths[n], "--output",
+                         str(tmp_path / f"net{n}.json")]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["verify", "--model", paths[4],
+                     "--netlist", str(tmp_path / "net6.json")])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "6x6" in err["message"] and "4x4" in err["message"]
+
     def test_malformed_netlist(self, passive_model_file, tmp_path, capsys):
         bad = tmp_path / "bad_net.json"
         bad.write_text(json.dumps({"schema_version": 1, "type": "passive"}))
@@ -201,6 +220,39 @@ class TestVerify:
         assert code == EXIT_VALIDATION
         err = json.loads(capsys.readouterr().err)
         assert "reduced" in err["message"]
+
+
+class TestNetlistFile:
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_roundtrip_is_bit_identical(self, kind, passive_model_file,
+                                        general_model_file, tmp_path):
+        path = passive_model_file if kind == "passive" else general_model_file
+        out = tmp_path / "net.json"
+        code = main(["synth", "--input", path, "--output", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().count("\n") == 1  # one line of compact JSON
+        model, _ = modelio.load_model(path)
+        synthesize = (synthesize_passive if kind == "passive"
+                      else synthesize_general)
+        real = synthesize(model.m_mat, model.n_mat, model.s_mat)
+        loaded = modelio.load_realization(str(out))
+        for name in ("pre", "post", "r_feedback", "nhat", "m_conc"):
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(real, name)), name
+
+    def test_indented_netlist_still_loads(self, passive_model_file, tmp_path):
+        out = tmp_path / "net.json"
+        main(["synth", "--input", passive_model_file, "--output", str(out)])
+        compact = modelio.load_realization(str(out))
+        indented = tmp_path / "indented.json"
+        with open(indented, "w") as fh:
+            json.dump(json.loads(out.read_text()), fh, indent=2)
+        loaded = modelio.load_realization(str(indented))
+        for name in ("pre", "post", "r_feedback", "nhat", "m_conc"):
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(compact, name)), name
+        assert main(["verify", "--model", passive_model_file,
+                     "--netlist", str(indented)]) == EXIT_OK
 
 
 class TestDecompose:

@@ -1,10 +1,12 @@
 """Tests for static-network decomposition into device schedules."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from helpers import random_unitary
-from lqss.errors import StructureError
+from lqss.errors import NumericalError, StructureError
 from lqss.krein import bogoliubov_residual, random_bogoliubov
 from lqss.netlist import (
     Device,
@@ -85,6 +87,23 @@ class TestBeamsplitter:
             params = beamsplitter_params(g)
             assert np.linalg.norm(beamsplitter_matrix(**params) - g) < 1e-8
 
+    def test_stacked_params_match_single(self):
+        rng = np.random.default_rng(66)
+        stack = np.array([random_unitary(2, rng) for _ in range(12)])
+        stacked = beamsplitter_params(stack)
+        for j, g in enumerate(stack):
+            single = beamsplitter_params(g)
+            for key, value in single.items():
+                assert stacked[key][j] == pytest.approx(value, abs=1e-15)
+        assert np.allclose(beamsplitter_matrix(**stacked), stack, atol=1e-12)
+
+    def test_stack_with_nonunitary_member_rejected(self):
+        rng = np.random.default_rng(67)
+        stack = np.array([random_unitary(2, rng) for _ in range(5)])
+        stack[3, 0, 1] += 1e-3
+        with pytest.raises(NumericalError):
+            beamsplitter_params(stack)
+
 
 class TestReck:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -125,9 +144,61 @@ class TestDevices:
         with pytest.raises(StructureError):
             Device(kind="mirror", channels=(0,)).embed(1, False)
 
+    def test_missing_parameter(self):
+        d = Device(kind="beamsplitter", channels=(0, 1), params={"phi": 0.1})
+        with pytest.raises(StructureError, match="theta"):
+            d.embed(2, doubled=False)
+
     def test_empty_schedule_is_identity(self):
         sched = DeviceSchedule(channels=2, doubled=False)
         assert np.allclose(sched.matrix(), np.eye(2))
+
+
+def _embedded_product(schedule):
+    """Reference for ``matrix()``: the dense product of the embeddings."""
+    dim = 2 * schedule.channels if schedule.doubled else schedule.channels
+    return reduce(np.matmul,
+                  [d.embed(schedule.channels, schedule.doubled)
+                   for d in schedule.devices], np.eye(dim, dtype=complex))
+
+
+class TestScheduleMatrix:
+    def test_unitary_schedule_matches_embedded_product(self):
+        u = random_unitary(9, np.random.default_rng(68))
+        schedule = reck_decompose(u)
+        assert len(schedule.devices) >= 9 * 8 // 2
+        assert np.abs(schedule.matrix()
+                      - _embedded_product(schedule)).max() < 1e-12
+
+    def test_bogoliubov_schedule_matches_embedded_product(self):
+        r = random_bogoliubov(4, seed=69)
+        schedule = schedule_static(r)
+        assert {d.kind for d in schedule.devices} == {
+            "beamsplitter", "phase", "squeezer"}
+        assert np.abs(schedule.matrix()
+                      - _embedded_product(schedule)).max() < 1e-12
+
+    def test_descending_channels(self):
+        params = {"theta": 0.4, "phi": 0.3, "psi": -1.1, "zeta": 0.2}
+        down = DeviceSchedule(channels=3, doubled=True, devices=[Device(
+            kind="beamsplitter", channels=(2, 0), params=params)])
+        assert np.abs(down.matrix() - _embedded_product(down)).max() < 1e-15
+        g = beamsplitter_matrix(**params)
+        assert np.allclose(down.matrix()[np.ix_([2, 0], [2, 0])], g)
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_perturbed_splitter_exceeds_gate(self, doubled):
+        if doubled:
+            target = random_bogoliubov(4, seed=70)
+            schedule = schedule_static(target)
+        else:
+            target = random_unitary(9, np.random.default_rng(70))
+            schedule = reck_decompose(target)
+        assert schedule.residual(target) < 1e-8
+        splitter = next(d for d in schedule.devices
+                        if d.kind == "beamsplitter")
+        splitter.params["theta"] += 1e-6
+        assert schedule.residual(target) > 1e-8
 
 
 class TestScheduleStatic:

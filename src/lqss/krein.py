@@ -73,11 +73,17 @@ def swap_conj(x: np.ndarray) -> np.ndarray:
 
 
 def flat_adjoint(x: np.ndarray) -> np.ndarray:
-    """J-adjoint X^b = J_{2s} X^dag J_{2r} of a 2r x 2s matrix."""
+    """J-adjoint X^b = J_{2s} X^dag J_{2r} of a 2r x 2s matrix.
+
+    The two J factors only negate the off-diagonal blocks of X^dag.
+    """
     rows, cols = x.shape
-    _even(rows, "flat_adjoint input rows")
-    _even(cols, "flat_adjoint input cols")
-    return jmat(cols) @ x.conj().T @ jmat(rows)
+    r = _even(rows, "flat_adjoint input rows")
+    s = _even(cols, "flat_adjoint input cols")
+    out = np.conjugate(x.T)
+    out[:s, r:] *= -1
+    out[s:, :r] *= -1
+    return out
 
 
 def sharp_adjoint(x: np.ndarray) -> np.ndarray:
@@ -112,11 +118,14 @@ def j_norm_sign(v: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> int:
 
 
 def doubled_up_residual(x: np.ndarray) -> float:
-    """Frobenius distance of x from the doubled-up structure."""
-    rows, cols = x.shape
-    return float(
-        np.linalg.norm(sigmat(rows) @ x @ sigmat(cols) - np.conj(x))
-    )
+    """Frobenius distance of x from the doubled-up structure.
+
+    Sigma X Sigma swaps the row halves and the column halves of X.
+    """
+    r = _even(x.shape[0], "doubled_up_residual input rows")
+    s = _even(x.shape[1], "doubled_up_residual input cols")
+    swapped = np.roll(x, (r, s), axis=(0, 1))
+    return float(np.linalg.norm(swapped - np.conj(x)))
 
 
 def is_doubled_up(x: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> bool:

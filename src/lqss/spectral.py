@@ -11,16 +11,21 @@ doubled-up and J-Hermitian (G^b = G).  Its eigenvalues come in the patterns
 
 The routines here compute that classification and produce J-orthonormalized
 eigenvectors in the normalizations required by the factorization code in
-``dusvd``.  Real eigenvalues carrying a 2 x 2 Jordan block are detected and
-returned as generalized-eigenvector pairs; larger Jordan blocks are rejected.
+``dusvd``.  Each eigenspace basis comes from the eigenvectors of one
+``scipy.linalg.eig`` call when it passes the kernel cutoff of ``null_space``
+(a certificate); otherwise, and always for Jordan blocks, from an SVD.
+Real eigenvalues carrying a 2 x 2 Jordan block are detected and returned as
+generalized-eigenvector pairs; larger Jordan blocks are rejected.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals as dense_eigvals
+from scipy.linalg import eig as dense_eig
 
 from .errors import (
     DegeneracyError,
@@ -44,6 +49,8 @@ from .krein import (
 TOL_CLASS = 1e-8
 TOL_RANK = 1e-8
 TOL_CLUSTER = 1e-6
+
+log = logging.getLogger("lqss")
 
 
 @dataclass
@@ -73,6 +80,11 @@ class KreinSpectrum:
 
     classes: list
     dim: int  # 2n
+    #: eigenvalue clusters whose eigenspace came from the SVD fallback
+    svd_fallbacks: int = 0
+    #: largest ||(G - lam I) E||_2 / (tol_rank * scale) over the clusters
+    #: whose eigenvector basis E was certified (at most 1)
+    certificate_ratio: float = 0.0
 
     def by_kind(self, kind: str, jordan_size: int | None = None) -> list:
         out = []
@@ -207,48 +219,56 @@ def j_positive_vectors(basis: np.ndarray, count: int,
 
 
 def _cluster(values: np.ndarray, tol: float) -> list:
-    """Group scalars whose pairwise distance is below tol (union-find)."""
-    n = len(values)
-    parent = list(range(n))
+    """Group scalars linked by chains of pairwise distances below tol.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for k in range(i + 1, n):
-            if abs(values[i] - values[k]) < tol:
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[rk] = ri
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    Groups are the connected components of the distance graph, ordered by
+    their smallest member index, with members in ascending order.  Each
+    member's label falls to the smallest label among its neighbours (and to
+    the label of that label) until it settles at the smallest index of its
+    component.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        return []
+    near = np.abs(values[:, None] - values[None, :]) < tol
+    np.fill_diagonal(near, True)
+    labels = np.arange(values.size)
+    while True:
+        settled = np.where(near, labels, values.size).min(axis=1)
+        settled = settled[settled]
+        if np.array_equal(settled, labels):
+            break
+        labels = settled
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [g.tolist() for g in np.split(order, starts)]
 
 
 def _extract_jordan2_pair(gram: np.ndarray, lam: float, cand: np.ndarray,
                           tol: float) -> tuple:
     """Pick a normalized generalized pair (z1, z2) with <z1,z2> = 1,
-    <z2,z2> = 0 from candidate generalized directions ``cand``."""
+    <z2,z2> = 0 from candidate generalized directions ``cand``.
+
+    For z2 = cand c the normalization constant <(G - lam) z2, z2> is the
+    Hermitian form c^dag H c with H = cand^dag J (G - lam) cand (Hermitian
+    because G is J-Hermitian); z2 is taken along the eigenvector of H with
+    the largest |eigenvalue|.
+    """
     shifted = gram - lam * np.eye(gram.shape[0])
-    best = None
-    for idx in range(cand.shape[1]):
-        z2 = cand[:, idx]
-        z1 = shifted @ z2
-        g = j_inner(z1, z2)
-        if abs(g.imag) > 1e-6 * max(1.0, abs(g)):
-            raise NumericalError(
-                "generalized eigenvector pairing produced a non-real "
-                "normalization constant")
-        if best is None or abs(g.real) > abs(best[2]):
-            best = (z1, z2, g.real)
-    z1, z2, g = best
+    form = cand.conj().T @ jmat(gram.shape[0]) @ shifted @ cand
+    skew = np.linalg.norm(form - form.conj().T) / 2
+    if skew > 1e-6 * max(1.0, np.linalg.norm(form)):
+        raise NumericalError(
+            "generalized eigenvector pairing produced a non-real "
+            "normalization constant")
+    evals, evecs = np.linalg.eigh((form + form.conj().T) / 2)
+    k = int(np.argmax(np.abs(evals)))
+    g = evals[k]
     if abs(g) < tol:
         raise NumericalError(
             "Jordan pair normalization constant is numerically zero")
+    z2 = cand @ evecs[:, k]
+    z1 = shifted @ z2
     if g < 0:
         z1, z2 = swap_conj(z1), swap_conj(z2)
         g = -g
@@ -259,12 +279,27 @@ def _extract_jordan2_pair(gram: np.ndarray, lam: float, cand: np.ndarray,
     return z1, z2
 
 
-def _real_cluster_classes(gram, coupling, lam, mult, scale, tol_rank):
-    """Classify one real (possibly zero) eigenvalue cluster."""
-    dim = gram.shape[0]
-    eye = np.eye(dim)
-    shifted = gram - lam * eye
-    e1 = null_space(shifted, tol_rank, scale=scale)
+def _certified_basis(gram, lam, vecs, mult, cutoff):
+    """Orthonormal eigenspace basis from computed eigenvectors, if certified.
+
+    Returns (E, ratio) with ``ratio = ||(G - lam I) E||_2 / cutoff`` when the
+    columns of ``vecs`` span ``mult`` directions and ``ratio <= 1``, else
+    (None, ratio).  A certified E has ``mult`` orthonormal columns on which
+    G - lam I is below the kernel cutoff, so by Courant-Fischer it lies in
+    the kernel that ``null_space`` with the same cutoff would return.
+    """
+    basis = _orthonormal_columns(vecs)
+    if basis.shape[1] != mult:
+        return None, np.inf
+    resid = gram @ basis - lam * basis
+    ratio = float(np.linalg.norm(resid, 2)) / cutoff
+    return (basis, ratio) if ratio <= 1.0 else (None, ratio)
+
+
+def _real_cluster_classes(gram, coupling, lam, mult, scale, tol_rank, e1):
+    """Classify one real (possibly zero) eigenvalue cluster with eigenspace
+    basis ``e1``."""
+    shifted = gram - lam * np.eye(gram.shape[0])
     geo = e1.shape[1]
     classes = []
 
@@ -383,12 +418,10 @@ def _zero_semisimple_classes(coupling, e1, jordan_pairs):
     return classes
 
 
-def _complex_cluster_class(gram, lam, mult, tol_rank):
-    """Build the paired-vector class for a complex eigenvalue (Im > 0)."""
-    dim = gram.shape[0]
-    eye = np.eye(dim)
-    e_lam = null_space(gram - lam * eye, tol_rank,
-                       scale=max(1.0, float(np.linalg.norm(gram, 2))))
+def _complex_cluster_class(lam, mult, e_lam):
+    """Build the paired-vector class for a complex eigenvalue (Im > 0) with
+    eigenspace basis ``e_lam``."""
+    dim = e_lam.shape[0]
     if e_lam.shape[1] != mult:
         raise UnsupportedStructureError(
             f"complex eigenvalue {lam:.6g} is not semisimple; Jordan "
@@ -396,13 +429,10 @@ def _complex_cluster_class(gram, lam, mult, tol_rank):
     # Skew bilinear pairing h(v, w) = (Sigma v#)^dag J w = v^T (Sigma J) w
     # between E_lam and itself; nondegenerate by J-nondegeneracy of the
     # eigenspace pairing.  A Darboux basis of h yields the required pairs.
-    sj = np.zeros((dim, dim))
     half = dim // 2
-    sj[:half, half:] = -np.eye(half)
-    sj[half:, :half] = np.eye(half)
 
     def h(v, w):
-        return complex(v @ sj @ w)
+        return complex(np.concatenate([v[half:], -v[:half]]) @ w)
 
     work = [e_lam[:, i] for i in range(e_lam.shape[1])]
     pairs = []
@@ -442,28 +472,48 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray,
     gram = np.asarray(gram, dtype=complex)
     dim = gram.shape[0]
     scale = max(1.0, float(np.linalg.norm(gram, 2)))
-    evals = dense_eigvals(gram)
+    cutoff = tol_rank * scale
+    evals, evecs = dense_eig(gram)
     groups = _cluster(evals, TOL_CLUSTER * scale)
 
     classes = []
+    fallbacks = 0
+    worst = 0.0
     for idx in groups:
         lam = complex(np.mean(evals[idx]))
         mult = len(idx)
-        if abs(lam.imag) < TOL_CLUSTER * scale:
-            lam_r = lam.real
-            if abs(lam_r) < TOL_CLUSTER * scale:
-                lam_r = 0.0
+        real = abs(lam.imag) < TOL_CLUSTER * scale
+        if real:
+            lam = lam.real
+            if abs(lam) < TOL_CLUSTER * scale:
+                lam = 0.0
+        elif lam.imag < 0:
+            # Im < 0 clusters are the conjugates of the Im > 0 ones; skip.
+            continue
+        elif mult % 2:
+            raise NumericalError(
+                f"complex eigenvalue {lam:.6g} has odd multiplicity")
+        basis, ratio = _certified_basis(gram, lam, evecs[:, idx], mult,
+                                        cutoff)
+        if basis is None:
+            fallbacks += 1
+            basis = null_space(gram - lam * np.eye(dim), tol_rank,
+                               scale=scale)
+        else:
+            worst = max(worst, ratio)
+        if real:
             classes.extend(_real_cluster_classes(
-                gram, coupling, lam_r, mult, scale, tol_rank))
-        elif lam.imag > 0:
-            if mult % 2:
-                raise NumericalError(
-                    f"complex eigenvalue {lam:.6g} has odd multiplicity")
-            classes.append(_complex_cluster_class(gram, lam, mult, tol_rank))
-        # Im < 0 clusters are the conjugates of the Im > 0 ones; skip.
+                gram, coupling, lam, mult, scale, tol_rank, basis))
+        else:
+            classes.append(_complex_cluster_class(lam, mult, basis))
 
     _order_classes(classes)
-    spec = KreinSpectrum(classes=classes, dim=dim)
+    spec = KreinSpectrum(classes=classes, dim=dim, svd_fallbacks=fallbacks,
+                         certificate_ratio=worst)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("krein_spectrum %s", json.dumps({
+            "dim": dim, "clusters": len(groups), "classes": len(classes),
+            "svd_fallbacks": fallbacks, "certificate_ratio": worst}))
     # each real/zero pair covers 2 dimensions (z and its swap-conjugate);
     # complex pairs and Jordan pairs cover 4 (two columns plus partners)
     total = 2 * sum(

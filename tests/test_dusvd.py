@@ -148,6 +148,22 @@ class TestBogoliubovSvd:
         (block,) = [b for b in res.blocks if b.kind == "jordan2"]
         assert abs(block.value - lam) < 1e-5
 
+    @pytest.mark.parametrize("lam", [1.3, -0.8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_double_jordan(self, lam, seed):
+        # two size-2 Jordan blocks at one eigenvalue: the generalized
+        # directions span four dimensions, and no single candidate column
+        # need carry a nonzero normalization constant
+        coupling, _, _, _ = planted_coupling([("jordan", lam)] * 2,
+                                             np.random.default_rng(seed))
+        res = bogoliubov_svd(coupling)
+        assert res.residual < 1e-12
+        assert bogoliubov_residual(res.v) < 1e-8
+        assert bogoliubov_residual(res.w) < 1e-8
+        blocks = [b for b in res.blocks if b.kind == "jordan2"]
+        assert len(blocks) == 2
+        assert all(abs(b.value - lam) < 1e-5 for b in blocks)
+
     def test_planted_tied_degenerate(self):
         # equal degenerate weights exercise the tie-group rotation
         rng = np.random.default_rng(33)

@@ -232,3 +232,44 @@ def test_flat_adjoint_respects_j_inner(k, seed):
     v = rand_c(rng, 2 * k)
     w = rand_c(rng, 2 * k)
     assert abs(j_inner(v, x @ w) - j_inner(flat_adjoint(x) @ v, w)) < 1e-9
+
+
+class TestSlicedStructureMaps:
+    """flat_adjoint and the structure residuals agree with their dense
+    J/Sigma definitions."""
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 2), (8, 8)])
+    def test_flat_adjoint_matches_dense(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = random_doubled_up(shape[0] // 2, shape[1] // 2, rng)
+        dense = jmat(shape[1]) @ x.conj().T @ jmat(shape[0])
+        assert np.array_equal(flat_adjoint(x), dense)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 2), (8, 8)])
+    def test_doubled_up_residual_matches_dense(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        x = random_doubled_up(shape[0] // 2, shape[1] // 2, rng)
+        for y in (x, x + 1e-3 * rand_c(rng, shape)):
+            dense = np.linalg.norm(
+                sigmat(shape[0]) @ y @ sigmat(shape[1]) - np.conj(y))
+            assert doubled_up_residual(y) == dense
+
+    def test_bogoliubov_residual_matches_dense(self):
+        rng = np.random.default_rng(5)
+        r = random_bogoliubov(3, seed=6) + 1e-4 * rand_c(rng, (6, 6))
+        j, sigma, eye = jmat(6), sigmat(6), np.eye(6)
+        r_flat = j @ r.conj().T @ j
+        dense = max(np.linalg.norm(r @ r_flat - eye),
+                    np.linalg.norm(r_flat @ r - eye),
+                    np.linalg.norm(sigma @ r @ sigma - np.conj(r)))
+        assert bogoliubov_residual(r) == dense
+
+    def test_flat_adjoint_of_real_input_leaves_it_untouched(self):
+        x = np.arange(8.0).reshape(2, 4)
+        before = x.copy()
+        flat_adjoint(x)
+        assert np.array_equal(x, before)
+
+    def test_doubled_up_residual_rejects_odd_dimensions(self):
+        with pytest.raises(StructureError):
+            doubled_up_residual(np.eye(3))

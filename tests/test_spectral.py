@@ -1,12 +1,19 @@
 """Tests for the eigenvalue classification of coupling Gram matrices."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from helpers import planted_coupling
-from lqss.errors import UnsupportedStructureError
+from helpers import planted_coupling, random_general_model
+from lqss import spectral
+from lqss.errors import NumericalError, UnsupportedStructureError
 from lqss.krein import j_inner, phi_to_doubled, swap_conj
 from lqss.spectral import (
+    TOL_RANK,
+    _certified_basis,
+    _cluster,
+    _extract_jordan2_pair,
     check_degeneracy,
     j_gram,
     j_positive_vectors,
@@ -194,3 +201,196 @@ def test_spectrum_dimension_accounting():
     total_pairs = (spec.r_plus + spec.r_minus + 2 * spec.r_c
                    + spec.r_0_off_kernel + spec.r_0_kernel)
     assert total_pairs == nn
+
+
+class TestCluster:
+    def test_transitive_chain(self):
+        # a~b and b~c, but |a - c| > tol: one group through the chain
+        values = np.array([0.0, 0.9, 5.0, 0.9 + 0.9j])
+        assert _cluster(values, 1.0) == [[0, 1, 3], [2]]
+        assert abs(values[0] - values[3]) > 1.0
+
+    def test_groups_ordered_by_smallest_member(self):
+        values = np.array([5.0, 0.0, 5.0 + 1e-9, 7.0, 1e-9j])
+        assert _cluster(values, 1e-6) == [[0, 2], [1, 4], [3]]
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_matches_union_find(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=60) + 1j * rng.normal(size=60)
+        values[::3] = values[1::3] + 0.01 * rng.normal(size=20)
+        for tol in (1e-3, 0.05, 0.3):
+            assert _cluster(values, tol) == _cluster_union_find(values, tol)
+
+
+def _cluster_union_find(values, tol):
+    """Loop reference for _cluster: union-find over all close pairs."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for k in range(i + 1, n):
+            if abs(values[i] - values[k]) < tol:
+                ri, rk = find(i), find(k)
+                if ri != rk:
+                    parent[max(ri, rk)] = min(ri, rk)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _signature(spec):
+    return [(c.kind, c.jordan_size, c.pair_count, c.value)
+            for c in spec.classes]
+
+
+def _svd_reference(monkeypatch, gram, coupling):
+    """Classification with every eigenspace taken from the SVD kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_certified_basis",
+                      lambda *args: (None, np.inf))
+        return krein_spectrum(gram, coupling)
+
+
+def _record_certified(monkeypatch):
+    """Spy on the certificate; returns the list of accepted bases."""
+    accepted = []
+    original = spectral._certified_basis
+
+    def spy(gram, lam, vecs, mult, cutoff):
+        basis, ratio = original(gram, lam, vecs, mult, cutoff)
+        if basis is not None:
+            accepted.append((gram, lam, basis, mult))
+        return basis, ratio
+
+    monkeypatch.setattr(spectral, "_certified_basis", spy)
+    return accepted
+
+
+PLANTED_SEMISIMPLE = [
+    [("pos", 2.0), ("neg", -1.5)],
+    [("pair", 1.0 + 2.0j), ("pos", 0.6)],
+    [("deg", [0.7, 1.1]), ("neg", -0.4)],
+    [("pos", 2.0), ("neg", -1.5), ("pair", 1.0 + 2.0j), ("deg", [0.7])],
+]
+
+
+class TestEigenvectorFastPath:
+    """Eigenspaces from the eigenvectors of one eig call classify exactly
+    like the SVD kernels, and every accepted basis meets the certificate."""
+
+    def _check(self, monkeypatch, coupling):
+        gram = j_gram(coupling)
+        scale = max(1.0, np.linalg.norm(gram, 2))
+        reference = _svd_reference(monkeypatch, gram, coupling)
+        accepted = _record_certified(monkeypatch)
+        spec = krein_spectrum(gram, coupling)
+        fast, ref = _signature(spec), _signature(reference)
+        assert [s[:3] for s in fast] == [s[:3] for s in ref]
+        for (*_, a), (*_, b) in zip(fast, ref):
+            assert abs(a - b) <= 1e-10 * scale
+        assert accepted
+        for g, lam, basis, mult in accepted:
+            assert basis.shape == (g.shape[0], mult)
+            assert np.allclose(basis.conj().T @ basis, np.eye(mult),
+                               atol=1e-12)
+            resid = np.linalg.norm(g @ basis - lam * basis, 2)
+            assert resid <= TOL_RANK * scale
+        return spec
+
+    @pytest.mark.parametrize("n,m", [(16, 16), (24, 16), (32, 32)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_general_models(self, monkeypatch, n, m, seed):
+        _, coupling = random_general_model(n, m,
+                                           np.random.default_rng(seed))
+        spec = self._check(monkeypatch, coupling)
+        assert spec.svd_fallbacks == 0
+
+    @pytest.mark.parametrize("specs", PLANTED_SEMISIMPLE)
+    def test_planted(self, monkeypatch, specs):
+        rng = np.random.default_rng(len(specs))
+        coupling, _, _, _ = planted_coupling(specs, rng, extra_modes=1,
+                                             extra_ports=1)
+        spec = self._check(monkeypatch, coupling)
+        assert spec.r_0_kernel == 1
+
+    def test_jordan_takes_svd_fallback(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        coupling, _, _, _ = planted_coupling(
+            [("pos", 2.0), ("jordan", 1.3)], rng)
+        spec = self._check(monkeypatch, coupling)
+        assert spec.svd_fallbacks == 1
+        (pair,) = spec.jordan_pairs
+        assert pair.jordan_size == 2
+        assert abs(pair.value - 1.3) < 1e-5
+
+
+class TestCertificate:
+    GRAM = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
+
+    def test_exact_eigenvectors_accepted(self):
+        vecs = np.eye(4, dtype=complex)[:, :2] @ np.array([[1, 1], [1, -1]])
+        basis, ratio = _certified_basis(self.GRAM, 1.0, vecs, 2, 1e-8)
+        assert basis.shape == (4, 2)
+        assert ratio == 0.0
+
+    def test_residual_above_cutoff_rejected(self):
+        vecs = np.eye(4, dtype=complex)[:, :2]
+        vecs[2, 0] = 1e-6
+        basis, ratio = _certified_basis(self.GRAM, 1.0, vecs, 2, 1e-8)
+        assert basis is None
+        assert 10.0 < ratio < 1000.0
+
+    def test_parallel_columns_rejected(self):
+        vecs = np.eye(4, dtype=complex)[:, [0, 0]]
+        basis, _ = _certified_basis(self.GRAM, 1.0, vecs, 2, 1e-8)
+        assert basis is None
+
+    def test_inexact_eigenvectors_take_svd_fallback(self, monkeypatch):
+        # eigenvectors off by 1e-5 fail every certificate; the SVD kernels
+        # still give the same classification
+        _, coupling = random_general_model(6, 6, np.random.default_rng(7))
+        gram = j_gram(coupling)
+        reference = krein_spectrum(gram, coupling)
+        exact_eig = spectral.dense_eig
+
+        def noisy_eig(a):
+            evals, evecs = exact_eig(a)
+            noise = np.random.default_rng(8).normal(size=evecs.shape)
+            return evals, evecs + 1e-5 * noise
+
+        monkeypatch.setattr(spectral, "dense_eig", noisy_eig)
+        spec = krein_spectrum(gram, coupling)
+        # one cluster per class in a generic model
+        assert reference.svd_fallbacks == 0
+        assert spec.svd_fallbacks == len(spec.classes)
+        assert spec.certificate_ratio == 0.0
+        assert [s[:3] for s in _signature(spec)] == \
+            [s[:3] for s in _signature(reference)]
+
+
+class TestSpectrumDiagnostics:
+    def test_fields_and_debug_line(self, caplog):
+        _, coupling = random_general_model(8, 8, np.random.default_rng(4))
+        with caplog.at_level(logging.DEBUG, logger="lqss"):
+            spec = krein_spectrum(j_gram(coupling), coupling)
+        assert spec.svd_fallbacks == 0
+        assert 0.0 < spec.certificate_ratio <= 1.0
+        (record,) = [r for r in caplog.records
+                     if r.getMessage().startswith("krein_spectrum")]
+        assert record.levelno == logging.DEBUG
+        assert '"svd_fallbacks": 0' in record.getMessage()
+
+
+def test_jordan_pairing_rejects_non_hermitian_form():
+    # G = [[0, 1], [0, 0]] is not J-Hermitian, so the pairing form
+    # cand^dag J G cand has an anti-Hermitian part
+    gram = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match="non-real"):
+        _extract_jordan2_pair(gram, 0.0, np.eye(2, dtype=complex), 1e-8)

@@ -13,9 +13,9 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .general import general_tf, synthesize_general
+from .general import synthesize_general
 from .netlist import bloch_messiah, reck_decompose, schedule_static, takagi
-from .passive import passive_tf, synthesize_passive
+from .passive import synthesize_passive
 from .spectral import check_degeneracy, j_gram, krein_spectrum
 from .statespace import Model, verify_realization
 
@@ -24,10 +24,8 @@ __all__ = [
     "bogoliubov_svd",
     "bloch_messiah",
     "check_degeneracy",
-    "general_tf",
     "j_gram",
     "krein_spectrum",
-    "passive_tf",
     "reck_decompose",
     "schedule_static",
     "symplectic_svd",

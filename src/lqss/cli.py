@@ -36,7 +36,7 @@ from .errors import (
 from .general import synthesize_general
 from .netlist import schedule_static
 from .passive import synthesize_passive
-from .statespace import verify_realization
+from .statespace import adjoint, verify_realization
 
 log = logging.getLogger("lqss")
 
@@ -76,9 +76,9 @@ def _load_detunings(path: str | None):
     return np.asarray(data, dtype=float)
 
 
-def _try_schedule(matrix, label):
+def _try_schedule(matrix, kind, label):
     try:
-        return schedule_static(matrix)
+        return schedule_static(matrix, kind=kind)
     except LqssError as exc:
         log.warning("no device schedule for %s: %s", label, exc)
         return None
@@ -92,28 +92,24 @@ def cmd_synth(args) -> int:
     kappa = opts.get("interconnect_kappa", args.interconnect_kappa)
     log.info("synthesizing %s model with %d modes / %d ports",
              model.kind, model.n_modes, model.n_ports)
-    if model.kind == "passive":
-        real = synthesize_passive(
-            model.m_mat, model.n_mat, model.s_mat,
-            detunings=detunings, interconnect_kappa=kappa)
-        recon = real.v @ real.nhat @ real.w.conj().T
-    else:
-        real = synthesize_general(
-            model.m_mat, model.n_mat, model.s_mat,
-            detunings=detunings, interconnect_kappa=kappa)
-        from .krein import flat_adjoint
-        recon = real.v @ real.nhat @ flat_adjoint(real.w)
+    synthesize = (synthesize_passive if model.kind == "passive"
+                  else synthesize_general)
+    real = synthesize(model.m_mat, model.n_mat, model.s_mat,
+                      detunings=detunings, interconnect_kappa=kappa)
+    recon = real.v @ real.nhat @ adjoint(model.kind, real.w)
     resid = float(np.linalg.norm(recon - model.n_mat)
                   / max(1.0, np.linalg.norm(model.n_mat)))
     if resid > args.tol:
         raise NumericalError(
             f"coupling factorization residual {resid:.3e} exceeds the "
             f"requested tolerance {args.tol:.1e}")
+    network = "unitary" if model.kind == "passive" else "bogoliubov"
     payload = modelio.realization_to_dict(
         real,
-        pre_schedule=_try_schedule(real.pre, "pre network"),
-        post_schedule=_try_schedule(real.post, "post network"),
-        feedback_schedule=_try_schedule(real.r_feedback, "feedback network"))
+        pre_schedule=_try_schedule(real.pre, network, "pre network"),
+        post_schedule=_try_schedule(real.post, network, "post network"),
+        feedback_schedule=_try_schedule(real.r_feedback, network,
+                                        "feedback network"))
     payload["factorization_residual"] = resid
     modelio.dump_json(args.output, payload)
     print(f"synthesized {model.kind} realization -> {args.output} "

@@ -44,6 +44,7 @@ from .krein import (
     phi_to_real,
     sharp_adjoint,
     swap_conj,
+    unit_phases,
 )
 from .spectral import (
     KreinSpectrum,
@@ -89,15 +90,6 @@ class DuSvdResult:
     blocks: list
     spectrum: KreinSpectrum
     residual: float
-
-
-def _phase_to_real(col: np.ndarray) -> complex:
-    """Unit phase that makes the largest-magnitude entry real positive."""
-    idx = int(np.argmax(np.abs(col)))
-    entry = col[idx]
-    if abs(entry) == 0.0:
-        return 1.0
-    return np.exp(-1j * np.angle(entry))
 
 
 def pair_weights(lam: complex) -> tuple[float, float]:
@@ -297,10 +289,12 @@ def _build_blocks(coupling: np.ndarray,
 
 def _apply_phase_convention(blocks: list) -> None:
     """Fix the free unit phase of each block's leading W column."""
-    for b in blocks:
-        if b.kind == "degenerate_zero":
-            continue  # phases already fixed by the sign normalization
-        phase = _phase_to_real(b.w_cols[:, 0])
+    # degenerate-zero phases are already fixed by the sign normalization
+    free = [b for b in blocks if b.kind != "degenerate_zero"]
+    if not free:
+        return
+    phases = unit_phases(np.column_stack([b.w_cols[:, 0] for b in free]))
+    for b, phase in zip(free, phases):
         if b.size == 1:
             b.w_cols = b.w_cols * phase
         else:

@@ -13,7 +13,8 @@ dictated by the canonical blocks — plus a Bogoliubov feedback network
 closing the interconnect ports.  X is doubled-up and J-skew (X^b = -X), so
 R is Bogoliubov.  Unlike the passive case, X + I can be singular; when that
 happens the interconnect rates are perturbed slightly and the transform is
-retried.
+retried.  The input checks, the Cayley pair and the feedback closure are
+shared with passive models (see ``statespace``).
 """
 
 from __future__ import annotations
@@ -23,72 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dusvd import DuSvdResult, bogoliubov_svd
-from .errors import (
-    NumericalError,
-    ParameterError,
-    StructureError,
-    UnitEigenvalueError,
-)
-from .krein import (
-    check_bogoliubov,
-    check_doubled_up,
-    flat_adjoint,
-    is_doubled_up,
-    jmat,
-)
+from .errors import NumericalError
+from .krein import flat_adjoint
+from .statespace import feedback_network, validate_model
 
 #: beamsplitter inserted between the two cavities realizing a complex pair
 PAIR_BEAMSPLITTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def general_tf(s: complex, m_mat: np.ndarray, n_mat: np.ndarray,
-               s_mat: np.ndarray) -> np.ndarray:
-    """G(s) = [I - N (sI + iJM + N^b N / 2)^-1 N^b] S."""
-    dim = m_mat.shape[0]
-    nflat = flat_adjoint(n_mat)
-    core = np.linalg.solve(
-        s * np.eye(dim) + 1j * jmat(dim) @ m_mat + 0.5 * nflat @ n_mat,
-        nflat @ s_mat)
-    return s_mat - n_mat @ core
-
-
-def general_cayley(r_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """X = (I + R)(I - R)^-1 for Bogoliubov R without unit eigenvalues."""
-    r_mat = np.asarray(r_mat, dtype=complex)
-    eye = np.eye(r_mat.shape[0])
-    evals = np.linalg.eigvals(r_mat)
-    gap = np.abs(evals - 1.0)
-    worst = int(np.argmin(gap))
-    if gap[worst] < np.sqrt(tol):
-        raise UnitEigenvalueError(complex(evals[worst]))
-    return (eye + r_mat) @ np.linalg.inv(eye - r_mat)
-
-
-def general_inv_cayley(x_mat: np.ndarray) -> np.ndarray:
-    """R = (X - I)(X + I)^-1 for doubled-up J-skew X."""
-    x_mat = np.asarray(x_mat, dtype=complex)
-    scale = max(1.0, np.linalg.norm(x_mat))
-    if np.linalg.norm(flat_adjoint(x_mat) + x_mat) > 1e-8 * scale:
-        raise StructureError("feedback generator must be J-skew (X^b = -X)")
-    check_doubled_up(x_mat, what="feedback generator")
-    eye = np.eye(x_mat.shape[0])
-    shifted = x_mat + eye
-    cond = np.linalg.cond(shifted)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError(
-            "X + I is numerically singular; the Cayley transform of the "
-            "feedback generator does not exist for these interconnect rates")
-    return (x_mat - eye) @ np.linalg.inv(shifted)
-
-
-def active_port_damped_form(lam: float, x: float) -> np.ndarray:
-    """Damped one-port representation of an active coupling of strength
-    |lam|: the doubled-up 2 x 2 coupling sqrt(|lam|) [[sh x, ch x],
-    [ch x, sh x]], whose Gram matrix is lam * I for any damping angle x."""
-    if lam >= 0:
-        raise ParameterError("damped form applies to negative eigenvalues")
-    s, c = np.sinh(x), np.cosh(x)
-    return np.sqrt(abs(lam)) * np.array([[s, c], [c, s]])
 
 
 @dataclass
@@ -129,9 +70,6 @@ def assign_cavities(result: DuSvdResult, detunings: np.ndarray) -> tuple:
     cavities of each complex pair through a beamsplitter.
     """
     n = sum(b.size for b in result.blocks)
-    detunings = np.asarray(detunings, dtype=float)
-    if detunings.shape != (n,):
-        raise ParameterError(f"expected {n} detunings, got {detunings.shape}")
     m1 = np.diag(detunings).astype(complex)
     m2 = np.zeros((n, n), dtype=complex)
     cavities, devices = [], []
@@ -233,57 +171,34 @@ def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,
                        max_retries: int = 3,
                        rng_seed: int = 7) -> GeneralRealization:
     """Realize a general model as static Bogoliubov networks around a
-    cavity bank with feedback."""
-    m_mat = np.asarray(m_mat, dtype=complex)
-    n_mat = np.asarray(n_mat, dtype=complex)
-    dim = m_mat.shape[0]
-    n = dim // 2
-    m = n_mat.shape[0] // 2
-    if s_mat is None:
-        s_mat = np.eye(2 * m, dtype=complex)
-    s_mat = np.asarray(s_mat, dtype=complex)
-    check_doubled_up(m_mat, what="Hamiltonian matrix")
-    if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
-            1.0, np.linalg.norm(m_mat)):
-        raise StructureError("Hamiltonian matrix must be Hermitian")
-    check_bogoliubov(s_mat, what="scattering matrix")
-    if n_mat.shape[1] != dim:
-        raise StructureError("coupling matrix column count must match the "
-                             "doubled mode dimension")
+    cavity bank with feedback.
 
-    detunings = (np.zeros(n) if detunings is None
-                 else np.asarray(detunings, dtype=float))
-    kappas_tilde = np.broadcast_to(
-        np.asarray(interconnect_kappa, dtype=float), (n,)).copy()
-    if np.any(kappas_tilde <= 0):
-        raise ParameterError("interconnect rates must be positive")
+    When the feedback network cannot be built (``NumericalError`` from
+    ``inv_cayley``, typically a singular X + I), the interconnect rates are
+    perturbed by up to 10% (seeded by ``rng_seed``) and it is built again, at
+    most ``max_retries`` times.
+    """
+    m_mat, n_mat, s_mat, detunings, kappas_tilde = validate_model(
+        "general", m_mat, n_mat, s_mat, detunings, interconnect_kappa)
 
     fact = bogoliubov_svd(n_mat)
     mhat = fact.w.conj().T @ m_mat @ fact.w
     mhat = (mhat + mhat.conj().T) / 2
     cavities, devices, m_conc = assign_cavities(fact, detunings)
 
-    jfull = jmat(dim)
     rng = np.random.default_rng(rng_seed)
     rates = kappas_tilde
     retries = 0
     while True:
-        roots = np.sqrt(np.concatenate([rates, rates]))
-        ntilde = np.diag(roots).astype(complex)
-        nt_inv = np.diag(1.0 / roots)
-        # Ntilde is diagonal positive, so (Ntilde^b)^-1 = Ntilde^-1
-        x = 2j * nt_inv @ jfull @ (mhat - m_conc) @ nt_inv
-        if not is_doubled_up(x, 1e-7):
-            raise NumericalError(
-                "feedback generator lost the doubled-up structure")
         try:
-            r_feedback = general_inv_cayley(x)
+            ntilde, x, r_feedback = feedback_network(
+                "general", mhat, m_conc, rates)
             break
         except NumericalError:
             retries += 1
             if retries > max_retries:
                 raise
-            rates = kappas_tilde * rng.uniform(0.9, 1.1, size=n)
+            rates = kappas_tilde * rng.uniform(0.9, 1.1, size=len(rates))
 
     return GeneralRealization(
         kind="general", v=fact.v, w=fact.w, factorization=fact,

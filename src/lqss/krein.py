@@ -18,10 +18,7 @@ All functions are pure and operate on plain ``numpy`` arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import StructureError
 
@@ -38,15 +35,6 @@ def jmat(dim: int) -> np.ndarray:
     """J = diag(I_k, -I_k) for dim = 2k."""
     k = _even(dim, "J")
     return np.diag(np.concatenate([np.ones(k), -np.ones(k)]))
-
-
-def sigmat(dim: int) -> np.ndarray:
-    """Sigma = [[0, I_k], [I_k, 0]] for dim = 2k."""
-    k = _even(dim, "Sigma")
-    out = np.zeros((dim, dim))
-    out[:k, k:] = np.eye(k)
-    out[k:, :k] = np.eye(k)
-    return out
 
 
 def jsym(dim: int) -> np.ndarray:
@@ -70,6 +58,13 @@ def swap_conj(x: np.ndarray) -> np.ndarray:
     k = _even(x.shape[0], "input")
     xc = np.conj(x)
     return np.concatenate([xc[k:], xc[:k]], axis=0)
+
+
+def unit_phases(cols: np.ndarray) -> np.ndarray:
+    """Unit phase per column that makes the column's largest-magnitude entry
+    real positive (1 for a zero column)."""
+    lead = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return np.where(lead == 0, 1.0, np.exp(-1j * np.angle(lead)))
 
 
 def flat_adjoint(x: np.ndarray) -> np.ndarray:
@@ -106,15 +101,6 @@ def j_inner(v: np.ndarray, w: np.ndarray) -> complex:
         )
     k = _even(v.shape[0], "j_inner vectors")
     return complex(np.vdot(v[:k], w[:k]) - np.vdot(v[k:], w[k:]))
-
-
-def j_norm_sign(v: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> int:
-    """Sign (+1, -1 or 0) of the J-norm of v."""
-    q = j_inner(v, v).real
-    scale = float(np.vdot(v, v).real)
-    if abs(q) <= tol * max(scale, 1.0):
-        return 0
-    return 1 if q > 0 else -1
 
 
 def doubled_up_residual(x: np.ndarray) -> float:
@@ -164,55 +150,6 @@ def check_bogoliubov(r: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL,
     return r
 
 
-@dataclass(frozen=True)
-class DoubledUp:
-    """A 2r x 2s doubled-up matrix stored by its two defining half-blocks."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-
-    def __post_init__(self):
-        x1 = np.asarray(self.x1, dtype=complex)
-        x2 = np.asarray(self.x2, dtype=complex)
-        if x1.shape != x2.shape:
-            raise StructureError(
-                f"half-blocks must share a shape, got {x1.shape} and {x2.shape}"
-            )
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
-            raise StructureError("half-blocks contain non-finite entries")
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-
-    @property
-    def half_rows(self) -> int:
-        return self.x1.shape[0]
-
-    @property
-    def half_cols(self) -> int:
-        return self.x1.shape[1]
-
-    def full(self) -> np.ndarray:
-        """Materialize the full [[X1, X2], [conj(X2), conj(X1)]] matrix."""
-        return np.block([[self.x1, self.x2],
-                         [np.conj(self.x2), np.conj(self.x1)]])
-
-    @classmethod
-    def from_full(cls, x: np.ndarray,
-                  tol: float = DEFAULT_STRUCTURE_TOL) -> "DoubledUp":
-        x = np.asarray(x, dtype=complex)
-        check_doubled_up(x, tol)
-        r = x.shape[0] // 2
-        s = x.shape[1] // 2
-        return cls(x[:r, :s], x[:r, s:])
-
-
-def doubled_up_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X1, X2) half-blocks of a full doubled-up matrix."""
-    r = _even(x.shape[0], "rows")
-    s = _even(x.shape[1], "cols")
-    return x[:r, :s], x[:r, s:]
-
-
 def phi_to_real(x: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> np.ndarray:
     """Phi_{2m} X Phi_{2n}^-1 for doubled-up X; the result is real."""
     check_doubled_up(x, tol, "phi_to_real input")
@@ -227,34 +164,3 @@ def phi_to_doubled(x: np.ndarray) -> np.ndarray:
     _even(rows, "phi_to_doubled rows")
     _even(cols, "phi_to_doubled cols")
     return phimat(rows).conj().T @ np.real(x) @ phimat(cols)
-
-
-def random_hermitian_doubled_up(k: int, rng: np.random.Generator,
-                                scale: float = 1.0) -> np.ndarray:
-    """Random 2k x 2k Hermitian doubled-up matrix (H1 Hermitian, H2 symmetric)."""
-    a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    b = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    h1 = (a + a.conj().T) / 2
-    h2 = (b + b.T) / 2
-    return scale * np.block([[h1, h2], [h2.conj(), h1.conj()]])
-
-
-def random_bogoliubov(k: int, seed=None, scale: float = 0.5) -> np.ndarray:
-    """Random Bogoliubov matrix exp(-i J H) with H Hermitian doubled-up.
-
-    ``scale`` controls the size of H; large values give badly conditioned
-    (strongly squeezing) outputs.
-    """
-    if k < 1:
-        raise StructureError("mode count must be >= 1")
-    rng = np.random.default_rng(seed)
-    h = random_hermitian_doubled_up(k, rng, scale)
-    return expm(-1j * jmat(2 * k) @ h)
-
-
-def random_doubled_up(m: int, n: int, rng: np.random.Generator,
-                      scale: float = 1.0) -> np.ndarray:
-    """Random dense 2m x 2n doubled-up matrix."""
-    x1 = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    x2 = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    return scale * np.block([[x1, x2], [x2.conj(), x1.conj()]])

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .general import GeneralRealization
 from .netlist import Device, DeviceSchedule
 from .passive import PassiveRealization
-from .statespace import Model, VerifyReport
+from .statespace import Model, VerifyReport, interconnect_coupling
 
 SCHEMA_VERSION = 1
 
@@ -215,7 +215,6 @@ class LoadedRealization:
     r_feedback: np.ndarray
     pre: np.ndarray
     post: np.ndarray
-    data: dict
 
 
 def realization_from_dict(data: dict,
@@ -232,14 +231,11 @@ def realization_from_dict(data: dict,
     kappas = np.asarray(
         _require(reduced, "interconnect_kappas", f"{where}.reduced"),
         dtype=float)
-    roots = np.sqrt(kappas)
-    if kind == "general":
-        roots = np.concatenate([roots, roots])
-    if roots.shape[0] != m_conc.shape[0]:
+    ntilde = interconnect_coupling(kind, kappas)
+    if ntilde.shape[0] != m_conc.shape[0]:
         raise ValidationError(
             f"{where}.reduced: interconnect rate count does not match the "
             "Hamiltonian dimension")
-    ntilde = np.diag(roots).astype(complex)
     fb = _require(data, "feedback", where)
     r_feedback = decode_matrix(_require(fb, "matrix", f"{where}.feedback"),
                                f"{where}.feedback.matrix")
@@ -251,7 +247,7 @@ def realization_from_dict(data: dict,
                  f"{where}.post_network"), f"{where}.post_network.matrix")
     return LoadedRealization(kind=kind, nhat=nhat, m_conc=m_conc,
                              ntilde=ntilde, r_feedback=r_feedback,
-                             pre=pre, post=post, data=data)
+                             pre=pre, post=post)
 
 
 def load_realization(path: str) -> LoadedRealization:

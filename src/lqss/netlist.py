@@ -296,22 +296,22 @@ def schedule_static(r_mat: np.ndarray,
     Unitary inputs give a beamsplitter/phase schedule; Bogoliubov inputs are
     split by ``bloch_messiah`` into (unitary, squeezers, unitary) and the
     pieces concatenated on doubled-up channels.  ``kind`` forces the
-    interpretation ('unitary' or 'bogoliubov'); by default Bogoliubov
-    structure is preferred when present.
+    interpretation ('unitary' or 'bogoliubov') and only that structure is
+    checked; by default Bogoliubov structure is preferred when present.
     """
+    if kind not in (None, "unitary", "bogoliubov"):
+        raise StructureError(f"unknown static network kind {kind!r}")
     r_mat = np.asarray(r_mat, dtype=complex)
     dim = r_mat.shape[0]
-    eye = np.eye(dim)
-    unitary = np.linalg.norm(r_mat @ r_mat.conj().T - eye) <= 1e-8 * dim
-    bogoliubov = dim % 2 == 0 and is_bogoliubov(r_mat, 1e-7)
+    bogoliubov = (kind != "unitary" and dim % 2 == 0
+                  and is_bogoliubov(r_mat, 1e-7))
     if kind is None:
         kind = "bogoliubov" if bogoliubov else "unitary"
     if kind == "unitary":
-        if not unitary:
+        if not (np.linalg.norm(r_mat @ r_mat.conj().T - np.eye(dim))
+                <= 1e-8 * dim):
             raise StructureError("static network is not unitary")
         return reck_decompose(r_mat)
-    if kind != "bogoliubov":
-        raise StructureError(f"unknown static network kind {kind!r}")
     if not bogoliubov:
         raise StructureError("static network is not Bogoliubov")
     m = dim // 2

@@ -11,7 +11,9 @@ interconnect-only cavities, all threaded through a unitary feedback network
 where D carries the chosen cavity detunings and Ntilde the interconnect
 coupling rates.  X is skew-Hermitian, so R is unitary and the Cayley
 transform is always well defined on this leg; the inverse direction
-(``cayley``) can fail when R has a unit eigenvalue.
+(``statespace.cayley``) can fail when R has a unit eigenvalue.  The input
+checks and the feedback closure are those of general models (see
+``statespace``), with the ordinary adjoint in place of the J-adjoint.
 """
 
 from __future__ import annotations
@@ -20,45 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    StructureError,
-    UnitEigenvalueError,
-)
+from .krein import unit_phases
+from .statespace import feedback_network, validate_model
 
 RANK_RTOL = 1e-10
-
-
-def cayley(r_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """X = (I - R)^-1 (I + R); raises when R has an eigenvalue at +1."""
-    r_mat = np.asarray(r_mat, dtype=complex)
-    eye = np.eye(r_mat.shape[0])
-    evals = np.linalg.eigvals(r_mat)
-    gap = np.abs(evals - 1.0)
-    worst = int(np.argmin(gap))
-    if gap[worst] < np.sqrt(tol):
-        raise UnitEigenvalueError(complex(evals[worst]))
-    return np.linalg.solve(eye - r_mat, eye + r_mat)
-
-
-def inv_cayley(x_mat: np.ndarray) -> np.ndarray:
-    """R = (X - I)(X + I)^-1 for skew-Hermitian X (always well defined)."""
-    x_mat = np.asarray(x_mat, dtype=complex)
-    herm = np.linalg.norm(x_mat + x_mat.conj().T)
-    if herm > 1e-8 * max(1.0, np.linalg.norm(x_mat)):
-        raise StructureError("feedback generator must be skew-Hermitian")
-    eye = np.eye(x_mat.shape[0])
-    return (x_mat - eye) @ np.linalg.inv(x_mat + eye)
-
-
-def passive_tf(s: complex, m_mat: np.ndarray, n_mat: np.ndarray,
-               s_mat: np.ndarray) -> np.ndarray:
-    """G(s) = S - N (sI + iM + N^dag N / 2)^-1 N^dag S."""
-    dim = m_mat.shape[0]
-    core = np.linalg.solve(
-        s * np.eye(dim) + 1j * m_mat + 0.5 * n_mat.conj().T @ n_mat,
-        n_mat.conj().T @ s_mat)
-    return s_mat - n_mat @ core
 
 
 @dataclass
@@ -87,57 +54,23 @@ class PassiveRealization:
             self.kappas = self.sigma[: self.rank] ** 2
 
 
-def _phase_fix(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Make the largest entry of each W column real positive; V follows."""
-    w = w.copy()
-    v = v.copy()
-    for k in range(w.shape[1]):
-        col = w[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        if abs(col[idx]) == 0.0:
-            continue
-        phase = np.exp(-1j * np.angle(col[idx]))
-        w[:, k] *= phase
-        if k < v.shape[1]:
-            v[:, k] *= phase
-    return v, w
-
-
 def synthesize_passive(m_mat: np.ndarray, n_mat: np.ndarray,
                        s_mat: np.ndarray | None = None,
                        detunings: np.ndarray | None = None,
                        interconnect_kappa=1.0) -> PassiveRealization:
     """Realize a passive model as pre/post unitaries around a cavity bank."""
-    m_mat = np.asarray(m_mat, dtype=complex)
-    n_mat = np.asarray(n_mat, dtype=complex)
-    n = m_mat.shape[0]
-    m = n_mat.shape[0]
-    if s_mat is None:
-        s_mat = np.eye(m, dtype=complex)
-    s_mat = np.asarray(s_mat, dtype=complex)
-    if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
-            1.0, np.linalg.norm(m_mat)):
-        raise StructureError("Hamiltonian matrix must be Hermitian")
-    if np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(m)) > 1e-9:
-        raise StructureError("scattering matrix must be unitary")
-    if n_mat.shape[1] != n:
-        raise StructureError("coupling matrix column count must match the "
-                             "mode dimension")
+    m_mat, n_mat, s_mat, detunings, kappas_tilde = validate_model(
+        "passive", m_mat, n_mat, s_mat, detunings, interconnect_kappa)
+    m, n = n_mat.shape
 
-    detunings = (np.zeros(n) if detunings is None
-                 else np.asarray(detunings, dtype=float))
-    if detunings.shape != (n,):
-        raise ParameterError(f"expected {n} detunings, got "
-                             f"{detunings.shape}")
-    kappas_tilde = np.broadcast_to(
-        np.asarray(interconnect_kappa, dtype=float), (n,)).copy()
-    if np.any(kappas_tilde <= 0):
-        raise ParameterError("interconnect rates must be positive")
-
-    u, sigma, wh = np.linalg.svd(n_mat)
-    v = u
+    v, sigma, wh = np.linalg.svd(n_mat)
+    # fix each singular pair's free phase: the largest entry of each W
+    # column becomes real positive, and the paired V column follows
     w = wh.conj().T
-    v, w = _phase_fix(v, w)
+    phases = unit_phases(w)
+    w = w * phases
+    k = min(m, n)
+    v[:, :k] *= phases[:k]
     cutoff = RANK_RTOL * (sigma[0] if sigma.size else 0.0)
     rank = int(np.sum(sigma > cutoff))
 
@@ -147,10 +80,8 @@ def synthesize_passive(m_mat: np.ndarray, n_mat: np.ndarray,
     mhat = (mhat + mhat.conj().T) / 2
 
     m_conc = np.diag(detunings).astype(complex)
-    ntilde = np.diag(np.sqrt(kappas_tilde)).astype(complex)
-    nt_inv = np.diag(1.0 / np.sqrt(kappas_tilde))
-    x = 2j * nt_inv @ (mhat - m_conc) @ nt_inv
-    r_feedback = inv_cayley(x)
+    ntilde, x, r_feedback = feedback_network(
+        "passive", mhat, m_conc, kappas_tilde)
 
     return PassiveRealization(
         kind="passive", v=v, w=w, sigma=sigma, rank=rank, nhat=nhat,

@@ -30,7 +30,6 @@ from scipy.linalg import eig as dense_eig
 from .errors import (
     DegeneracyError,
     NumericalError,
-    StructureError,
     UnsupportedStructureError,
 )
 from .krein import (

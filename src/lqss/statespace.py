@@ -1,10 +1,22 @@
-"""State-space models, feedback elimination and transfer-function checks.
+"""State-space models, the passive/general geometry and feedback closure.
 
 A passive model with n internal modes and m ports is the triple (S, N, M)
 with dynamics matrix A = -iM - N^dag N / 2; its transfer function is
 G(s) = S - N (sI + iM + N^dag N/2)^-1 N^dag S.  The general (active) model
 uses doubled-up matrices and the J-adjoint: A = -iJM - N^b N / 2,
 G(s) = [I - N (sI + iJM + N^b N/2)^-1 N^b] S.
+
+A passive model is the N2 = 0 case of a general one: the two kinds differ
+only in the adjoint, X^dag against X^b = J X^dag J.  Every step of synthesis
+and verification that depends on the kind is one of the functions here, each
+taking ``kind``:
+
+* ``adjoint`` and ``drift`` (-iM or -iJM);
+* the Cayley pair ``cayley`` / ``inv_cayley`` between a feedback generator
+  X and its feedback network R;
+* ``validate_model``, the input checks of both synthesis routines;
+* ``interconnect_coupling`` (Ntilde) and ``feedback_network``, which closes
+  the reduced cavity bank.
 
 The realization produced by the synthesis routines is a bank of reduced
 cavities whose interconnect ports are closed through a static feedback
@@ -15,12 +27,159 @@ be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PoleError, StructureError
-from .krein import flat_adjoint, jmat
+from .errors import (
+    NumericalError,
+    ParameterError,
+    PoleError,
+    StructureError,
+    UnitEigenvalueError,
+)
+from .krein import (
+    check_bogoliubov,
+    check_doubled_up,
+    flat_adjoint,
+    is_doubled_up,
+)
+
+
+def adjoint(kind: str, x: np.ndarray) -> np.ndarray:
+    """X^dag for passive models, the J-adjoint X^b = J X^dag J for general
+    ones."""
+    return x.conj().T if kind == "passive" else flat_adjoint(x)
+
+
+def drift(kind: str, m_mat: np.ndarray) -> np.ndarray:
+    """-iM for passive models, -iJM for general ones.
+
+    J = diag(I, -I) only negates the lower half of the rows.
+    """
+    out = -1j * m_mat
+    if kind == "general":
+        out[m_mat.shape[0] // 2:] *= -1
+    return out
+
+
+def cayley(r_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """X = (I - R)^-1 (I + R); raises when R has an eigenvalue at +1.
+
+    The formula does not depend on the kind: I + R commutes with
+    (I - R)^-1, so this also equals (I + R)(I - R)^-1.
+    """
+    r_mat = np.asarray(r_mat, dtype=complex)
+    eye = np.eye(r_mat.shape[0])
+    evals = np.linalg.eigvals(r_mat)
+    gap = np.abs(evals - 1.0)
+    worst = int(np.argmin(gap))
+    if gap[worst] < np.sqrt(tol):
+        raise UnitEigenvalueError(complex(evals[worst]))
+    return np.linalg.solve(eye - r_mat, eye + r_mat)
+
+
+def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
+    """R = (X - I)(X + I)^-1 for a feedback generator X with X^dag = -X
+    (passive) or X doubled-up and X^b = -X (general).
+
+    A skew-Hermitian X never makes X + I singular, and R is unitary.  For
+    general models R is Bogoliubov, but X + I can be singular; that raises
+    ``NumericalError``.
+    """
+    x_mat = np.asarray(x_mat, dtype=complex)
+    general = kind == "general"
+    if general and not is_doubled_up(x_mat, 1e-7):
+        raise NumericalError(
+            "feedback generator lost the doubled-up structure")
+    scale = max(1.0, np.linalg.norm(x_mat))
+    if np.linalg.norm(adjoint(kind, x_mat) + x_mat) > 1e-8 * scale:
+        raise StructureError(
+            "feedback generator must be J-skew (X^b = -X)" if general
+            else "feedback generator must be skew-Hermitian")
+    eye = np.eye(x_mat.shape[0])
+    shifted = x_mat + eye
+    if general:
+        check_doubled_up(x_mat, what="feedback generator")
+        cond = np.linalg.cond(shifted)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NumericalError(
+                "X + I is numerically singular; the Cayley transform of the "
+                "feedback generator does not exist for these interconnect "
+                "rates")
+    return (x_mat - eye) @ np.linalg.inv(shifted)
+
+
+def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
+                   interconnect_kappa) -> tuple:
+    """Checked synthesis inputs (M, N, S, detunings, interconnect rates).
+
+    M, N and S become complex arrays, S defaulting to the identity; the
+    detunings (default zero) and the interconnect rates have one entry per
+    cavity mode.  General models need a doubled-up Hamiltonian and a
+    Bogoliubov scattering matrix, passive ones a unitary S.
+    """
+    m_mat = np.asarray(m_mat, dtype=complex)
+    n_mat = np.asarray(n_mat, dtype=complex)
+    general = kind == "general"
+    dim = m_mat.shape[0]
+    modes = dim // 2 if general else dim
+    ports = 2 * (n_mat.shape[0] // 2) if general else n_mat.shape[0]
+    if s_mat is None:
+        s_mat = np.eye(ports, dtype=complex)
+    s_mat = np.asarray(s_mat, dtype=complex)
+    if general:
+        check_doubled_up(m_mat, what="Hamiltonian matrix")
+    if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
+            1.0, np.linalg.norm(m_mat)):
+        raise StructureError("Hamiltonian matrix must be Hermitian")
+    if general:
+        check_bogoliubov(s_mat, what="scattering matrix")
+    elif np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(ports)) > 1e-9:
+        raise StructureError("scattering matrix must be unitary")
+    if n_mat.shape[1] != dim:
+        raise StructureError(
+            "coupling matrix column count must match the "
+            f"{'doubled ' if general else ''}mode dimension")
+
+    detunings = (np.zeros(modes) if detunings is None
+                 else np.asarray(detunings, dtype=float))
+    if detunings.shape != (modes,):
+        raise ParameterError(f"expected {modes} detunings, got "
+                             f"{detunings.shape}")
+    rates = np.broadcast_to(
+        np.asarray(interconnect_kappa, dtype=float), (modes,)).copy()
+    if np.any(rates <= 0):
+        raise ParameterError("interconnect rates must be positive")
+    return m_mat, n_mat, s_mat, detunings, rates
+
+
+def interconnect_coupling(kind: str, rates) -> np.ndarray:
+    """Ntilde = diag(sqrt(rates)), the rates repeated on the second half of
+    the doubled-up modes for general models."""
+    roots = np.sqrt(rates)
+    if kind == "general":
+        roots = np.concatenate([roots, roots])
+    return np.diag(roots).astype(complex)
+
+
+def feedback_network(kind: str, mhat: np.ndarray, m_conc: np.ndarray,
+                     rates) -> tuple:
+    """(Ntilde, X, R) of the feedback network that turns the cavity bank
+    M_conc with interconnect rates ``rates`` into the reduced system Mhat.
+
+    X = 2i Ntilde^-1 (Mhat - M_conc) Ntilde^-1, with a J after the first
+    Ntilde^-1 for general models (Ntilde is diagonal and positive, so
+    (Ntilde^b)^-1 = Ntilde^-1); the diagonal factors are applied as row and
+    column scalings.  R = inv_cayley(kind, X).
+    """
+    ntilde = interconnect_coupling(kind, rates)
+    inv = 1.0 / ntilde.diagonal().real
+    left = 2j * inv
+    if kind == "general":
+        left[len(inv) // 2:] *= -1
+    x = left[:, np.newaxis] * (mhat - m_conc) * inv
+    return ntilde, x, inv_cayley(kind, x)
 
 
 @dataclass
@@ -77,51 +236,14 @@ class Model:
         d = self.n_mat.shape[0]
         return d // 2 if self.kind == "general" else d
 
-    def _adjoint(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "passive":
-            return x.conj().T
-        return flat_adjoint(x)
-
     def statespace(self) -> StateSpace:
         n = self.n_mat
-        nadj = self._adjoint(n)
-        if self.kind == "passive":
-            drift = -1j * self.m_mat
-        else:
-            drift = -1j * jmat(self.m_mat.shape[0]) @ self.m_mat
-        a = drift - 0.5 * nadj @ n
+        nadj = adjoint(self.kind, n)
+        a = drift(self.kind, self.m_mat) - 0.5 * nadj @ n
         return StateSpace(a=a, b=-nadj @ self.s_mat, c=n, d=self.s_mat)
 
     def tf(self, s: complex) -> np.ndarray:
         return self.statespace().eval(s)
-
-
-def model_adjoint(kind: str, x: np.ndarray) -> np.ndarray:
-    return x.conj().T if kind == "passive" else flat_adjoint(x)
-
-
-def assemble_open_network(kind: str, nhat: np.ndarray, m_conc: np.ndarray,
-                          ntilde: np.ndarray) -> StateSpace:
-    """Cavity bank with both system and interconnect ports left open.
-
-    Inputs/outputs are stacked [system ports; interconnect ports]; the
-    scattering matrix is the identity.
-    """
-    dim = m_conc.shape[0]
-    if ntilde.shape != (dim, dim):
-        raise StructureError("interconnect coupling must be square over "
-                             "the mode dimension")
-    nh_adj = model_adjoint(kind, nhat)
-    nt_adj = model_adjoint(kind, ntilde)
-    if kind == "passive":
-        drift = -1j * m_conc
-    else:
-        drift = -1j * jmat(dim) @ m_conc
-    a = drift - 0.5 * nh_adj @ nhat - 0.5 * nt_adj @ ntilde
-    b = -np.hstack([nh_adj, nt_adj])
-    c = np.vstack([nhat, ntilde])
-    d = np.eye(b.shape[1], dtype=complex)
-    return StateSpace(a=a, b=b, c=c, d=d)
 
 
 def close_feedback(kind: str, nhat: np.ndarray, m_conc: np.ndarray,
@@ -134,39 +256,21 @@ def close_feedback(kind: str, nhat: np.ndarray, m_conc: np.ndarray,
     (I - R)^-1 R = -I/2 + X/2.  Both must agree; keeping them separate
     allows the agreement itself to be tested.
     """
-    dim = m_conc.shape[0]
-    nh_adj = model_adjoint(kind, nhat)
-    nt_adj = model_adjoint(kind, ntilde)
-    if kind == "passive":
-        drift = -1j * m_conc
-    else:
-        drift = -1j * jmat(dim) @ m_conc
-    eye = np.eye(dim, dtype=complex)
+    nh_adj = adjoint(kind, nhat)
+    nt_adj = adjoint(kind, ntilde)
+    a = drift(kind, m_conc) - 0.5 * nh_adj @ nhat
     if method == "elimination":
+        eye = np.eye(m_conc.shape[0], dtype=complex)
         loop = np.linalg.solve(eye - r_fb, r_fb @ ntilde)
-        a = (drift - 0.5 * nh_adj @ nhat - 0.5 * nt_adj @ ntilde
-             - nt_adj @ loop)
+        a = a - 0.5 * nt_adj @ ntilde - nt_adj @ loop
     elif method == "cayley":
-        if kind == "passive":
-            x = np.linalg.solve(eye - r_fb, eye + r_fb)
-        else:
-            x = (eye + r_fb) @ np.linalg.inv(eye - r_fb)
-        a = drift - 0.5 * nh_adj @ nhat - 0.5 * nt_adj @ x @ ntilde
+        a = a - 0.5 * nt_adj @ cayley(r_fb) @ ntilde
     else:
         raise ParameterError(f"unknown feedback elimination method {method!r}")
     b = -nh_adj
     c = nhat
     d = np.eye(nhat.shape[0], dtype=complex)
     return StateSpace(a=a, b=b, c=c, d=d)
-
-
-def realized_tf(realization, s: complex,
-                method: str = "elimination") -> np.ndarray:
-    """Transfer function of (post network) o (closed cavity bank) o (pre)."""
-    closed = close_feedback(realization.kind, realization.nhat,
-                            realization.m_conc, realization.ntilde,
-                            realization.r_feedback, method=method)
-    return realization.post @ closed.eval(s) @ realization.pre
 
 
 @dataclass

@@ -1,15 +1,78 @@
-"""Shared builders for planted factorization test cases.
+"""Shared builders for test cases.
 
-A planted case starts from a hand-built canonical coupling Nhat (whose Gram
+Random models and structured matrices, the open-loop cavity bank used as a
+reference for feedback closure, and planted factorization cases.  A planted
+case starts from a hand-built canonical coupling Nhat (whose Gram
 eigenvalues are known exactly) and hides it behind random Bogoliubov factors:
 N = V Nhat W^b.  Recovering the factorization must then reproduce the planted
 eigenvalue multiset and reconstruct N.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from lqss.dusvd import SIGMA2, jordan2_factor, pair_weights
-from lqss.krein import flat_adjoint, random_bogoliubov
+from lqss.errors import StructureError
+from lqss.krein import flat_adjoint, jmat
+from lqss.statespace import StateSpace, adjoint, drift
+
+
+def sigmat(dim):
+    """Sigma = [[0, I_k], [I_k, 0]] for even dim = 2k."""
+    k = dim // 2
+    out = np.zeros((dim, dim))
+    out[:k, k:] = np.eye(k)
+    out[k:, :k] = np.eye(k)
+    return out
+
+
+def random_hermitian_doubled_up(k, rng, scale=1.0):
+    """Random 2k x 2k Hermitian doubled-up matrix (H1 Hermitian, H2 symmetric)."""
+    a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    b = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    h1 = (a + a.conj().T) / 2
+    h2 = (b + b.T) / 2
+    return scale * np.block([[h1, h2], [h2.conj(), h1.conj()]])
+
+
+def random_bogoliubov(k, seed=None, scale=0.5):
+    """Random Bogoliubov matrix exp(-i J H) with H Hermitian doubled-up.
+
+    ``scale`` controls the size of H; large values give badly conditioned
+    (strongly squeezing) outputs.
+    """
+    if k < 1:
+        raise StructureError("mode count must be >= 1")
+    rng = np.random.default_rng(seed)
+    h = random_hermitian_doubled_up(k, rng, scale)
+    return expm(-1j * jmat(2 * k) @ h)
+
+
+def random_doubled_up(m, n, rng, scale=1.0):
+    """Random dense 2m x 2n doubled-up matrix."""
+    x1 = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    x2 = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    return scale * np.block([[x1, x2], [x2.conj(), x1.conj()]])
+
+
+def assemble_open_network(kind, nhat, m_conc, ntilde):
+    """Cavity bank with both system and interconnect ports left open.
+
+    Inputs/outputs are stacked [system ports; interconnect ports]; the
+    scattering matrix is the identity.  Closing the interconnect ports
+    through R by hand is the reference for ``close_feedback``.
+    """
+    dim = m_conc.shape[0]
+    if ntilde.shape != (dim, dim):
+        raise StructureError("interconnect coupling must be square over "
+                             "the mode dimension")
+    nh_adj = adjoint(kind, nhat)
+    nt_adj = adjoint(kind, ntilde)
+    a = drift(kind, m_conc) - 0.5 * nh_adj @ nhat - 0.5 * nt_adj @ ntilde
+    b = -np.hstack([nh_adj, nt_adj])
+    c = np.vstack([nhat, ntilde])
+    d = np.eye(b.shape[1], dtype=complex)
+    return StateSpace(a=a, b=b, c=c, d=d)
 
 
 def random_unitary(n, rng):

@@ -13,6 +13,8 @@ import pytest
 from helpers import (
     multiset_distance,
     planted_coupling,
+    random_bogoliubov,
+    random_doubled_up,
     random_general_model,
     random_passive_model,
     random_unitary,
@@ -25,15 +27,13 @@ from lqss.krein import (
     j_inner,
     phi_to_doubled,
     phi_to_real,
-    random_bogoliubov,
-    random_doubled_up,
 )
 from lqss.netlist import schedule_static
-from lqss.passive import cayley, synthesize_passive
+from lqss.passive import synthesize_passive
 from lqss.general import synthesize_general
 from lqss.spectral import check_degeneracy
 from lqss.dusvd import bogoliubov_svd
-from lqss.statespace import Model, close_feedback, verify_realization
+from lqss.statespace import Model, cayley, close_feedback, verify_realization
 from test_passive import M3, N3, R3_ABS, SIGMA3, V3_ABS, W3_ABS, MHAT3_ABS
 from test_general import M4, N4
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_passive_model
+from helpers import random_bogoliubov, random_passive_model
 from lqss import modelio, synthesize_general, synthesize_passive
 from lqss.cli import (
     EXIT_NUMERICAL,
@@ -16,7 +16,7 @@ from lqss.cli import (
     main,
 )
 from lqss.errors import ValidationError
-from lqss.krein import phi_to_doubled, random_bogoliubov
+from lqss.krein import phi_to_doubled
 from lqss.statespace import Model
 from test_passive import M3, N3
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
@@ -123,6 +123,22 @@ class TestSynth:
         assert np.linalg.norm(
             modelio.decode_matrix(data["reduced"]["N_hat"], "N_hat")) == 0.0
         assert data["classification"]["rank"] == 0
+        assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
+
+    def test_passive_schedules_are_unitary(self, tmp_path):
+        # V and V^dag S of this model are real 2 x 2 unitaries, which are
+        # also doubled-up Bogoliubov matrices on one channel; a passive
+        # realization still gets beamsplitter schedules on two channels
+        model = Model(kind="passive", m_mat=np.array([[1.0, 0.3],
+                                                      [0.3, -0.5]]),
+                      n_mat=np.diag([2.0, 1.0]), s_mat=np.eye(2))
+        path = write_model(tmp_path / "real.json", model)
+        out = str(tmp_path / "real_net.json")
+        assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
+        data = json.load(open(out))
+        for network in ("pre_network", "post_network"):
+            schedule = data[network]["schedule"]
+            assert (schedule["kind"], schedule["channels"]) == ("unitary", 2)
         assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
 
     def test_detunings_from_model_file(self, tmp_path):

@@ -3,22 +3,23 @@
 import numpy as np
 import pytest
 
-from helpers import random_general_model
-from lqss.errors import LqssError, ParameterError, UnitEigenvalueError
-from lqss.general import (
-    active_port_damped_form,
-    general_cayley,
-    general_inv_cayley,
-    general_tf,
-    synthesize_general,
-)
-from lqss.krein import (
-    flat_adjoint,
-    jmat,
+from helpers import (
     random_bogoliubov,
+    random_general_model,
     random_hermitian_doubled_up,
 )
-from lqss.statespace import Model, close_feedback, verify_realization
+from lqss.dusvd import bogoliubov_svd
+from lqss.errors import LqssError, NumericalError, StructureError
+from lqss.general import synthesize_general
+from lqss.krein import flat_adjoint, jmat
+from lqss.spectral import j_gram
+from lqss.statespace import (
+    Model,
+    close_feedback,
+    inv_cayley,
+    verify_realization,
+)
+from test_statespace import CayleyPairLaws
 
 # worked 2-mode example: doubled-up M and N with an indefinite Gram
 M4 = np.array([
@@ -38,48 +39,69 @@ def real4():
     return synthesize_general(M4, N4)
 
 
-class TestGeneralCayley:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(51)
-        h = random_hermitian_doubled_up(2, rng)
-        x = 1j * jmat(4) @ h  # J-skew and doubled-up
-        r = general_inv_cayley(x)
-        assert np.linalg.norm(general_cayley(r) - x) < 1e-10
+class TestGeneralCayley(CayleyPairLaws):
+    kind = "general"
 
     def test_result_is_bogoliubov(self):
         rng = np.random.default_rng(52)
         h = random_hermitian_doubled_up(3, rng)
         x = 1j * jmat(6) @ h
-        r = general_inv_cayley(x)
+        r = inv_cayley("general", x)
         assert np.linalg.norm(r @ flat_adjoint(r) - np.eye(6)) < 1e-9
 
-    def test_unit_eigenvalue(self):
-        with pytest.raises(UnitEigenvalueError) as info:
-            general_cayley(np.eye(4))
-        assert abs(info.value.eigenvalue - 1.0) < 1e-10
 
-    def test_loop_gain_identity(self):
-        # (I - R)^-1 R = -I/2 + X/2 is what feedback elimination uses
-        rng = np.random.default_rng(53)
-        h = random_hermitian_doubled_up(2, rng)
-        x = 1j * jmat(4) @ h
-        r = general_inv_cayley(x)
-        eye = np.eye(4)
-        lhs = np.linalg.solve(eye - r, r)
-        assert np.linalg.norm(lhs - (-eye / 2 + x / 2)) < 1e-10
+class TestFeedbackGuards:
+    """The general guards of inv_cayley, in their order, and the retry of
+    synthesize_general around them."""
+
+    def test_lost_structure_is_numerical(self):
+        x = np.random.default_rng(58).normal(size=(4, 4)).astype(complex)
+        with pytest.raises(NumericalError, match="lost the doubled-up"):
+            inv_cayley("general", x)
+
+    def test_doubled_up_within_structure_tolerance(self):
+        # J-skew, and doubled-up within 1e-7 but not within 1e-9
+        h = random_hermitian_doubled_up(2, np.random.default_rng(59))
+        h[0, 0] += 1e-8
+        with pytest.raises(StructureError, match="not doubled-up"):
+            inv_cayley("general", 1j * jmat(4) @ h)
+
+    def test_singular_x_plus_identity(self):
+        # X = 2i J M with M1 = 0, M2 = 1/2 has the eigenvalues +1 and -1
+        x = 2j * jmat(2) @ np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(NumericalError, match="numerically singular"):
+            inv_cayley("general", x)
+
+    def test_singular_x_plus_identity_is_retried(self):
+        # one passive port (N = I, so W = I and Mhat = M): at unit
+        # interconnect rates X is the singular generator above
+        m_mat = np.array([[0.0, 0.5], [0.5, 0.0]])
+        real = synthesize_general(m_mat, np.eye(2))
+        assert real.retries == 1
+        assert real.kappas_tilde[0] != 1.0
+        model = Model(kind="general", m_mat=m_mat, n_mat=np.eye(2),
+                      s_mat=np.eye(2))
+        assert verify_realization(model, real).passed
+        with pytest.raises(NumericalError, match="numerically singular"):
+            synthesize_general(m_mat, np.eye(2), max_retries=0)
 
 
 class TestActivePortDampedForm:
+    """An active port of strength |lam| seen through a damping angle x: the
+    doubled-up 2 x 2 coupling sqrt(|lam|) [[sh x, ch x], [ch x, sh x]]."""
+
     @pytest.mark.parametrize("x", [0.0, 0.3, -1.1, 2.0])
     def test_gram_is_constant(self, x):
+        # the Gram matrix is lam * I for every damping angle, so the
+        # factorization finds the one active port
         lam = -2.7
-        nhat = active_port_damped_form(lam, x)
-        gram = flat_adjoint(nhat) @ nhat
-        assert np.allclose(gram, lam * np.eye(2), atol=1e-12)
-
-    def test_positive_rejected(self):
-        with pytest.raises(ParameterError):
-            active_port_damped_form(1.0, 0.5)
+        sh, ch = np.sinh(x), np.cosh(x)
+        nhat = np.sqrt(abs(lam)) * np.array([[sh, ch], [ch, sh]])
+        assert np.allclose(j_gram(nhat), lam * np.eye(2), atol=1e-12)
+        res = bogoliubov_svd(nhat)
+        assert [b.kind for b in res.blocks] == ["real_negative"]
+        assert res.blocks[0].value == pytest.approx(lam, abs=1e-12)
+        assert res.residual < 1e-12
 
 
 class TestWorkedExample:
@@ -207,13 +229,17 @@ class TestComplexPair:
 
 
 def test_general_tf_matches_model():
+    # G(s) = [I - N (sI + iJM + N^b N / 2)^-1 N^b] S with S = I
     rng = np.random.default_rng(55)
     m_mat, n_mat = random_general_model(2, 2, rng)
     model = Model(kind="general", m_mat=m_mat, n_mat=n_mat,
                   s_mat=np.eye(4, dtype=complex))
+    j = np.diag([1.0, 1.0, -1.0, -1.0])
+    n_flat = j @ n_mat.conj().T @ j
     for s in (0.7 + 2.0j, 4.0j):
-        assert np.allclose(model.tf(s),
-                           general_tf(s, m_mat, n_mat, np.eye(4)),
+        core = np.linalg.solve(
+            s * np.eye(4) + 1j * j @ m_mat + 0.5 * n_flat @ n_mat, n_flat)
+        assert np.allclose(model.tf(s), np.eye(4) - n_mat @ core,
                            atol=1e-12)
 
 

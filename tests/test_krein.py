@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    random_bogoliubov,
+    random_doubled_up,
+    random_hermitian_doubled_up,
+    sigmat,
+)
 from lqss.errors import StructureError
 from lqss.krein import (
     bogoliubov_residual,
     check_bogoliubov,
     check_doubled_up,
-    doubled_up_parts,
     doubled_up_residual,
     flat_adjoint,
     is_bogoliubov,
@@ -21,12 +26,9 @@ from lqss.krein import (
     phi_to_doubled,
     phi_to_real,
     phimat,
-    random_bogoliubov,
-    random_doubled_up,
-    random_hermitian_doubled_up,
     sharp_adjoint,
-    sigmat,
     swap_conj,
+    unit_phases,
 )
 
 
@@ -106,11 +108,14 @@ class TestJInner:
 
 class TestDoubledUp:
     def test_parts_roundtrip(self):
+        # the half-blocks X1 = x[:r, :s], X2 = x[:r, s:] determine x, and
+        # Sigma conj(x) = x Sigma swaps its column halves
         rng = np.random.default_rng(4)
         x = random_doubled_up(2, 3, rng)
-        x1, x2 = doubled_up_parts(x)
+        x1, x2 = x[:2, :3], x[:2, 3:]
         rebuilt = np.block([[x1, x2], [np.conj(x2), np.conj(x1)]])
-        assert np.allclose(rebuilt, x)
+        assert np.array_equal(rebuilt, x)
+        assert np.array_equal(swap_conj(x), np.roll(x, 3, axis=1))
 
     def test_sigma_characterization(self):
         rng = np.random.default_rng(5)

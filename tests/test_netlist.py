@@ -5,9 +5,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import random_bogoliubov, random_unitary
 from lqss.errors import NumericalError, StructureError
-from lqss.krein import bogoliubov_residual, random_bogoliubov
+from lqss.krein import bogoliubov_residual
 from lqss.netlist import (
     Device,
     DeviceSchedule,

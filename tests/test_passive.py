@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import random_passive_model
-from lqss.errors import (
-    ParameterError,
-    StructureError,
-    UnitEigenvalueError,
-)
-from lqss.passive import cayley, inv_cayley, passive_tf, synthesize_passive
-from lqss.statespace import Model, close_feedback, verify_realization
+from lqss.errors import ParameterError, StructureError
+from lqss.passive import synthesize_passive
+from lqss.statespace import Model, cayley, close_feedback, verify_realization
+from test_statespace import CayleyPairLaws
 
 # worked 3-mode example used as a numerical oracle throughout this file
 M3 = np.array([[5.0, 1.0, -2.0], [1.0, 3.0, 0.0], [-2.0, 0.0, 4.0]])
@@ -43,41 +40,36 @@ R3_ABS = np.abs(np.array([
 ]))
 
 
-class TestCayley:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(41)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        x = (a - a.conj().T) / 2  # skew-Hermitian
-        r = inv_cayley(x)
-        assert np.linalg.norm(r @ r.conj().T - np.eye(4)) < 1e-10
-        assert np.linalg.norm(cayley(r) - x) < 1e-10
+class TestCayley(CayleyPairLaws):
+    kind = "passive"
 
-    def test_unit_eigenvalue(self):
-        with pytest.raises(UnitEigenvalueError) as info:
-            cayley(np.eye(3))
-        assert abs(info.value.eigenvalue - 1.0) < 1e-10
-        assert "unit eigenvalue" in str(info.value)
 
-    def test_inv_cayley_requires_skew(self):
-        with pytest.raises(StructureError):
-            inv_cayley(np.eye(2))
+def closed_form_tf(s, m_mat, n_mat, s_mat):
+    """G(s) = S - N (sI + iM + N^dag N / 2)^-1 N^dag S."""
+    dim = m_mat.shape[0]
+    core = np.linalg.solve(
+        s * np.eye(dim) + 1j * m_mat + 0.5 * n_mat.conj().T @ n_mat,
+        n_mat.conj().T @ s_mat)
+    return s_mat - n_mat @ core
 
 
 class TestPassiveTf:
     def test_zero_coupling_gives_scattering(self):
         rng = np.random.default_rng(42)
         s_mat = np.diag(np.exp(1j * rng.normal(size=3)))
-        g = passive_tf(1.0 + 2.0j, M3, np.zeros((3, 3)), s_mat)
-        assert np.allclose(g, s_mat, atol=1e-12)
+        model = Model(kind="passive", m_mat=M3, n_mat=np.zeros((3, 3)),
+                      s_mat=s_mat)
+        assert np.allclose(model.tf(1.0 + 2.0j), s_mat, atol=1e-12)
 
     def test_high_frequency_limit(self):
-        g = passive_tf(1e9, M3, N3, np.eye(3))
-        assert np.linalg.norm(g - np.eye(3)) < 1e-6
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        assert np.linalg.norm(model.tf(1e9) - np.eye(3)) < 1e-6
 
     def test_matches_model_statespace(self):
         model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
         for s in (0.3 + 1.0j, 2.0 - 0.5j):
-            assert np.allclose(model.tf(s), passive_tf(s, M3, N3, np.eye(3)),
+            assert np.allclose(model.tf(s),
+                               closed_form_tf(s, M3, N3, np.eye(3)),
                                atol=1e-12)
 
 

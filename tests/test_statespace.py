@@ -2,18 +2,78 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from helpers import random_passive_model
-from lqss.errors import ParameterError, PoleError, StructureError
+from helpers import (
+    assemble_open_network,
+    random_hermitian_doubled_up,
+    random_passive_model,
+)
+from lqss.errors import (
+    ParameterError,
+    PoleError,
+    StructureError,
+    UnitEigenvalueError,
+)
+from lqss.general import synthesize_general
 from lqss.passive import synthesize_passive
 from lqss.statespace import (
     Model,
     StateSpace,
-    assemble_open_network,
+    adjoint,
+    cayley,
     close_feedback,
+    drift,
     frequency_grid,
+    inv_cayley,
     verify_realization,
 )
+
+
+class CayleyPairLaws:
+    """Laws of the Cayley pair for the model kind a subclass sets.
+
+    ``TestCayley`` (test_passive.py) and ``TestGeneralCayley``
+    (test_general.py) run them.
+    """
+
+    kind = None
+
+    def generator(self, seed):
+        """A random 4 x 4 feedback generator -drift(kind, H), i.e. iH or iJH
+        for Hermitian H (doubled-up for general models)."""
+        rng = np.random.default_rng(seed)
+        if self.kind == "general":
+            h = random_hermitian_doubled_up(2, rng)
+        else:
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = (a + a.conj().T) / 2
+        return -drift(self.kind, h)
+
+    def test_roundtrip(self):
+        x = self.generator(41)
+        r = inv_cayley(self.kind, x)
+        # R is unitary (passive) or J-unitary (general)
+        assert np.linalg.norm(r @ adjoint(self.kind, r) - np.eye(4)) < 1e-10
+        assert np.linalg.norm(cayley(r) - x) < 1e-10
+
+    def test_unit_eigenvalue(self):
+        with pytest.raises(UnitEigenvalueError) as info:
+            cayley(np.eye(4))
+        assert abs(info.value.eigenvalue - 1.0) < 1e-10
+        assert "unit eigenvalue" in str(info.value)
+
+    def test_inv_cayley_requires_skew(self):
+        with pytest.raises(StructureError, match="skew"):
+            inv_cayley(self.kind, np.eye(4))
+
+    def test_loop_gain_identity(self):
+        # (I - R)^-1 R = -I/2 + X/2 is what feedback elimination uses
+        x = self.generator(53)
+        r = inv_cayley(self.kind, x)
+        eye = np.eye(4)
+        lhs = np.linalg.solve(eye - r, r)
+        assert np.linalg.norm(lhs - (-eye / 2 + x / 2)) < 1e-10
 
 
 class TestModel:
@@ -156,3 +216,32 @@ class TestVerifyRealization:
                       n_mat=np.zeros((2, 2)), s_mat=np.eye(2))
         with pytest.raises(ParameterError):
             verify_realization(model, real)
+
+
+def doubled_passive(n, m):
+    """A passive model and the general model diag(M, conj M),
+    diag(N, conj N), diag(S, conj S) built from it (N2 = 0)."""
+    rng = np.random.default_rng(100 * n + m)
+    m_mat, n_mat, s_mat = random_passive_model(n, m, rng)
+    passive = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+    general = Model(kind="general",
+                    m_mat=block_diag(m_mat, m_mat.conj()),
+                    n_mat=block_diag(n_mat, n_mat.conj()),
+                    s_mat=block_diag(s_mat, s_mat.conj()))
+    return passive, general
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (8, 8), (16, 12)])
+def test_passive_tf_is_general_tf_with_n2_zero(n, m):
+    passive, general = doubled_passive(n, m)
+    for s in (0.3 + 1.0j, 2.0 - 0.5j, 7.0j, 0.05):
+        expected = block_diag(passive.tf(s), passive.tf(np.conj(s)).conj())
+        assert np.abs(general.tf(s) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (8, 8), (16, 12)])
+def test_general_synthesis_of_passive_model_verifies(n, m):
+    _, general = doubled_passive(n, m)
+    real = synthesize_general(general.m_mat, general.n_mat, general.s_mat)
+    report = verify_realization(general, real)
+    assert report.passed, report.summary()

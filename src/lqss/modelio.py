@@ -38,6 +38,18 @@ def decode_matrix(data, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _decode_rates(data, where: str) -> np.ndarray:
+    """A JSON list of positive numbers as a 1-d float array."""
+    try:
+        rates = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        rates = None
+    if (not isinstance(data, list) or rates is None or rates.ndim != 1
+            or not np.all(rates > 0)):
+        raise ValidationError(f"{where}: expected a list of positive rates")
+    return rates
+
+
 def _require(data: dict, key: str, where: str):
     if key not in data:
         raise ValidationError(f"{where}: missing required field {key!r}")
@@ -228,9 +240,9 @@ def realization_from_dict(data: dict,
                          f"{where}.reduced.N_hat")
     m_conc = decode_matrix(_require(reduced, "M_conc", f"{where}.reduced"),
                            f"{where}.reduced.M_conc")
-    kappas = np.asarray(
+    kappas = _decode_rates(
         _require(reduced, "interconnect_kappas", f"{where}.reduced"),
-        dtype=float)
+        f"{where}.reduced.interconnect_kappas")
     ntilde = interconnect_coupling(kind, kappas)
     if ntilde.shape[0] != m_conc.shape[0]:
         raise ValidationError(
@@ -255,6 +267,7 @@ def load_realization(path: str) -> LoadedRealization:
 
 
 def report_to_dict(report: VerifyReport) -> dict:
+    worst = report.worst_point
     return {
         "schema_version": SCHEMA_VERSION,
         "num_freqs": report.num_freqs,
@@ -263,5 +276,7 @@ def report_to_dict(report: VerifyReport) -> dict:
         "points": [[float(s.real), float(s.imag)] for s in report.points],
         "errors": [float(e) for e in report.errors],
         "max_error": report.max_error,
+        "worst_point": (None if worst is None
+                        else [float(worst.real), float(worst.imag)]),
         "passed": bool(report.passed),
     }

@@ -197,16 +197,25 @@ def _row_blocks(devices: list, m: int, doubled: bool) -> list:
     return out
 
 
+def _angle(z):
+    """``np.angle`` with the branch cut moved just below the negative real
+    axis: angles within ANGLE_EPS of -pi become ones near +pi, so a value
+    that is numerically real and negative gets angle pi whichever sign the
+    rounding error of its imaginary part has."""
+    ang = np.angle(z)
+    return np.where(ang < ANGLE_EPS - np.pi, ang + 2.0 * np.pi, ang)
+
+
 def beamsplitter_params(g: np.ndarray) -> dict:
     """Recover (theta, phi, psi, zeta) from a 2 x 2 unitary, or from each
     matrix of a (..., 2, 2) stack (the parameters are then arrays)."""
     g = np.asarray(g, dtype=complex)
-    zeta = np.angle(np.linalg.det(g)) / 2.0
+    zeta = _angle(np.linalg.det(g)) / 2.0
     gs = g * np.exp(-1j * zeta)[..., None, None]
     a, b = gs[..., 0, 0], gs[..., 0, 1]
     theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
-    half_sum = np.where(np.abs(a) > ANGLE_EPS, np.angle(a), 0.0)
-    half_diff = np.where(np.abs(b) > ANGLE_EPS, np.angle(b), 0.0)
+    half_sum = np.where(np.abs(a) > ANGLE_EPS, _angle(a), 0.0)
+    half_diff = np.where(np.abs(b) > ANGLE_EPS, _angle(b), 0.0)
     params = {"theta": theta, "phi": half_sum - half_diff,
               "psi": half_sum + half_diff, "zeta": zeta}
     miss = np.linalg.norm(beamsplitter_matrix(**params) - g, axis=(-2, -1))
@@ -279,7 +288,7 @@ def reck_decompose(u: np.ndarray) -> DeviceSchedule:
                 kind="beamsplitter", channels=(row, row + 1),
                 params={key: value[j] for key, value in columns.items()}))
     for i in range(m):
-        theta = float(np.angle(work[i, i]))
+        theta = float(_angle(work[i, i]))
         if abs(theta) > ANGLE_EPS:
             schedule.devices.append(Device(
                 kind="phase", channels=(i,), params={"theta": theta}))

@@ -27,9 +27,10 @@ be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import schur, solve_triangular
 
 from .errors import (
     NumericalError,
@@ -184,22 +185,42 @@ def feedback_network(kind: str, mhat: np.ndarray, m_conc: np.ndarray,
 
 @dataclass
 class StateSpace:
-    """Minimal complex state-space wrapper: G(s) = C (sI - A)^-1 B + D."""
+    """Minimal complex state-space wrapper: G(s) = C (sI - A)^-1 B + D.
+
+    The first ``eval`` reduces A to complex Schur form A = Z T Z^dag and
+    keeps (T, Z^dag B, C Z); every point then costs one triangular solve
+    with (sI - T) and one product, O(n^2 p + n p q) for p inputs and q
+    outputs, instead of a dense LU.  A, B, C and D must not be modified after
+    the first ``eval``.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    _schur: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def eval(self, s: complex) -> np.ndarray:
-        shifted = s * np.eye(self.a.shape[0]) - self.a
-        try:
-            core = np.linalg.solve(shifted, self.b)
-        except np.linalg.LinAlgError:
-            raise PoleError(s) from None
-        if not np.all(np.isfinite(core)):
+        """G(s); raises ``PoleError`` when s lies within rounding of an
+        eigenvalue of A (a diagonal entry of sI - T no larger than
+        n eps ||A||_F, exact zeros included) or G(s) is not finite."""
+        if self._schur is None:
+            if not np.all(np.isfinite(self.a)):
+                raise PoleError(s)
+            t, z = schur(self.a, output="complex")
+            tiny = t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
+            self._schur = t, z.conj().T @ self.b, self.c @ z, tiny
+        t, zb, cz, tiny = self._schur
+        shifted = -t
+        shifted[np.diag_indices_from(shifted)] += s
+        if np.any(np.abs(shifted.diagonal()) <= tiny):
             raise PoleError(s)
-        return self.c @ core + self.d
+        core = solve_triangular(shifted, zb, check_finite=False)
+        out = cz @ core + self.d
+        if not np.all(np.isfinite(out)):
+            raise PoleError(s)
+        return out
 
 
 @dataclass
@@ -243,6 +264,8 @@ class Model:
         return StateSpace(a=a, b=-nadj @ self.s_mat, c=n, d=self.s_mat)
 
     def tf(self, s: complex) -> np.ndarray:
+        """G(s).  Each call reduces A anew; for a sweep, call ``eval`` on one
+        ``statespace()``."""
         return self.statespace().eval(s)
 
 
@@ -283,11 +306,21 @@ class VerifyReport:
     num_freqs: int = 0
     seed: int = 0
 
+    @property
+    def worst_point(self) -> complex | None:
+        """The point with the largest error, ``max_error``."""
+        if not self.errors:
+            return None
+        return self.points[int(np.argmax(self.errors))]
+
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        worst = self.worst_point
+        where = ("" if worst is None
+                 else f" at s = {worst.real:.6g}{worst.imag:+.6g}j")
         return (f"{status}: max relative transfer-function error "
-                f"{self.max_error:.3e} over {len(self.points)} points "
-                f"(tolerance {self.tol:.1e})")
+                f"{self.max_error:.3e}{where} over {len(self.points)} "
+                f"points (tolerance {self.tol:.1e})")
 
 
 def frequency_grid(m_mat: np.ndarray, num_freqs: int,
@@ -334,14 +367,16 @@ def verify_realization(model: Model, realization, num_freqs: int = 20,
     closed = close_feedback(realization.kind, realization.nhat,
                             realization.m_conc, realization.ntilde,
                             realization.r_feedback)
+    pre, post = realization.pre, realization.post
+    realized = StateSpace(closed.a, closed.b @ pre, post @ closed.c,
+                          post @ pre)
     pts = frequency_grid(model.m_mat, num_freqs, seed)
     points, errors = [], []
     for s in pts:
         for attempt in range(4):
             try:
                 g_model = model_ss.eval(s)
-                g_real = (realization.post @ closed.eval(s)
-                          @ realization.pre)
+                g_real = realized.eval(s)
                 break
             except PoleError:
                 s = s * 1.0137 + 1e-3j  # nudge off the pole and retry

@@ -209,6 +209,9 @@ class TestVerify:
         report = json.load(open(rep))
         assert report["passed"] is True
         assert len(report["errors"]) == 2  # one frequency, two contours
+        worst = int(np.argmax(report["errors"]))
+        assert report["worst_point"] == report["points"][worst]
+        assert report["max_error"] == report["errors"][worst]
 
     def test_netlist_of_another_size(self, tmp_path, capsys):
         rng = np.random.default_rng(96)
@@ -227,6 +230,23 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
         assert "6x6" in err["message"] and "4x4" in err["message"]
+
+    @pytest.mark.parametrize("kappas", [1.0, [[1.0, 1.0, 1.0]], ["a"],
+                                        {"0": 1.0}, [1.0, -1.0, 1.0]])
+    def test_malformed_interconnect_kappas(self, kappas, passive_model_file,
+                                            tmp_path, capsys):
+        out = str(tmp_path / "net.json")
+        main(["synth", "--input", passive_model_file, "--output", out])
+        data = json.load(open(out))
+        data["reduced"]["interconnect_kappas"] = kappas
+        json.dump(data, open(out, "w"))
+        capsys.readouterr()
+        code = main(["verify", "--model", passive_model_file,
+                     "--netlist", out])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "reduced.interconnect_kappas" in err["message"]
 
     def test_malformed_netlist(self, passive_model_file, tmp_path, capsys):
         bad = tmp_path / "bad_net.json"

@@ -97,6 +97,21 @@ class TestBeamsplitter:
                 assert stacked[key][j] == pytest.approx(value, abs=1e-15)
         assert np.allclose(beamsplitter_matrix(**stacked), stack, atol=1e-12)
 
+    @pytest.mark.parametrize("g", [
+        np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]),
+        np.array([[np.cos(0.4), np.sin(0.4)], [np.sin(0.4), -np.cos(0.4)]]),
+    ], ids=["rotation", "reflection"])
+    def test_rounding_on_the_branch_cut(self, g):
+        # the rotation's off-diagonal entry and the reflection's determinant
+        # are real and negative; a rounding-level change of sign in their
+        # imaginary parts must not move phi, psi or zeta by 2 pi or pi
+        plus, minus = g.astype(complex), g.astype(complex)
+        plus[0, 1] += 1e-17j
+        minus[0, 1] -= 1e-17j
+        p_plus, p_minus = beamsplitter_params(plus), beamsplitter_params(minus)
+        for key in p_plus:
+            assert p_plus[key] == pytest.approx(p_minus[key], abs=1e-12), key
+
     def test_stack_with_nonunitary_member_rejected(self):
         rng = np.random.default_rng(67)
         stack = np.array([random_unitary(2, rng) for _ in range(5)])
@@ -124,6 +139,12 @@ class TestReck:
     def test_rejects_nonunitary(self):
         with pytest.raises(StructureError):
             reck_decompose(np.ones((2, 2)))
+
+    def test_output_phase_on_the_branch_cut(self):
+        lists = [[(d.kind, d.channels, d.params) for d in
+                  reck_decompose(np.diag([-1 + im, 1.0])).devices]
+                 for im in (1e-17j, -1e-17j)]
+        assert lists[0] == lists[1]
 
 
 class TestDevices:

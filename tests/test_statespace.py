@@ -6,8 +6,10 @@ from scipy.linalg import block_diag
 
 from helpers import (
     assemble_open_network,
+    random_general_model,
     random_hermitian_doubled_up,
     random_passive_model,
+    random_unitary,
 )
 from lqss.errors import (
     ParameterError,
@@ -104,7 +106,62 @@ class TestModel:
         assert np.allclose(m.tf(0.5 + 1j), s_mat, atol=1e-12)
 
 
+def dense_eval(ss, s):
+    """G(s) = C (sI - A)^-1 B + D by a dense solve, the reference for the
+    Schur-form evaluator."""
+    shifted = s * np.eye(ss.a.shape[0]) - ss.a
+    return ss.c @ np.linalg.solve(shifted, ss.b) + ss.d
+
+
+ROT = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestStateSpace:
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(600 + n)
+        ss = StateSpace(a=complex_normal(rng, n, n) / np.sqrt(n) - np.eye(n),
+                        b=complex_normal(rng, n, 3),
+                        c=complex_normal(rng, 7, n),
+                        d=complex_normal(rng, 7, 3))
+        for s in (0.0, 2.5j, 0.1 - 40j, 3.0 + 0.5j, 1e4j):
+            expected = dense_eval(ss, s)
+            got = ss.eval(s)
+            assert got.shape == (7, 3)
+            assert (np.linalg.norm(got - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("a, poles", [
+        (np.array([[1.0, 2.0, 3.0], [0.0, -1j, 1.0], [0.0, 0.0, 4.0]]),
+         (1.0, -1j, 4.0)),
+        # [[2, 1], [0, 3]] conjugated by a rotation: no longer triangular, so
+        # its Schur form holds the eigenvalues only to rounding
+        (ROT @ np.array([[2.0, 1.0], [0.0, 3.0]]) @ ROT.T, (2.0, 3.0)),
+    ], ids=["triangular", "rotated"])
+    def test_pole_at_each_eigenvalue(self, a, poles):
+        n = a.shape[0]
+        ss = StateSpace(a=a, b=np.ones((n, 2)), c=np.ones((2, n)),
+                        d=np.zeros((2, 2)))
+        for pole in poles:
+            with pytest.raises(PoleError):
+                ss.eval(pole)
+        assert np.all(np.isfinite(ss.eval(1j)))
+
+    def test_non_finite_a_is_a_pole(self):
+        # a NaN read from a netlist must not reach the Schur reduction
+        ss = StateSpace(a=np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                        b=np.eye(2), c=np.eye(2), d=np.zeros((2, 2)))
+        with pytest.raises(PoleError):
+            ss.eval(1j)
+
+    def test_eval_is_defined_on_the_class(self):
+        # the benchmark's tracer wraps StateSpace.__dict__["eval"]
+        assert "eval" in StateSpace.__dict__
+
     def test_eval(self):
         ss = StateSpace(a=np.array([[-1.0]]), b=np.array([[1.0]]),
                         c=np.array([[1.0]]), d=np.array([[0.0]]))
@@ -207,6 +264,65 @@ class TestVerifyRealization:
         report = verify_realization(model, real, tol=1e-8)
         assert not report.passed
         assert "FAIL" in report.summary()
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_errors_match_explicit_reference(self, kind):
+        # random unitary pre and post networks make every error O(1), so the
+        # comparison is relative
+        rng = np.random.default_rng(86)
+        if kind == "passive":
+            m_mat, n_mat, s_mat = random_passive_model(4, 3, rng)
+            real = synthesize_passive(m_mat, n_mat, s_mat)
+        else:
+            m_mat, n_mat = random_general_model(3, 2, rng)
+            s_mat = np.eye(4, dtype=complex)
+            real = synthesize_general(m_mat, n_mat, s_mat)
+        ports = n_mat.shape[0]
+        real.pre = random_unitary(ports, rng)
+        real.post = random_unitary(ports, rng)
+        model = Model(kind=kind, m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        report = verify_realization(model, real, num_freqs=6)
+        closed = close_feedback(kind, real.nhat, real.m_conc, real.ntilde,
+                                real.r_feedback)
+        expected = []
+        for s in report.points:
+            g_model = dense_eval(model.statespace(), s)
+            g_real = real.post @ dense_eval(closed, s) @ real.pre
+            expected.append(np.linalg.norm(g_model - g_real)
+                            / (1.0 + np.linalg.norm(g_model)))
+        assert min(expected) > 1e-2
+        assert np.allclose(report.errors, expected, rtol=1e-10, atol=0)
+        assert not report.passed
+
+    def test_two_evals_per_point(self, monkeypatch):
+        rng = np.random.default_rng(87)
+        m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        calls = []
+        original = StateSpace.eval
+
+        def counted(self, s):
+            calls.append(s)
+            return original(self, s)
+
+        monkeypatch.setattr(StateSpace, "eval", counted)
+        report = verify_realization(model, real, num_freqs=7)
+        # no point was nudged off a pole
+        assert report.points == list(frequency_grid(m_mat, 7, 42))
+        assert len(calls) == 2 * len(report.points)
+
+    def test_worst_point(self):
+        rng = np.random.default_rng(88)
+        m_mat, n_mat, s_mat = random_passive_model(3, 3, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        real.r_feedback = real.r_feedback * np.exp(0.05j)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        report = verify_realization(model, real, num_freqs=5)
+        worst = report.points[int(np.argmax(report.errors))]
+        assert report.worst_point == worst
+        assert report.errors[report.points.index(worst)] == report.max_error
+        assert f"at s = {worst.real:.6g}{worst.imag:+.6g}j" in report.summary()
 
     def test_kind_mismatch(self):
         rng = np.random.default_rng(85)

@@ -3,7 +3,7 @@
 Subcommands::
 
     lqss synth      --input model.json --output netlist.json
-                    [--detuning-file d.json] [--interconnect-kappa 1.0]
+                    [--detuning-file d.json] [--interconnect-kappa K]
                     [--tol 1e-9]
     lqss verify     --model model.json --netlist netlist.json
                     [--freqs 20] [--seed 42] [--tol 1e-8] [--output r.json]
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--input", required=True)
     p_synth.add_argument("--output", required=True)
     p_synth.add_argument("--detuning-file")
-    p_synth.add_argument("--interconnect-kappa", type=float, default=1.0)
+    p_synth.add_argument("--interconnect-kappa", type=float)
     p_synth.add_argument("--tol", type=float, default=1e-9)
     p_synth.set_defaults(func=cmd_synth)
 

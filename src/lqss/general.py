@@ -11,10 +11,10 @@ dictated by the canonical blocks — plus a Bogoliubov feedback network
     X = 2i (Ntilde^b)^-1 (J Mhat - J M_conc) Ntilde^-1,
 
 closing the interconnect ports.  X is doubled-up and J-skew (X^b = -X), so
-R is Bogoliubov.  Unlike the passive case, X + I can be singular; when that
-happens the interconnect rates are perturbed slightly and the transform is
-retried.  The input checks, the Cayley pair and the feedback closure are
-shared with passive models (see ``statespace``).
+R is Bogoliubov.  Unlike the passive case, X + I can be singular, though not
+at the default interconnect rates (``statespace.feedback_network``); given
+rates that make it singular raise ``NumericalError``.  The input checks, the
+Cayley pair and the feedback closure are shared with passive models.
 """
 
 from __future__ import annotations
@@ -161,48 +161,28 @@ class GeneralRealization:
     post: np.ndarray
     cavities: list = field(default_factory=list)
     devices: list = field(default_factory=list)
-    retries: int = 0
+    retries: int = 0           # always 0; perfbench/spans.py reads it
 
 
 def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,
                        s_mat: np.ndarray | None = None,
                        detunings: np.ndarray | None = None,
-                       interconnect_kappa=1.0,
-                       max_retries: int = 3,
-                       rng_seed: int = 7) -> GeneralRealization:
+                       interconnect_kappa=None) -> GeneralRealization:
     """Realize a general model as static Bogoliubov networks around a
-    cavity bank with feedback.
-
-    When the feedback network cannot be built (``NumericalError`` from
-    ``inv_cayley``, typically a singular X + I), the interconnect rates are
-    perturbed by up to 10% (seeded by ``rng_seed``) and it is built again, at
-    most ``max_retries`` times.
-    """
-    m_mat, n_mat, s_mat, detunings, kappas_tilde = validate_model(
+    cavity bank with feedback."""
+    m_mat, n_mat, s_mat, detunings, rates = validate_model(
         "general", m_mat, n_mat, s_mat, detunings, interconnect_kappa)
 
     fact = bogoliubov_svd(n_mat)
     mhat = fact.w.conj().T @ m_mat @ fact.w
     mhat = (mhat + mhat.conj().T) / 2
     cavities, devices, m_conc = assign_cavities(fact, detunings)
-
-    rng = np.random.default_rng(rng_seed)
-    rates = kappas_tilde
-    retries = 0
-    while True:
-        try:
-            ntilde, x, r_feedback = feedback_network(
-                "general", mhat, m_conc, rates)
-            break
-        except NumericalError:
-            retries += 1
-            if retries > max_retries:
-                raise
-            rates = kappas_tilde * rng.uniform(0.9, 1.1, size=len(rates))
+    rates, ntilde, x, r_feedback = feedback_network(
+        "general", mhat, m_conc, rates)
 
     return GeneralRealization(
         kind="general", v=fact.v, w=fact.w, factorization=fact,
         nhat=fact.nhat, mhat=mhat, detunings=detunings,
         kappas_tilde=rates, m_conc=m_conc, ntilde=ntilde, x=x,
         r_feedback=r_feedback, pre=flat_adjoint(fact.v) @ s_mat,
-        post=fact.v, cavities=cavities, devices=devices, retries=retries)
+        post=fact.v, cavities=cavities, devices=devices)

@@ -122,8 +122,7 @@ def model_from_dict(data: dict, where: str = "model") -> tuple:
     if "detunings" in data:
         opts["detunings"] = np.asarray(data["detunings"], dtype=float)
     if "interconnect_kappas" in data:
-        opts["interconnect_kappa"] = np.asarray(
-            data["interconnect_kappas"], dtype=float)
+        opts["interconnect_kappa"] = data["interconnect_kappas"]
     return model, opts
 
 
@@ -175,9 +174,7 @@ def realization_to_dict(real, pre_schedule=None, post_schedule=None,
         "type": real.kind,
         "pre_network": _network_to_dict(real.pre, pre_schedule),
         "post_network": _network_to_dict(real.post, post_schedule),
-        "feedback": dict(
-            _network_to_dict(real.r_feedback, feedback_schedule),
-            X=encode_matrix(real.x)),
+        "feedback": _network_to_dict(real.r_feedback, feedback_schedule),
         "reduced": {
             "N_hat": encode_matrix(real.nhat),
             "M_hat": encode_matrix(real.mhat),

@@ -9,11 +9,12 @@ interconnect-only cavities, all threaded through a unitary feedback network
     R = (X - I)(X + I)^-1,   X = 2i Ntilde^-1 (Mhat - D) Ntilde^-1,
 
 where D carries the chosen cavity detunings and Ntilde the interconnect
-coupling rates.  X is skew-Hermitian, so R is unitary and the Cayley
-transform is always well defined on this leg; the inverse direction
-(``statespace.cayley``) can fail when R has a unit eigenvalue.  The input
-checks and the feedback closure are those of general models (see
-``statespace``), with the ordinary adjoint in place of the J-adjoint.
+coupling rates (by default all 4 ||Mhat - D||_F).  X is skew-Hermitian, so
+R is unitary and the Cayley transform is always well defined on this leg;
+the inverse direction (``statespace.cayley``) can fail when R has a unit
+eigenvalue.  The input checks, the default rates and the feedback closure
+are those of general models (see ``statespace``), with the ordinary adjoint
+in place of the J-adjoint.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class PassiveRealization:
 def synthesize_passive(m_mat: np.ndarray, n_mat: np.ndarray,
                        s_mat: np.ndarray | None = None,
                        detunings: np.ndarray | None = None,
-                       interconnect_kappa=1.0) -> PassiveRealization:
+                       interconnect_kappa=None) -> PassiveRealization:
     """Realize a passive model as pre/post unitaries around a cavity bank."""
-    m_mat, n_mat, s_mat, detunings, kappas_tilde = validate_model(
+    m_mat, n_mat, s_mat, detunings, rates = validate_model(
         "passive", m_mat, n_mat, s_mat, detunings, interconnect_kappa)
     m, n = n_mat.shape
 
@@ -80,11 +81,11 @@ def synthesize_passive(m_mat: np.ndarray, n_mat: np.ndarray,
     mhat = (mhat + mhat.conj().T) / 2
 
     m_conc = np.diag(detunings).astype(complex)
-    ntilde, x, r_feedback = feedback_network(
-        "passive", mhat, m_conc, kappas_tilde)
+    rates, ntilde, x, r_feedback = feedback_network(
+        "passive", mhat, m_conc, rates)
 
     return PassiveRealization(
         kind="passive", v=v, w=w, sigma=sigma, rank=rank, nhat=nhat,
-        mhat=mhat, detunings=detunings, kappas_tilde=kappas_tilde,
+        mhat=mhat, detunings=detunings, kappas_tilde=rates,
         m_conc=m_conc, ntilde=ntilde, x=x, r_feedback=r_feedback,
         pre=v.conj().T @ s_mat, post=v)

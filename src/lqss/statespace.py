@@ -16,7 +16,7 @@ taking ``kind``:
   X and its feedback network R;
 * ``validate_model``, the input checks of both synthesis routines;
 * ``interconnect_coupling`` (Ntilde) and ``feedback_network``, which closes
-  the reduced cavity bank.
+  the reduced cavity bank, at default interconnect rates unless given some.
 
 The realization produced by the synthesis routines is a bank of reduced
 cavities whose interconnect ports are closed through a static feedback
@@ -84,9 +84,10 @@ def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
     """R = (X - I)(X + I)^-1 for a feedback generator X with X^dag = -X
     (passive) or X doubled-up and X^b = -X (general).
 
-    A skew-Hermitian X never makes X + I singular, and R is unitary.  For
-    general models R is Bogoliubov, but X + I can be singular; that raises
-    ``NumericalError``.
+    X commutes with (X + I)^-1, so R is one solve with X + I.  A
+    skew-Hermitian X never makes X + I singular, and R is unitary.  For
+    general models R is Bogoliubov, but X + I is singular when X has the
+    eigenvalue -1, which takes ||X||_2 >= 1; that raises ``NumericalError``.
     """
     x_mat = np.asarray(x_mat, dtype=complex)
     general = kind == "general"
@@ -105,10 +106,11 @@ def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
         cond = np.linalg.cond(shifted)
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericalError(
-                "X + I is numerically singular; the Cayley transform of the "
-                "feedback generator does not exist for these interconnect "
-                "rates")
-    return (x_mat - eye) @ np.linalg.inv(shifted)
+                "X + I is numerically singular (condition number "
+                f"{cond:.1e}, ||X||_2 = {np.linalg.norm(x_mat, 2):.3g}); "
+                "the Cayley transform of the feedback generator does not "
+                "exist")
+    return np.linalg.solve(shifted, x_mat - eye)
 
 
 def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
@@ -116,9 +118,10 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
     """Checked synthesis inputs (M, N, S, detunings, interconnect rates).
 
     M, N and S become complex arrays, S defaulting to the identity; the
-    detunings (default zero) and the interconnect rates have one entry per
-    cavity mode.  General models need a doubled-up Hamiltonian and a
-    Bogoliubov scattering matrix, passive ones a unitary S.
+    detunings (default zero) and the interconnect rates (None leaves them to
+    ``feedback_network``) have one entry per cavity mode.  General models
+    need a doubled-up Hamiltonian and a Bogoliubov scattering matrix,
+    passive ones a unitary S.
     """
     m_mat = np.asarray(m_mat, dtype=complex)
     n_mat = np.asarray(n_mat, dtype=complex)
@@ -148,10 +151,16 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
     if detunings.shape != (modes,):
         raise ParameterError(f"expected {modes} detunings, got "
                              f"{detunings.shape}")
-    rates = np.broadcast_to(
-        np.asarray(interconnect_kappa, dtype=float), (modes,)).copy()
-    if np.any(rates <= 0):
-        raise ParameterError("interconnect rates must be positive")
+    rates = interconnect_kappa
+    if rates is not None:
+        try:
+            rates = np.broadcast_to(
+                np.asarray(rates, dtype=float), (modes,)).copy()
+        except (TypeError, ValueError):
+            rates = np.zeros(1)  # rejected below
+        if not np.all(rates > 0):
+            raise ParameterError("expected one positive interconnect rate "
+                                 f"or {modes}, one per mode")
     return m_mat, n_mat, s_mat, detunings, rates
 
 
@@ -165,22 +174,32 @@ def interconnect_coupling(kind: str, rates) -> np.ndarray:
 
 
 def feedback_network(kind: str, mhat: np.ndarray, m_conc: np.ndarray,
-                     rates) -> tuple:
-    """(Ntilde, X, R) of the feedback network that turns the cavity bank
-    M_conc with interconnect rates ``rates`` into the reduced system Mhat.
+                     rates=None) -> tuple:
+    """(rates, Ntilde, X, R) of the feedback network that turns the cavity
+    bank M_conc with interconnect rates ``rates`` into the reduced system
+    Mhat.
 
     X = 2i Ntilde^-1 (Mhat - M_conc) Ntilde^-1, with a J after the first
-    Ntilde^-1 for general models (Ntilde is diagonal and positive, so
-    (Ntilde^b)^-1 = Ntilde^-1); the diagonal factors are applied as row and
-    column scalings.  R = inv_cayley(kind, X).
+    Ntilde^-1 for general models, is -2 Ntilde^-1 drift(kind, Mhat - M_conc)
+    Ntilde^-1 (Ntilde is diagonal and positive, so (Ntilde^b)^-1 =
+    Ntilde^-1).  R = inv_cayley(kind, X).  Without ``rates`` every rate is
+    kappa = 4 ||Mhat - M_conc||_F (1 when that is 0): then ||X||_2 =
+    2 ||Mhat - M_conc||_2 / kappa <= 1/2, so cond(X + I) <= 3.
     """
+    diff = mhat - m_conc
+    if rates is None:
+        modes = len(mhat) // 2 if kind == "general" else len(mhat)
+        rates = np.full(modes, 4.0 * np.linalg.norm(diff) or 1.0)
     ntilde = interconnect_coupling(kind, rates)
     inv = 1.0 / ntilde.diagonal().real
-    left = 2j * inv
-    if kind == "general":
-        left[len(inv) // 2:] *= -1
-    x = left[:, np.newaxis] * (mhat - m_conc) * inv
-    return ntilde, x, inv_cayley(kind, x)
+    x = -2.0 * inv[:, np.newaxis] * drift(kind, diff) * inv
+    try:
+        r_feedback = inv_cayley(kind, x)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"{exc} at interconnect rates from {rates.min():.3g} to "
+            f"{rates.max():.3g}") from None
+    return rates, ntilde, x, r_feedback
 
 
 @dataclass

@@ -46,7 +46,7 @@ def _report(name, ok, detail):
 
 
 def test_criterion_1_passive_worked_example():
-    real = synthesize_passive(M3, N3)
+    real = synthesize_passive(M3, N3, interconnect_kappa=1.0)
     checks = []
     checks.append(("N_hat diagonal",
                    np.allclose(real.sigma, SIGMA3, atol=1e-3)))

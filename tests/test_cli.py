@@ -17,7 +17,7 @@ from lqss.cli import (
 )
 from lqss.errors import ValidationError
 from lqss.krein import phi_to_doubled
-from lqss.statespace import Model
+from lqss.statespace import Model, verify_realization
 from test_passive import M3, N3
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
 
@@ -151,6 +151,35 @@ class TestSynth:
         assert data["reduced"]["detunings"] == [0.5, -0.5, 1.0]
         assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
 
+    @pytest.mark.parametrize("kappas, stored", [
+        (2.0, [2.0, 2.0, 2.0]), ([0.5, 1.0, 2.0], [0.5, 1.0, 2.0])])
+    def test_interconnect_kappas_from_model_file(self, kappas, stored,
+                                                 tmp_path):
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        path = write_model(tmp_path / "rates.json", model,
+                           interconnect_kappas=kappas)
+        out = str(tmp_path / "rates_net.json")
+        assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
+        data = json.load(open(out))
+        assert data["reduced"]["interconnect_kappas"] == stored
+        assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
+
+    @pytest.mark.parametrize("kappas", [[[1.0, 2.0], [3.0, 4.0]],
+                                        [1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+                                        ["a", 1.0, 1.0], {"0": 1.0},
+                                        [1.0, -1.0, 1.0]])
+    def test_malformed_interconnect_kappas_in_model_file(self, kappas,
+                                                         tmp_path, capsys):
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        path = write_model(tmp_path / "bad_rates.json", model,
+                           interconnect_kappas=kappas)
+        code = main(["synth", "--input", path,
+                     "--output", str(tmp_path / "net.json")])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "positive interconnect rate or 3, one" in err["message"]
+
     def test_missing_input_file(self, tmp_path):
         assert main(["synth", "--input", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path / "o.json")]) == EXIT_VALIDATION
@@ -275,6 +304,29 @@ class TestNetlistFile:
         for name in ("pre", "post", "r_feedback", "nhat", "m_conc"):
             assert np.array_equal(getattr(loaded, name),
                                   getattr(real, name)), name
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_netlist_with_feedback_generator_still_loads(
+            self, kind, passive_model_file, general_model_file, tmp_path):
+        # netlists no longer store X = cayley(R); older ones that carry it
+        # load and verify as before
+        path = passive_model_file if kind == "passive" else general_model_file
+        out = tmp_path / "net.json"
+        main(["synth", "--input", path, "--output", str(out)])
+        data = json.loads(out.read_text())
+        assert "X" not in data["feedback"]
+        model, _ = modelio.load_model(path)
+        fresh = verify_realization(model, modelio.load_realization(str(out)))
+        synthesize = (synthesize_passive if kind == "passive"
+                      else synthesize_general)
+        real = synthesize(model.m_mat, model.n_mat, model.s_mat)
+        data["feedback"]["X"] = modelio.encode_matrix(real.x)
+        old = tmp_path / "old_net.json"
+        modelio.dump_json(str(old), data)
+        loaded = modelio.load_realization(str(old))
+        assert verify_realization(model, loaded).max_error == fresh.max_error
+        assert main(["verify", "--model", path,
+                     "--netlist", str(old)]) == EXIT_OK
 
     def test_indented_netlist_still_loads(self, passive_model_file, tmp_path):
         out = tmp_path / "net.json"

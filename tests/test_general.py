@@ -36,7 +36,8 @@ N4 = np.array([
 ])
 @pytest.fixture(scope="module")
 def real4():
-    return synthesize_general(M4, N4)
+    # the worked example is stated at unit interconnect rates
+    return synthesize_general(M4, N4, interconnect_kappa=1.0)
 
 
 class TestGeneralCayley(CayleyPairLaws):
@@ -51,8 +52,8 @@ class TestGeneralCayley(CayleyPairLaws):
 
 
 class TestFeedbackGuards:
-    """The general guards of inv_cayley, in their order, and the retry of
-    synthesize_general around them."""
+    """The general guards of inv_cayley, in their order, and the default
+    interconnect rates that keep synthesize_general clear of them."""
 
     def test_lost_structure_is_numerical(self):
         x = np.random.default_rng(58).normal(size=(4, 4)).astype(complex)
@@ -72,18 +73,19 @@ class TestFeedbackGuards:
         with pytest.raises(NumericalError, match="numerically singular"):
             inv_cayley("general", x)
 
-    def test_singular_x_plus_identity_is_retried(self):
+    def test_singular_x_plus_identity_needs_given_rates(self):
         # one passive port (N = I, so W = I and Mhat = M): at unit
-        # interconnect rates X is the singular generator above
+        # interconnect rates X is the singular generator above, while the
+        # default rates keep ||X||_2 <= 1/2
         m_mat = np.array([[0.0, 0.5], [0.5, 0.0]])
         real = synthesize_general(m_mat, np.eye(2))
-        assert real.retries == 1
-        assert real.kappas_tilde[0] != 1.0
+        assert np.linalg.cond(real.x + np.eye(2)) <= 3.0
         model = Model(kind="general", m_mat=m_mat, n_mat=np.eye(2),
                       s_mat=np.eye(2))
         assert verify_realization(model, real).passed
-        with pytest.raises(NumericalError, match="numerically singular"):
-            synthesize_general(m_mat, np.eye(2), max_retries=0)
+        with pytest.raises(NumericalError, match=r"numerically singular.*"
+                           r"\|\|X\|\|_2 = 1\b.*rates from 1 to 1"):
+            synthesize_general(m_mat, np.eye(2), interconnect_kappa=1.0)
 
 
 class TestActivePortDampedForm:

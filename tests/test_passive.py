@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_passive_model
 from lqss.errors import ParameterError, StructureError
@@ -75,7 +77,8 @@ class TestPassiveTf:
 
 @pytest.fixture(scope="module")
 def real():
-    return synthesize_passive(M3, N3)
+    # the worked example is stated at unit interconnect rates
+    return synthesize_passive(M3, N3, interconnect_kappa=1.0)
 
 
 class TestWorkedExample:
@@ -164,3 +167,16 @@ def test_random_passive_sweep():
         model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
         report = verify_realization(model, real, tol=1e-7)
         assert report.passed, report.summary()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([32, 64]), st.integers(min_value=0, max_value=2 ** 32))
+def test_large_passive_models_verify(n, seed):
+    # the top of the passive test ladder at the default tolerance
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n + 1))
+    m_mat, n_mat, s_mat = random_passive_model(n, m, rng)
+    real = synthesize_passive(m_mat, n_mat, s_mat)
+    model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+    report = verify_realization(model, real)
+    assert report.passed, report.summary()

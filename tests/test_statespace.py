@@ -78,6 +78,24 @@ class CayleyPairLaws:
         assert np.linalg.norm(lhs - (-eye / 2 + x / 2)) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["passive", "general"])
+@pytest.mark.parametrize("seed", range(6))
+def test_default_rates_bound_the_feedback_generator(kind, seed):
+    # every rate is 4 ||Mhat - M_conc||_F, so ||X||_2 <= 1/2 and
+    # cond(X + I) <= 3, with or without detunings
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(1, 13, size=2))
+    detunings = rng.normal(size=n) if seed % 2 else None
+    if kind == "passive":
+        real = synthesize_passive(*random_passive_model(n, m, rng),
+                                  detunings=detunings)
+    else:
+        real = synthesize_general(*random_general_model(n, m, rng),
+                                  detunings=detunings)
+    assert np.linalg.norm(real.x, 2) <= 0.5
+    assert np.linalg.cond(real.x + np.eye(len(real.x))) <= 3.0
+
+
 class TestModel:
     def test_kind_validation(self):
         with pytest.raises(ParameterError):

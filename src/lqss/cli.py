@@ -10,6 +10,11 @@ Subcommands::
     lqss decompose  --input matrix.json --kind unitary|bogoliubov
                     --output schedule.json
 
+A ``--detuning-file`` (a list, or an object with a ``detunings`` list) and
+``--interconnect-kappa`` override the ``detunings`` and
+``interconnect_kappas`` of the model file; without them the model file's
+values are used.
+
 Exit codes: 0 success, 1 verification failure, 2 validation error,
 3 unsupported structure, 4 numerical failure.  Set the LQSS_LOG environment
 variable (DEBUG/INFO/WARNING) to control log verbosity.
@@ -71,9 +76,7 @@ def _load_detunings(path: str | None):
         if "detunings" not in data:
             raise ValidationError(f"{path}: missing 'detunings' field")
         data = data["detunings"]
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: detunings must be a list")
-    return np.asarray(data, dtype=float)
+    return data
 
 
 def _try_schedule(matrix, kind, label):
@@ -89,7 +92,9 @@ def cmd_synth(args) -> int:
     detunings = _load_detunings(args.detuning_file)
     if detunings is None:
         detunings = opts.get("detunings")
-    kappa = opts.get("interconnect_kappa", args.interconnect_kappa)
+    kappa = args.interconnect_kappa
+    if kappa is None:
+        kappa = opts.get("interconnect_kappa")
     log.info("synthesizing %s model with %d modes / %d ports",
              model.kind, model.n_modes, model.n_ports)
     synthesize = (synthesize_passive if model.kind == "passive"

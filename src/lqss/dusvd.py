@@ -72,6 +72,7 @@ class ModeBlock:
     nbar2: np.ndarray  # size x size upper-right (active) half-block
     w_cols: np.ndarray  # 2n x size first-half columns of W
     v_cols: list = field(default_factory=list)  # length size; None = free
+    # jordan2: branch and in_kernel; degenerate_zero: p_cols
     params: dict = field(default_factory=dict)
 
     def nbar_doubled(self) -> np.ndarray:
@@ -84,11 +85,8 @@ class DuSvdResult:
     v: np.ndarray      # 2m x 2m Bogoliubov
     w: np.ndarray      # 2n x 2n Bogoliubov
     nhat: np.ndarray   # 2m x 2n canonical coupling
-    nbar1: np.ndarray  # r x r active part, passive weights
-    nbar2: np.ndarray  # r x r active part, active weights
     r: int             # number of ports carrying nonzero coupling
     blocks: list
-    spectrum: KreinSpectrum
     residual: float
 
 
@@ -122,7 +120,7 @@ def jordan2_factor(lam: float, in_kernel: bool = False) -> tuple:
         s = 1.0 / np.sqrt(2.0)
         nbar1 = np.array([[s, 0.0], [0.0, 0.0]])
         nbar2 = np.array([[0.0, -s], [0.0, 0.0]])
-        return nbar1, nbar2, {"branch": 0, "x": 0.0, "c": 0.0}
+        return nbar1, nbar2, {"branch": 0}
     if lam >= 0:
         c = np.sqrt(lam + 0.5)
         x = np.arcsinh(1.0 / (2.0 * c * c)) / 2.0
@@ -137,7 +135,7 @@ def jordan2_factor(lam: float, in_kernel: bool = False) -> tuple:
         nbar1 = np.array([[ch, c * sh], [-c * sh, 0.0]])
         nbar2 = np.array([[c * ch, 0.0], [sh, c * ch]])
         branch = 2
-    return nbar1, nbar2, {"branch": branch, "x": float(x), "c": float(c)}
+    return nbar1, nbar2, {"branch": branch}
 
 
 def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
@@ -150,7 +148,7 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
     SVD of the annihilation half of P; a residual phase per mode makes the
     neutral vectors swap-conjugation invariant.
 
-    Returns (w_cols, p_cols, nbar1, nbar2, params).  The V columns hiding
+    Returns (w_cols, p_cols, nbar1, nbar2).  The V columns hiding
     inside the p_i are only determined up to the rest of the factorization
     and are resolved later (see ``_degenerate_v_columns``).
     """
@@ -209,10 +207,7 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
                 "neutral image of a degenerate zero mode failed the "
                 "swap-conjugation symmetry check")
         p_cols.append((pi + swap_conj(pi)) / 2.0)
-    e1 = np.ones(r0)
-    nbar1 = np.diag(h)
-    nbar2 = np.diag(h)
-    return w_cols, p_cols, nbar1, nbar2, {"h1": h.copy(), "e1": e1}
+    return w_cols, p_cols, np.diag(h), np.diag(h)
 
 
 def _build_blocks(coupling: np.ndarray,
@@ -260,8 +255,7 @@ def _build_blocks(coupling: np.ndarray,
                 blocks.append(ModeBlock(
                     kind="complex_pair", value=cls.value, size=2,
                     nbar1=alpha * np.eye(2), nbar2=-beta * SIGMA2,
-                    w_cols=w_cols,
-                    params={"alpha": alpha, "beta": beta}))
+                    w_cols=w_cols))
         elif cls.kind == "zero_off_kernel":
             z_off_semisimple.extend(cls.vectors)
         elif cls.kind == "zero_in_kernel":
@@ -271,13 +265,13 @@ def _build_blocks(coupling: np.ndarray,
                     nbar1=np.zeros((1, 1)), nbar2=np.zeros((1, 1)),
                     w_cols=z.reshape(-1, 1)))
     if z_off_semisimple:
-        w_cols, p_cols, nbar1, nbar2, params = degenerate_factor(
+        w_cols, p_cols, nbar1, nbar2 = degenerate_factor(
             coupling, z_off_semisimple)
-        params = dict(params, p_cols=p_cols)
         blocks.append(ModeBlock(
             kind="degenerate_zero", value=0.0, size=len(z_off_semisimple),
             nbar1=nbar1, nbar2=nbar2, w_cols=w_cols,
-            v_cols=[None] * len(z_off_semisimple), params=params))
+            v_cols=[None] * len(z_off_semisimple),
+            params={"p_cols": p_cols}))
     # canonical block order: nonzero classes first, then degenerate-zero,
     # kernel modes last
     order = {"real_positive": 0, "real_negative": 1, "complex_pair": 2,
@@ -447,8 +441,6 @@ def bogoliubov_svd(coupling: np.ndarray,
     # assemble Nhat with each block on the diagonal of the active corner
     nhat1 = np.zeros((m, n), dtype=complex)
     nhat2 = np.zeros((m, n), dtype=complex)
-    nbar1 = np.zeros((r, r), dtype=complex)
-    nbar2 = np.zeros((r, r), dtype=complex)
     pos = 0
     v_first_cols: list = []
     for b in blocks:
@@ -457,8 +449,6 @@ def bogoliubov_svd(coupling: np.ndarray,
         s = b.size
         nhat1[pos:pos + s, pos:pos + s] = b.nbar1
         nhat2[pos:pos + s, pos:pos + s] = b.nbar2
-        nbar1[pos:pos + s, pos:pos + s] = b.nbar1
-        nbar2[pos:pos + s, pos:pos + s] = b.nbar2
         v_first_cols.extend(b.v_cols)
         pos += s
     nhat = np.block([[nhat1, nhat2], [np.conj(nhat2), np.conj(nhat1)]])
@@ -482,8 +472,7 @@ def bogoliubov_svd(coupling: np.ndarray,
             raise NumericalError(
                 f"factor {name} lost the Bogoliubov property "
                 f"(residual {br:.3e})")
-    return DuSvdResult(v=v, w=w, nhat=nhat, nbar1=nbar1, nbar2=nbar2,
-                       r=r, blocks=blocks, spectrum=spectrum,
+    return DuSvdResult(v=v, w=w, nhat=nhat, r=r, blocks=blocks,
                        residual=residual)
 
 

@@ -4,17 +4,21 @@ A general model (S, N, M) with doubled-up matrices factors as
 G(s) = V Ghat(s) (V^b S) where N = V Nhat W^b is the Bogoliubov
 factorization and Ghat is the transfer function of the reduced system
 (I, Nhat, Mhat) with Mhat = W^dag M W.  The reduced system is realized by a
-bank of cavities — one per mode, with passive and/or active port couplings
-dictated by the canonical blocks — plus a Bogoliubov feedback network
+bank of cavities, one per mode, whose coupling is Nhat itself: cavity k has
+a port p for each nonzero Nhat[p, k] (passive amplitude) or Nhat[p, n + k]
+(active amplitude).  Only the role of a cavity and, for a complex pair, the
+beamsplitter and interaction between its two cavities depend on the kind of
+canonical block.  The interconnect ports of the bank are closed through a
+Bogoliubov feedback network
 
     R = (X - I)(X + I)^-1,
-    X = 2i (Ntilde^b)^-1 (J Mhat - J M_conc) Ntilde^-1,
+    X = 2i (Ntilde^b)^-1 (J Mhat - J M_conc) Ntilde^-1.
 
-closing the interconnect ports.  X is doubled-up and J-skew (X^b = -X), so
-R is Bogoliubov.  Unlike the passive case, X + I can be singular, though not
-at the default interconnect rates (``statespace.feedback_network``); given
-rates that make it singular raise ``NumericalError``.  The input checks, the
-Cayley pair and the feedback closure are shared with passive models.
+X is doubled-up and J-skew (X^b = -X), so R is Bogoliubov.  Unlike the
+passive case, X + I can be singular, though not at the default interconnect
+rates (``statespace.feedback_network``); given rates that make it singular
+raise ``NumericalError``.  The input checks, the Cayley pair and the feedback
+closure are shared with passive models.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dusvd import DuSvdResult, bogoliubov_svd
-from .errors import NumericalError
 from .krein import flat_adjoint
 from .statespace import feedback_network, validate_model
 
 #: beamsplitter inserted between the two cavities realizing a complex pair
 PAIR_BEAMSPLITTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+#: cavity role of each canonical block kind
+ROLES = {"real_positive": "passive", "real_negative": "active",
+         "complex_pair": "pair", "jordan2": "jordan",
+         "degenerate_zero": "tunable", "kernel": "idle"}
 
 
 @dataclass
@@ -49,7 +57,6 @@ class CavitySpec:
     role: str          # passive | active | pair | jordan | tunable | idle
     detuning: float
     ports: list = field(default_factory=list)
-    block_value: complex = 0.0
 
 
 @dataclass
@@ -67,80 +74,42 @@ def assign_cavities(result: DuSvdResult, detunings: np.ndarray) -> tuple:
     Returns (cavities, devices, m_conc) where m_conc is the 2n x 2n
     doubled-up Hamiltonian of the concatenated bank: the chosen detunings on
     the diagonal plus the interaction terms generated by cascading the two
-    cavities of each complex pair through a beamsplitter.
+    cavities of each complex pair through a beamsplitter.  Nhat is the
+    coupling of the bank, so cavity k couples to port p with passive
+    amplitude Nhat[p, k] and active amplitude Nhat[p, n + k].
     """
-    n = sum(b.size for b in result.blocks)
+    m, n = (d // 2 for d in result.nhat.shape)
+    nhat1, nhat2 = result.nhat[:m, :n], result.nhat[:m, n:]
     m1 = np.diag(detunings).astype(complex)
     m2 = np.zeros((n, n), dtype=complex)
     cavities, devices = [], []
     pos = 0
     for b in result.blocks:
-        if b.kind == "real_positive":
-            lam = float(np.real(b.value))
+        for k in range(pos, pos + b.size):
+            amp1, amp2 = nhat1[:, k], nhat2[:, k]
             cavities.append(CavitySpec(
-                mode=pos, role="passive", detuning=detunings[pos],
-                block_value=b.value,
-                ports=[PortSpec(port=pos, kappa=lam)]))
-        elif b.kind == "real_negative":
-            lam = float(np.real(b.value))
-            cavities.append(CavitySpec(
-                mode=pos, role="active", detuning=detunings[pos],
-                block_value=b.value,
-                ports=[PortSpec(port=pos, g=abs(lam))]))
-        elif b.kind == "complex_pair":
-            alpha = b.params["alpha"]
-            beta = b.params["beta"]
-            nu = float(np.imag(b.value))
-            for k in (0, 1):
-                other = pos + 1 - k
-                theta = -np.pi / 2 if k == 0 else np.pi / 2
-                cavities.append(CavitySpec(
-                    mode=pos + k, role="pair",
-                    detuning=detunings[pos + k], block_value=b.value,
-                    ports=[PortSpec(port=pos + k, kappa=alpha ** 2),
-                           PortSpec(port=other, g=beta ** 2, theta=theta)]))
+                mode=k, role=ROLES[b.kind], detuning=detunings[k],
+                ports=[PortSpec(port=int(p),
+                                kappa=float(abs(amp1[p])) ** 2,
+                                phi=_phase(amp1[p]),
+                                g=float(abs(amp2[p])) ** 2,
+                                theta=_phase(amp2[p]))
+                       for p in np.flatnonzero((amp1 != 0) | (amp2 != 0))]))
+        if b.kind == "complex_pair":
             devices.append(IntraBlockDevice(
                 kind="beamsplitter", channels=(pos, pos + 1),
                 matrix=PAIR_BEAMSPLITTER.copy()))
             # cascading the two cavities through the beamsplitter induces a
-            # mode-mode interaction of strength nu/2
-            m2[pos, pos + 1] = m2[pos + 1, pos] = -nu / 2.0
-        elif b.kind == "jordan2":
-            for k in (0, 1):
-                ports = []
-                for p in (0, 1):
-                    amp1 = b.nbar1[p, k]
-                    amp2 = b.nbar2[p, k]
-                    if abs(amp1) > 1e-14 or abs(amp2) > 1e-14:
-                        ports.append(PortSpec(
-                            port=pos + p,
-                            kappa=float(abs(amp1)) ** 2,
-                            phi=float(np.angle(amp1)) if abs(amp1) > 0 else 0.0,
-                            g=float(abs(amp2)) ** 2,
-                            theta=float(np.angle(amp2)) if abs(amp2) > 0 else 0.0))
-                cavities.append(CavitySpec(
-                    mode=pos + k, role="jordan",
-                    detuning=detunings[pos + k], block_value=b.value,
-                    ports=ports))
-        elif b.kind == "degenerate_zero":
-            h1 = b.params["h1"]
-            e1 = b.params["e1"]
-            for k in range(b.size):
-                rate = float(h1[k]) ** 2
-                theta = 0.0 if e1[k] > 0 else np.pi
-                cavities.append(CavitySpec(
-                    mode=pos + k, role="tunable",
-                    detuning=detunings[pos + k], block_value=0.0,
-                    ports=[PortSpec(port=pos + k, kappa=rate, g=rate,
-                                    theta=theta)]))
-        elif b.kind == "kernel":
-            cavities.append(CavitySpec(
-                mode=pos, role="idle", detuning=detunings[pos]))
-        else:  # pragma: no cover - defensive
-            raise NumericalError(f"unknown block kind {b.kind!r}")
+            # mode-mode interaction of strength Im(lambda)/2
+            m2[pos, pos + 1] = m2[pos + 1, pos] = -np.imag(b.value) / 2.0
         pos += b.size
     m_conc = np.block([[m1, m2], [np.conj(m2), np.conj(m1)]])
     return cavities, devices, m_conc
+
+
+def _phase(amp: complex) -> float:
+    """Phase of a coupling amplitude, 0 for a zero amplitude."""
+    return float(np.angle(amp)) if amp else 0.0
 
 
 @dataclass

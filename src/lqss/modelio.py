@@ -120,7 +120,7 @@ def model_from_dict(data: dict, where: str = "model") -> tuple:
         raise ValidationError(f"{where}: {exc}") from None
     opts = {}
     if "detunings" in data:
-        opts["detunings"] = np.asarray(data["detunings"], dtype=float)
+        opts["detunings"] = data["detunings"]
     if "interconnect_kappas" in data:
         opts["interconnect_kappa"] = data["interconnect_kappas"]
     return model, opts

@@ -40,12 +40,12 @@ from .krein import (
     swap_conj,
 )
 
-# Classification bands.  The class tolerance follows the convention that a
-# computed eigenvalue within the band of the real axis / origin is treated as
-# real / zero.  Clustering uses a wider band than classification because the
-# eigenvalues of a defective (Jordan) matrix split like sqrt(machine eps)
-# under rounding; 1e-8 would fail to re-merge them.
-TOL_CLASS = 1e-8
+# Classification bands, relative to max(1, ||G||_2).  Eigenvalues within
+# TOL_CLUSTER of each other form one cluster, and a cluster within TOL_CLUSTER
+# of the real axis / origin is treated as real / zero.  The band is wider than
+# the kernel cutoff TOL_RANK because the eigenvalues of a defective (Jordan)
+# matrix split like sqrt(machine eps) under rounding; 1e-8 would fail to
+# re-merge them.
 TOL_RANK = 1e-8
 TOL_CLUSTER = 1e-6
 

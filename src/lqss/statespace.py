@@ -119,7 +119,9 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
 
     M, N and S become complex arrays, S defaulting to the identity; the
     detunings (default zero) and the interconnect rates (None leaves them to
-    ``feedback_network``) have one entry per cavity mode.  General models
+    ``feedback_network``) have one entry per cavity mode.  Both are
+    converted here and only here, so model files and the CLI pass them on
+    as parsed; a malformed value raises ``ParameterError``.  General models
     need a doubled-up Hamiltonian and a Bogoliubov scattering matrix,
     passive ones a unitary S.
     """
@@ -146,22 +148,30 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
             "coupling matrix column count must match the "
             f"{'doubled ' if general else ''}mode dimension")
 
-    detunings = (np.zeros(modes) if detunings is None
-                 else np.asarray(detunings, dtype=float))
-    if detunings.shape != (modes,):
-        raise ParameterError(f"expected {modes} detunings, got "
-                             f"{detunings.shape}")
+    detunings = _real_numbers(np.zeros(modes) if detunings is None
+                              else detunings)
+    if detunings.shape != (modes,) or not np.all(np.isfinite(detunings)):
+        raise ParameterError(f"expected {modes} detunings, one finite real "
+                             "number per mode")
     rates = interconnect_kappa
     if rates is not None:
-        try:
-            rates = np.broadcast_to(
-                np.asarray(rates, dtype=float), (modes,)).copy()
-        except (TypeError, ValueError):
-            rates = np.zeros(1)  # rejected below
-        if not np.all(rates > 0):
+        rates = _real_numbers(rates)
+        if rates.shape not in ((), (1,), (modes,)) or not np.all(rates > 0):
             raise ParameterError("expected one positive interconnect rate "
                                  f"or {modes}, one per mode")
+        rates = np.broadcast_to(rates, (modes,)).copy()
     return m_mat, n_mat, s_mat, detunings, rates
+
+
+def _real_numbers(value) -> np.ndarray:
+    """``value`` as a float array, or NaN when it holds anything but
+    integers and floats (strings, booleans, None, ragged lists), which every
+    caller rejects."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return np.array(np.nan)
+    return arr.astype(float) if arr.dtype.kind in "iuf" else np.array(np.nan)
 
 
 def interconnect_coupling(kind: str, rates) -> np.ndarray:

@@ -151,6 +151,60 @@ class TestSynth:
         assert data["reduced"]["detunings"] == [0.5, -0.5, 1.0]
         assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
 
+    @pytest.mark.parametrize("as_object", [False, True])
+    def test_detuning_file(self, as_object, tmp_path):
+        # the file's detunings override those of the model file
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        path = write_model(tmp_path / "det.json", model,
+                           detunings=[9.0, 9.0, 9.0])
+        detunings = [0.25, -1.0, 2.0]
+        dpath = str(tmp_path / "d.json")
+        modelio.dump_json(dpath, {"detunings": detunings} if as_object
+                          else detunings)
+        out = str(tmp_path / "det_net.json")
+        assert main(["synth", "--input", path, "--output", out,
+                     "--detuning-file", dpath]) == EXIT_OK
+        data = json.load(open(out))
+        assert data["reduced"]["detunings"] == detunings
+        assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
+
+    @pytest.mark.parametrize("in_file", ["model", "detuning file"])
+    @pytest.mark.parametrize("detunings", [["a", 1, 2], ["1", "2", "3"],
+                                           [True, False, True],
+                                           [1.0, None, 2.0],
+                                           [[1.0], [2.0], [3.0]], [1.0, 2.0],
+                                           1.0])
+    def test_malformed_detunings(self, detunings, in_file, tmp_path, capsys):
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        argv = ["synth", "--output", str(tmp_path / "net.json")]
+        if in_file == "model":
+            path = write_model(tmp_path / "bad_det.json", model,
+                               detunings=detunings)
+        else:
+            path = write_model(tmp_path / "model.json", model)
+            dpath = str(tmp_path / "d.json")
+            modelio.dump_json(dpath, detunings)
+            argv += ["--detuning-file", dpath]
+        assert main(argv + ["--input", path]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "expected 3 detunings" in err["message"]
+
+    @pytest.mark.parametrize("flag, stored", [
+        (None, [2.0, 2.0, 2.0]), ("5", [5.0, 5.0, 5.0])])
+    def test_interconnect_kappa_flag_overrides_model_file(self, flag, stored,
+                                                          tmp_path):
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        path = write_model(tmp_path / "rates.json", model,
+                           interconnect_kappas=[2.0, 2.0, 2.0])
+        out = str(tmp_path / "rates_net.json")
+        argv = ["synth", "--input", path, "--output", out]
+        if flag is not None:
+            argv += ["--interconnect-kappa", flag]
+        assert main(argv) == EXIT_OK
+        data = json.load(open(out))
+        assert data["reduced"]["interconnect_kappas"] == stored
+
     @pytest.mark.parametrize("kappas, stored", [
         (2.0, [2.0, 2.0, 2.0]), ([0.5, 1.0, 2.0], [0.5, 1.0, 2.0])])
     def test_interconnect_kappas_from_model_file(self, kappas, stored,
@@ -167,7 +221,8 @@ class TestSynth:
     @pytest.mark.parametrize("kappas", [[[1.0, 2.0], [3.0, 4.0]],
                                         [1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
                                         ["a", 1.0, 1.0], {"0": 1.0},
-                                        [1.0, -1.0, 1.0]])
+                                        [1.0, -1.0, 1.0], ["2", "2", "2"],
+                                        True, [1.0, [1.0], 1.0]])
     def test_malformed_interconnect_kappas_in_model_file(self, kappas,
                                                          tmp_path, capsys):
         model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))

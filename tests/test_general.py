@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    planted_coupling,
     random_bogoliubov,
     random_general_model,
     random_hermitian_doubled_up,
 )
 from lqss.dusvd import bogoliubov_svd
-from lqss.errors import LqssError, NumericalError, StructureError
+from lqss.errors import NumericalError, StructureError
 from lqss.general import synthesize_general
 from lqss.krein import flat_adjoint, jmat
 from lqss.spectral import j_gram
@@ -212,7 +213,6 @@ class TestComplexPair:
     def test_pair_cavities_and_interaction(self):
         rng = np.random.default_rng(54)
         # plant a complex quadruple and synthesize around it
-        from helpers import planted_coupling
         n_mat, _, _, n = planted_coupling([("pair", 1.0 + 1.5j)], rng)
         m_mat = random_hermitian_doubled_up(n, rng, scale=0.5)
         real = synthesize_general(m_mat, n_mat)
@@ -228,6 +228,58 @@ class TestComplexPair:
         model = Model(kind="general", m_mat=m_mat, n_mat=n_mat,
                       s_mat=np.eye(n_mat.shape[0], dtype=complex))
         assert verify_realization(model, real, tol=1e-7).passed
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("specs", [
+    [("jordan", 1.3)], [("jordan", -0.8)], [("pos", 2.0), ("jordan", 1.3)]])
+def test_jordan_synthesis_verifies(specs, seed):
+    rng = np.random.default_rng(seed)
+    n_mat, _, _, n = planted_coupling(specs, rng)
+    m_mat = random_hermitian_doubled_up(n, rng, scale=0.5)
+    real = synthesize_general(m_mat, n_mat)
+    roles = [c.role for c in real.cavities]
+    assert roles == ["passive"] * (len(specs) - 1) + ["jordan", "jordan"]
+    model = Model(kind="general", m_mat=m_mat, n_mat=n_mat,
+                  s_mat=np.eye(n_mat.shape[0], dtype=complex))
+    report = verify_realization(model, real)
+    assert report.passed, report.summary()
+
+
+def nhat_from_cavities(real):
+    """The canonical coupling rebuilt from the cavity/port assignment."""
+    m, n = (d // 2 for d in real.nhat.shape)
+    nhat1 = np.zeros((m, n), dtype=complex)
+    nhat2 = np.zeros((m, n), dtype=complex)
+    for cav in real.cavities:
+        for p in cav.ports:
+            nhat1[p.port, cav.mode] = np.sqrt(p.kappa) * np.exp(1j * p.phi)
+            nhat2[p.port, cav.mode] = np.sqrt(p.g) * np.exp(1j * p.theta)
+    return np.block([[nhat1, nhat2], [nhat2.conj(), nhat1.conj()]])
+
+
+@pytest.mark.parametrize("specs, extra", [
+    ([("pos", 2.0)], 0), ([("neg", -1.5)], 0), ([("pair", 1 + 2j)], 0),
+    ([("jordan", 1.3)], 0), ([("jordan", -0.8)], 0),
+    ([("deg", [0.7, 1.1])], 0),
+    ([("pos", 2.0), ("neg", -1.5), ("pair", 1 + 2j), ("jordan", 1.3),
+      ("deg", [0.7, 1.1])], 1)])
+def test_cavity_ports_rebuild_nhat(specs, extra):
+    # extra = 1 adds an uncoupled (idle) mode and an unused port
+    rng = np.random.default_rng(58)
+    n_mat, _, _, n = planted_coupling(specs, rng, extra_ports=extra,
+                                      extra_modes=extra)
+    m_mat = random_hermitian_doubled_up(n, rng, scale=0.5)
+    real = synthesize_general(m_mat, n_mat)
+    assert np.allclose(nhat_from_cavities(real), real.nhat, rtol=0,
+                       atol=1e-12)
+
+
+def test_cavity_ports_rebuild_nhat_of_random_model():
+    m_mat, n_mat = random_general_model(16, 16, np.random.default_rng(59))
+    real = synthesize_general(m_mat, n_mat)
+    assert np.allclose(nhat_from_cavities(real), real.nhat, rtol=0,
+                       atol=1e-12)
 
 
 def test_general_tf_matches_model():
@@ -255,18 +307,14 @@ def test_scattering_matrix_applied():
 
 
 def test_random_general_sweep():
+    # every draw must synthesize: a failure is not resampled away
     rng = np.random.default_rng(57)
-    done = 0
-    while done < 10:
+    for _ in range(10):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         m_mat, n_mat = random_general_model(n, m, rng)
-        try:
-            real = synthesize_general(m_mat, n_mat)
-        except LqssError:
-            continue  # non-generic spectrum; resample
+        real = synthesize_general(m_mat, n_mat)
         model = Model(kind="general", m_mat=m_mat, n_mat=n_mat,
                       s_mat=np.eye(2 * m, dtype=complex))
         report = verify_realization(model, real, tol=1e-7)
         assert report.passed, report.summary()
-        done += 1

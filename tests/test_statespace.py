@@ -11,6 +11,7 @@ from helpers import (
     random_passive_model,
     random_unitary,
 )
+from lqss import statespace
 from lqss.errors import (
     ParameterError,
     PoleError,
@@ -329,6 +330,31 @@ class TestVerifyRealization:
         # no point was nudged off a pole
         assert report.points == list(frequency_grid(m_mat, 7, 42))
         assert len(calls) == 2 * len(report.points)
+
+    def test_point_on_a_pole_is_nudged(self, monkeypatch):
+        # mode 0 is coupled to no port and no other mode, so A has the
+        # eigenvalue -i omega; a grid point there must be moved off it
+        rng = np.random.default_rng(89)
+        omega = 2.5
+        m_mat, n_mat, s_mat = random_passive_model(4, 3, rng)
+        m_mat[0, :] = m_mat[:, 0] = 0.0
+        m_mat[0, 0] = omega
+        n_mat[:, 0] = 0.0
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        assert np.min(np.abs(np.linalg.eigvals(model.statespace().a)
+                             + 1j * omega)) < 1e-12
+        with pytest.raises(PoleError):
+            model.tf(-1j * omega)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        grid = np.array([0.5j, -1j * omega, 3.0 + 1j])
+        monkeypatch.setattr(statespace, "frequency_grid",
+                            lambda m_mat, num_freqs, seed: grid)
+        report = verify_realization(model, real)
+        assert report.points[0] == grid[0] and report.points[2] == grid[2]
+        moved = report.points[1]
+        assert abs(moved + 1j * omega) > 1e-3
+        assert moved == -1j * omega * 1.0137 + 1e-3j
+        assert report.passed, report.summary()
 
     def test_worst_point(self):
         rng = np.random.default_rng(88)

@@ -23,12 +23,12 @@ variable (DEBUG/INFO/WARNING) to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 
 import numpy as np
+import orjson
 
 from . import modelio
 from .errors import (
@@ -60,12 +60,15 @@ def _setup_logging() -> None:
 
 
 def _emit_error(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
+    # a path from the command line may hold surrogate escapes of bytes that
+    # are not UTF-8, and orjson encodes only valid UTF-8
+    message = str(exc).encode("utf-8", "backslashreplace").decode()
+    payload = {"error": type(exc).__name__, "message": message}
     if hasattr(exc, "eigenvalue"):
         payload["eigenvalue"] = [float(np.real(exc.eigenvalue)),
                                  float(np.imag(exc.eigenvalue))]
-    json.dump(payload, sys.stderr)
-    sys.stderr.write("\n")
+    sys.stderr.write(
+        orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE).decode())
 
 
 def _load_detunings(path: str | None):

@@ -3,14 +3,19 @@
 Complex matrices are stored as nested lists of two-element ``[re, im]``
 pairs.  Every file carries a ``schema_version`` field; loaders raise
 ``ValidationError`` with the offending location on malformed input.
+
+Files are read and written with orjson, as standard JSON (RFC 8259): a file
+holding ``NaN``, ``Infinity``, a number that overflows a double, or bytes
+that are not UTF-8 is invalid JSON.  Every finite double survives a round
+trip bit for bit, through orjson or through the standard library's ``json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import ValidationError
 from .general import GeneralRealization
@@ -63,25 +68,35 @@ def _check_version(data: dict, where: str) -> None:
             f"{where}: unsupported schema_version {version!r}")
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str):
+    """The JSON value in the file ``path``; a file that cannot be read or is
+    not standard JSON raises ``ValidationError`` naming the path."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValidationError(
+            f"{path}: cannot read ({exc.strerror or exc})") from None
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
 
-def dump_json(path: str, payload: dict) -> None:
+def dump_json(path: str, payload) -> None:
     """Write ``payload`` as one line of compact JSON.
 
-    ``json.dumps`` without indentation runs the C encoder; ``json.dump`` to a
-    file, or any indentation, takes the pure-Python one.
+    The payload holds only Python numbers, strings, lists and dicts (orjson
+    rejects numpy scalars).  It is encoded before the file is opened, and a
+    file that cannot be written raises ``ValidationError`` naming the path.
     """
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
-        fh.write("\n")
+    data = orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ValidationError(
+            f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def model_to_dict(model: Model, detunings=None,

@@ -20,11 +20,11 @@ generalized-eigenvector pairs; larger Jordan blocks are rejected.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 from scipy.linalg import eig as dense_eig
 
 from .errors import (
@@ -510,9 +510,9 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray,
     spec = KreinSpectrum(classes=classes, dim=dim, svd_fallbacks=fallbacks,
                          certificate_ratio=worst)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("krein_spectrum %s", json.dumps({
+        log.debug("krein_spectrum %s", orjson.dumps({
             "dim": dim, "clusters": len(groups), "classes": len(classes),
-            "svd_fallbacks": fallbacks, "certificate_ratio": worst}))
+            "svd_fallbacks": fallbacks, "certificate_ratio": worst}).decode())
     # each real/zero pair covers 2 dimensions (z and its swap-conjugate);
     # complex pairs and Jordan pairs cover 4 (two columns plus partners)
     total = 2 * sum(

@@ -117,13 +117,13 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
                    interconnect_kappa) -> tuple:
     """Checked synthesis inputs (M, N, S, detunings, interconnect rates).
 
-    M, N and S become complex arrays, S defaulting to the identity; the
-    detunings (default zero) and the interconnect rates (None leaves them to
-    ``feedback_network``) have one entry per cavity mode.  Both are
-    converted here and only here, so model files and the CLI pass them on
-    as parsed; a malformed value raises ``ParameterError``.  General models
-    need a doubled-up Hamiltonian and a Bogoliubov scattering matrix,
-    passive ones a unitary S.
+    M, N and S become complex arrays, S defaulting to the identity, with
+    finite entries; the detunings (default zero) and the interconnect rates
+    (None leaves them to ``feedback_network``) have one entry per cavity
+    mode.  Both are converted here and only here, so model files and the
+    CLI pass them on as parsed; a malformed value raises ``ParameterError``.
+    General models need a doubled-up Hamiltonian and a Bogoliubov
+    scattering matrix, passive ones a unitary S.
     """
     m_mat = np.asarray(m_mat, dtype=complex)
     n_mat = np.asarray(n_mat, dtype=complex)
@@ -134,6 +134,7 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
     if s_mat is None:
         s_mat = np.eye(ports, dtype=complex)
     s_mat = np.asarray(s_mat, dtype=complex)
+    _check_finite(m_mat, n_mat, s_mat)
     if general:
         check_doubled_up(m_mat, what="Hamiltonian matrix")
     if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
@@ -161,6 +162,17 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
                                  f"or {modes}, one per mode")
         rates = np.broadcast_to(rates, (modes,)).copy()
     return m_mat, n_mat, s_mat, detunings, rates
+
+
+def _check_finite(m_mat: np.ndarray, n_mat: np.ndarray,
+                  s_mat: np.ndarray) -> None:
+    """Raise ``ParameterError`` naming the first of M, N and S that has a
+    NaN or infinite entry, before any factorization sees it."""
+    for name, mat in (("Hamiltonian matrix M", m_mat),
+                      ("coupling matrix N", n_mat),
+                      ("scattering matrix S", s_mat)):
+        if not np.all(np.isfinite(mat)):
+            raise ParameterError(f"{name} has a non-finite entry")
 
 
 def _real_numbers(value) -> np.ndarray:
@@ -267,6 +279,7 @@ class Model:
         self.m_mat = np.asarray(self.m_mat, dtype=complex)
         self.n_mat = np.asarray(self.n_mat, dtype=complex)
         self.s_mat = np.asarray(self.s_mat, dtype=complex)
+        _check_finite(self.m_mat, self.n_mat, self.s_mat)
         if self.m_mat.shape[0] != self.m_mat.shape[1]:
             raise StructureError("Hamiltonian matrix must be square")
         if self.n_mat.shape[1] != self.m_mat.shape[0]:

@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface and JSON round trips."""
 
 import json
+import struct
 
 import numpy as np
+import orjson
 import pytest
 
 from helpers import random_bogoliubov, random_passive_model
@@ -20,6 +22,20 @@ from lqss.krein import phi_to_doubled
 from lqss.statespace import Model, verify_realization
 from test_passive import M3, N3
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
+
+
+def same_json(a, b):
+    """Equal JSON values of equal types, floats compared bit for bit."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(same_json(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(same_json(x, y) for x, y in zip(a, b)))
+    if isinstance(a, float):
+        return type(b) is float and struct.pack("<d", a) == struct.pack(
+            "<d", b)
+    return type(a) is type(b) and a == b
 
 
 def write_model(path, model, **extra):
@@ -396,6 +412,136 @@ class TestNetlistFile:
                                   getattr(compact, name)), name
         assert main(["verify", "--model", passive_model_file,
                      "--netlist", str(indented)]) == EXIT_OK
+
+
+class TestFileErrors:
+    """Files that cannot be read or written, or are not standard JSON, are
+    validation errors (exit 2) that name the file."""
+
+    @pytest.fixture
+    def files(self, passive_model_file, tmp_path):
+        """Paths of the passive example's model, its netlist, its pre
+        network as a matrix file, and an output."""
+        netlist = str(tmp_path / "net.json")
+        assert main(["synth", "--input", passive_model_file,
+                     "--output", netlist]) == EXIT_OK
+        matrix = str(tmp_path / "matrix.json")
+        modelio.dump_json(matrix, {"matrix": modelio.load_json(netlist)[
+            "pre_network"]["matrix"]})
+        return {"model": passive_model_file, "netlist": netlist,
+                "matrix": matrix, "output": str(tmp_path / "out.json")}
+
+    @staticmethod
+    def argv(command, files, **override):
+        """``lqss command`` on ``files``, with the paths in ``override``."""
+        files = {**files, "input": files["matrix" if command == "decompose"
+                                         else "model"], **override}
+        names = {"synth": ["input", "output"],
+                 "verify": ["model", "netlist", "output"],
+                 "decompose": ["input", "output"]}[command]
+        return [command] + [arg for name in names
+                            for arg in (f"--{name}", files[name])]
+
+    @staticmethod
+    def error(capsys):
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        return err["message"]
+
+    @pytest.mark.parametrize("command, field", [
+        ("synth", "input"), ("verify", "model"), ("verify", "netlist"),
+        ("decompose", "input")])
+    def test_input_is_a_directory(self, command, field, files, tmp_path,
+                                  capsys):
+        argv = self.argv(command, files, **{field: str(tmp_path)})
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert f"{tmp_path}: cannot read" in self.error(capsys)
+
+    @pytest.mark.parametrize("command", ["synth", "verify", "decompose"])
+    def test_output_in_missing_directory(self, command, files, tmp_path,
+                                         capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        capsys.readouterr()
+        assert main(self.argv(command, files, output=out)) == EXIT_VALIDATION
+        assert f"{out}: cannot write" in self.error(capsys)
+
+    def test_path_that_is_not_utf8(self, tmp_path, capsys):
+        # bytes of a path that are not UTF-8 reach Python as surrogate
+        # escapes; the error line spells them out
+        path = str(tmp_path / "\udcff.json")
+        assert main(["synth", "--input", path, "--output",
+                     str(tmp_path / "o.json")]) == EXIT_VALIDATION
+        assert "\\udcff.json: cannot read" in self.error(capsys)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400"])
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_nonfinite_number_in_model_file(self, kind, token,
+                                            passive_model_file,
+                                            general_model_file, tmp_path,
+                                            capsys):
+        # the standard library reads these as NaN or inf; an infinite N made
+        # the passive SVD never return
+        path = passive_model_file if kind == "passive" else general_model_file
+        netlist = str(tmp_path / "net.json")
+        assert main(["synth", "--input", path, "--output", netlist]) == EXIT_OK
+        data = modelio.load_json(path)
+        data["N"][0][1][0] = 12345.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace("12345.5", token))
+        files = {"model": str(bad), "netlist": netlist,
+                 "output": str(tmp_path / "out.json")}
+        capsys.readouterr()
+        for command in ("synth", "verify"):
+            assert main(self.argv(command, files)) == EXIT_VALIDATION
+            assert "invalid JSON" in self.error(capsys)
+
+    @pytest.mark.parametrize("command, field", [
+        ("synth", "input"), ("verify", "model"), ("verify", "netlist"),
+        ("decompose", "input")])
+    def test_file_that_is_not_utf8(self, command, field, files, tmp_path,
+                                   capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"schema_version": 1, "type": "passiv\xe9"}')
+        capsys.readouterr()
+        assert main(self.argv(command, files,
+                              **{field: str(bad)})) == EXIT_VALIDATION
+        assert "invalid JSON" in self.error(capsys)
+
+
+class TestInterop:
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_stdlib_json_reads_every_file_the_same(
+            self, kind, passive_model_file, general_model_file, tmp_path,
+            capsys):
+        # outside tools read lqss files with the standard library's json;
+        # they must see the same values, floats bit for bit, and lqss must
+        # read files the standard library writes the same way
+        path = passive_model_file if kind == "passive" else general_model_file
+        net, rep = str(tmp_path / "net.json"), str(tmp_path / "rep.json")
+        matrix, sched = str(tmp_path / "u.json"), str(tmp_path / "s.json")
+        assert main(["synth", "--input", path, "--output", net]) == EXIT_OK
+        assert main(["verify", "--model", path, "--netlist", net,
+                     "--output", rep]) == EXIT_OK
+        modelio.dump_json(matrix, {"matrix": modelio.load_json(net)[
+            "post_network"]["matrix"]})
+        assert main(["decompose", "--input", matrix, "--output",
+                     sched]) == EXIT_OK
+        for written in (path, net, rep, matrix, sched):
+            with open(written) as fh:
+                value = json.load(fh)
+            assert same_json(value, modelio.load_json(written)), written
+            rewritten = str(tmp_path / "stdlib.json")
+            with open(rewritten, "w") as fh:
+                json.dump(value, fh, indent=1)
+            assert same_json(modelio.load_json(rewritten), value), written
+        capsys.readouterr()
+        assert main(["verify", "--model", path, "--netlist",
+                     str(tmp_path / "missing.json")]) == EXIT_VALIDATION
+        line = capsys.readouterr().err
+        assert line.endswith("\n") and line.count("\n") == 1
+        assert same_json(json.loads(line), orjson.loads(line))
 
 
 class TestDecompose:

@@ -1,9 +1,10 @@
 """Library code is what the CLI or the public API reaches.
 
-Two static checks of ``src/lqss`` with the standard-library ``ast`` module:
-no module imports a name it does not use, and every top-level function or
-class is exported in ``lqss.__all__`` or referenced from elsewhere in the
-package.  Test-only builders belong in ``tests/helpers.py``.
+Static checks of ``src/lqss`` with the standard-library ``ast`` module: no
+module imports a name it does not use, every top-level function or class is
+exported in ``lqss.__all__`` or referenced from elsewhere in the package, and
+no module imports the standard library's ``json``.  Test-only builders belong
+in ``tests/helpers.py``.
 """
 
 import ast
@@ -81,3 +82,19 @@ def test_top_level_names_are_reached():
     assert not unreached, (
         f"top-level names neither in lqss.__all__ nor used in the package "
         f"(move test-only code to tests/helpers.py): {unreached}")
+
+
+def test_orjson_is_the_only_json_codec():
+    # one codec means one set of accepted files and one spelling of floats
+    imports = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{module}.py:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] == "json"]
+    assert not imports, f"standard-library json imported: {imports}"

@@ -1,5 +1,6 @@
 """Tests for the eigenvalue classification of coupling Gram matrices."""
 
+import json
 import logging
 
 import numpy as np
@@ -385,7 +386,9 @@ class TestSpectrumDiagnostics:
         (record,) = [r for r in caplog.records
                      if r.getMessage().startswith("krein_spectrum")]
         assert record.levelno == logging.DEBUG
-        assert '"svd_fallbacks": 0' in record.getMessage()
+        fields = json.loads(record.getMessage().split(" ", 1)[1])
+        assert fields["svd_fallbacks"] == 0
+        assert fields["certificate_ratio"] == spec.certificate_ratio
 
 
 def test_jordan_pairing_rejects_non_hermitian_form():

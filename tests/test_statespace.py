@@ -125,6 +125,32 @@ class TestModel:
         assert np.allclose(m.tf(0.5 + 1j), s_mat, atol=1e-12)
 
 
+NONFINITE_NAMES = {"M": "Hamiltonian matrix M", "N": "coupling matrix N",
+                   "S": "scattering matrix S"}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["M", "N", "S"])
+@pytest.mark.parametrize("kind", ["passive", "general"])
+def test_nonfinite_model_is_rejected(kind, name, value):
+    # NaN in N used to raise LinAlgError in the SVD and an infinite N made
+    # it never return; a non-finite model must fail before either
+    rng = np.random.default_rng(97)
+    if kind == "passive":
+        m_mat, n_mat, s_mat = random_passive_model(3, 3, rng)
+    else:
+        m_mat, n_mat = random_general_model(2, 2, rng)
+        s_mat = np.eye(4)
+    mats = {"M": m_mat, "N": n_mat, "S": s_mat.astype(complex)}
+    mats[name][0, 1] = value
+    synthesize = (synthesize_passive if kind == "passive"
+                  else synthesize_general)
+    with pytest.raises(ParameterError, match=NONFINITE_NAMES[name]):
+        synthesize(mats["M"], mats["N"], mats["S"])
+    with pytest.raises(ParameterError, match=NONFINITE_NAMES[name]):
+        Model(kind=kind, m_mat=mats["M"], n_mat=mats["N"], s_mat=mats["S"])
+
+
 def dense_eval(ss, s):
     """G(s) = C (sI - A)^-1 B + D by a dense solve, the reference for the
     Schur-form evaluator."""

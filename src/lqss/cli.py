@@ -23,6 +23,7 @@ variable (DEBUG/INFO/WARNING) to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -82,6 +83,26 @@ def _load_detunings(path: str | None):
     return data
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work.
+
+    The error is the one ``modelio.dump_json`` raises at the end; the file
+    itself is neither created nor truncated here.
+    """
+    if path is None:
+        return
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValidationError(f"{path}: cannot write ({os.strerror(code)})")
+
+
 def _try_schedule(matrix, kind, label):
     try:
         return schedule_static(matrix, kind=kind)
@@ -91,6 +112,7 @@ def _try_schedule(matrix, kind, label):
 
 
 def cmd_synth(args) -> int:
+    _check_writable(args.output)
     model, opts = modelio.load_model(args.input)
     detunings = _load_detunings(args.detuning_file)
     if detunings is None:
@@ -126,6 +148,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.output)
     model, _ = modelio.load_model(args.model)
     real = modelio.load_realization(args.netlist)
     report = verify_realization(model, real, num_freqs=args.freqs,
@@ -137,6 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_writable(args.output)
     data = modelio.load_json(args.input)
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValidationError(f"{args.input}: expected an object with a "

@@ -10,11 +10,15 @@ break into at most m(m-1)/2 two-channel beamsplitters plus output phases
 squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
 embedded matrices multiply out (left to right) to the decomposed matrix.
 
-Every device acts on at most two rows, so a schedule is multiplied out by
-row updates of one dim x dim array: the residual check of an m-channel
-schedule costs O(m^3), the same as the triangular elimination itself.  The
-check uses the device parameters as they are serialized, with all
-beamsplitter blocks built in one stacked call.
+The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
+per column: a scalar pass finds the column's rotations, and their product,
+a unitary upper Hessenberg matrix in closed form, is applied as one matrix
+product.  A schedule is multiplied out by layers: walking the list from the
+end, each device joins the first layer after the last one that touched its
+channels, so the devices of one layer commute and are applied as one stacked
+row update.  An m-channel Reck schedule has depth 2m - 3, so either job
+takes O(m) numpy calls.  The residual check of every schedule uses the
+device parameters as they are serialized.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import NumericalError, StructureError
 from .krein import check_bogoliubov, is_bogoliubov
 
 ANGLE_EPS = 1e-12
+_INTEGER = (int, np.integer)
 
 
 def takagi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +105,8 @@ class Device:
 
     def embed(self, m: int, doubled: bool) -> np.ndarray:
         """Matrix of the device on m channels (2m x 2m when doubled)."""
-        out = np.eye(2 * m if doubled else m, dtype=complex)
-        for rows, block in _row_blocks([self], m, doubled)[0]:
-            out[rows, rows] = block
-        return out
+        return DeviceSchedule(channels=m, doubled=doubled,
+                              devices=[self]).matrix()
 
 
 def beamsplitter_matrix(theta, phi=0.0, psi=0.0, zeta=0.0) -> np.ndarray:
@@ -140,61 +143,47 @@ def _phase_matrix(theta) -> np.ndarray:
     return np.exp(1j * np.asarray(theta))[..., None, None]
 
 
-#: device kind -> (block builder, parameter names, their defaults; None marks
-#: a required parameter)
+#: device kind -> (block builder, channel count, parameter names, their
+#: defaults; None marks a required parameter)
 _BLOCKS = {
-    "beamsplitter": (beamsplitter_matrix, ("theta", "phi", "psi", "zeta"),
+    "beamsplitter": (beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta"),
                      (None, 0.0, 0.0, 0.0)),
-    "phase": (_phase_matrix, ("theta",), (None,)),
-    "squeezer": (squeezer_matrix, ("x", "phi", "psi"), (None, 0.0, 0.0)),
+    "phase": (_phase_matrix, 1, ("theta",), (None,)),
+    "squeezer": (squeezer_matrix, 1, ("x", "phi", "psi"), (None, 0.0, 0.0)),
 }
 
 
-def _row_blocks(devices: list, m: int, doubled: bool) -> list:
-    """The action of each device as (rows, block) pairs.
+def _layers(devices: list, m: int) -> tuple:
+    """Where each device of a schedule acts, and when.
 
-    A device's embedded matrix is the identity except for ``block`` on
-    ``rows`` x ``rows``, where ``rows`` is a slice picking the device's one
-    or two rows in ascending order; on doubled-up channels a beamsplitter or
-    phase also acts on the rows + m with the conjugate block, and a squeezer
-    couples rows i and i + m.  Blocks are built from the device parameters,
-    one stacked call per device kind.
+    Layers are counted from the last device: each device goes into the first
+    layer after the last one that touched any of its channels.  Each device
+    must name its kind's number of distinct channels, all in 0 .. m - 1.
+    Returns (kinds, layers, ends, depth): the device indices of each kind,
+    the layer of each device, its first and last channel (the same channel
+    twice for a one-channel device) and the number of layers.
     """
-    blocks = [None] * len(devices)
-    for kind, (build, names, defaults) in _BLOCKS.items():
-        index = [j for j, dev in enumerate(devices) if dev.kind == kind]
-        if not index:
-            continue
-        # a missing required parameter reads as None, which becomes NaN
-        args = np.array([list(map(devices[j].params.get, names, defaults))
-                         for j in index], dtype=float)
-        if np.isnan(args).any():
-            raise StructureError(
-                f"{kind} with a missing or NaN parameter ({', '.join(names)})")
-        stack = build(*args.T)
-        for j, block, conj in zip(index, stack, stack.conj()):
-            blocks[j] = block, conj
-    out = []
-    for dev, built in zip(devices, blocks):
-        if built is None:
+    kinds = {kind: [] for kind in _BLOCKS}
+    layer, first, last = ([0] * len(devices) for _ in range(3))
+    free = [0] * m  # first layer in which each channel is untouched
+    for k in range(len(devices) - 1, -1, -1):
+        dev = devices[k]
+        if dev.kind not in kinds:
             raise StructureError(f"unknown device kind {dev.kind!r}")
-        block, conj = built
-        first, last = dev.channels[0], dev.channels[-1]
-        if dev.kind == "squeezer":
-            if not doubled:
-                raise StructureError(
-                    "squeezers only exist in doubled-up schedules")
-            out.append([(slice(first, first + m + 1, m), block)])
-            continue
-        if last < first:
-            first, last = last, first
-            block, conj = block[::-1, ::-1], conj[::-1, ::-1]
-        step = max(last - first, 1)
-        updates = [(slice(first, last + 1, step), block)]
-        if doubled:
-            updates.append((slice(first + m, last + m + 1, step), conj))
-        out.append(updates)
-    return out
+        kinds[dev.kind].append(k)
+        channels, count = dev.channels, _BLOCKS[dev.kind][1]
+        i, j = (channels[0], channels[-1]) if channels else (None, None)
+        if not (len(channels) == count and isinstance(i, _INTEGER)
+                and isinstance(j, _INTEGER) and 0 <= i < m and 0 <= j < m
+                and (i != j) == (count == 2)):
+            raise StructureError(
+                f"device {k}: a {dev.kind} needs {count} distinct "
+                f"channel(s) in 0..{m - 1}, not {tuple(channels)}")
+        layer[k] = free[i] if free[i] > free[j] else free[j]
+        free[i] = free[j] = layer[k] + 1
+        first[k], last[k] = i, j
+    ends = np.array([first, last], dtype=int).T
+    return kinds, np.array(layer, dtype=int), ends, max(free, default=0)
 
 
 def _angle(z):
@@ -235,16 +224,57 @@ class DeviceSchedule:
     def matrix(self) -> np.ndarray:
         """Product of the embedded devices, first device leftmost.
 
-        The devices are applied last to first to the identity, each as an
-        update of the rows it touches, so the product costs O(dim) per
-        device instead of a dense dim x dim multiplication.
+        The devices of a layer (see ``_layers``) act on disjoint channels,
+        so the layers are applied in turn to the identity, each as one
+        stacked update of its rows per block width: a beamsplitter updates
+        rows (i, j), a phase row i, and on doubled-up channels they also
+        update rows (i + m, j + m) and i + m with the conjugate block, while
+        a squeezer updates rows (i, i + m).  An m-channel Reck schedule has
+        depth 2m - 3, so its product takes O(m) numpy calls and O(m^3)
+        arithmetic.  Blocks are built from the device parameters, one
+        stacked call per device kind.
         """
-        dim = 2 * self.channels if self.doubled else self.channels
-        out = np.eye(dim, dtype=complex)
-        for updates in reversed(_row_blocks(self.devices, self.channels,
-                                            self.doubled)):
-            for rows, block in updates:
-                out[rows] = block @ out[rows]
+        m, doubled, devices = self.channels, self.doubled, self.devices
+        kinds, layer, ends, depth = _layers(devices, m)
+        stacks = {}  # block width -> [(rows, blocks, layers)] per kind
+        for kind, (build, count, names, defaults) in _BLOCKS.items():
+            index = kinds[kind]
+            if not index:
+                continue
+            if kind == "squeezer" and not doubled:
+                raise StructureError(
+                    "squeezers only exist in doubled-up schedules")
+            # a missing required parameter reads as None, which becomes NaN
+            args = np.array([[devices[j].params.get(name, default)
+                              for j in index]
+                             for name, default in zip(names, defaults)],
+                            dtype=float)
+            if np.isnan(args).any():
+                raise StructureError(f"{kind} with a missing or NaN "
+                                     f"parameter ({', '.join(names)})")
+            blocks = build(*args)
+            rows, layers = ends[index, :count], layer[index]
+            if kind == "squeezer":
+                rows = np.hstack([rows, rows + m])
+            elif doubled:
+                rows = np.vstack([rows, rows + m])
+                blocks = np.concatenate([blocks, blocks.conj()])
+                layers = np.concatenate([layers, layers])
+            stacks.setdefault(rows.shape[1], []).append(
+                (rows, blocks, layers))
+        groups = []
+        for parts in stacks.values():
+            rows, blocks, layers = map(np.concatenate, zip(*parts))
+            order = np.argsort(layers, kind="stable")
+            bounds = np.searchsorted(layers[order], np.arange(depth + 1))
+            groups.append((rows[order], blocks[order], bounds.tolist()))
+        out = np.eye(2 * m if doubled else m, dtype=complex)
+        for k in range(depth):
+            for rows, blocks, bounds in groups:
+                lo, hi = bounds[k], bounds[k + 1]
+                if lo < hi:
+                    picked = rows[lo:hi]
+                    out[picked] = blocks[lo:hi] @ out[picked]
         return out
 
     def residual(self, target: np.ndarray) -> float:
@@ -257,38 +287,74 @@ def reck_decompose(u: np.ndarray) -> DeviceSchedule:
 
     Entries below the diagonal are eliminated column by column from the
     bottom with two-channel rotations; the leftover diagonal becomes output
-    phase shifters.  At most m(m-1)/2 beamsplitters are produced.  A rotation
-    at column ``col`` only touches columns ``col:`` of its two rows, since
-    the earlier columns of those rows are already eliminated.
+    phase shifters.  At most m(m-1)/2 beamsplitters are produced.
+
+    Each column is one step.  A scalar pass up the column x finds all its
+    rotations: at the pair of rows (r - 1, r), a = x[r - 1] meets the carry
+    b from below; the pair is skipped when |b| <= ANGLE_EPS max(1, |a|) and
+    is otherwise rotated by t = [[a*, b*], [-b, a]] / |(a, b)|, whose norm is
+    the new carry.  The product of the column's rotations over its trailing
+    k = m - col rows is a unitary upper Hessenberg matrix; it is built in
+    closed form from one cumulative product of a k x k array, with no
+    division, and applied as one matrix product.  So the elimination takes
+    O(m) numpy calls and O(m^4) BLAS work, where rotating one pair at a time
+    takes O(m^2) numpy calls.
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
     if np.linalg.norm(u @ u.conj().T - np.eye(m)) > 1e-8 * m:
         raise StructureError("reck decomposition requires a unitary matrix")
     work = u.copy()
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
     rows, rotations = [], []
     for col in range(m - 1):
-        for row in range(m - 1, col, -1):
-            pair = work[row - 1:row + 1, col:]
-            a, b = pair[:, 0].tolist()
-            if abs(b) <= ANGLE_EPS * max(1.0, abs(a)):
+        x = work[col:, col].tolist()
+        k = len(x)
+        # (a, b, |(a, b)|) of the pair (j, j + 1) of work[col:]; a skipped
+        # pair keeps (1, 0, 1), whose rotation is the identity
+        top, bottom, norm = [1.0] * (k - 1), [0.0] * (k - 1), [1.0] * (k - 1)
+        turned = []
+        carry = x[-1]
+        for j in range(k - 2, -1, -1):
+            a, b = x[j], carry
+            size, below = abs(a), abs(b)
+            if below <= ANGLE_EPS * (size if size > 1.0 else 1.0):
+                carry = a
                 continue
-            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            t = np.array([[a.conjugate(), b.conjugate()], [-b, a]]) / nrm
-            pair[...] = t @ pair
-            rows.append(row - 1)
-            rotations.append(t)
+            carry = math.sqrt(size * size + below * below)
+            top[j], bottom[j], norm[j] = a, b, carry
+            turned.append(j)
+        if not turned:
+            continue
+        a, b, norm = np.array([top, bottom, norm])
+        # rotation j has top row (alpha_j, beta_j), bottom row (gamma_j,
+        # delta_j)
+        coef = np.stack([a.conj(), b.conj(), -b, a]) / norm.real
+        alpha, beta, gamma, delta = coef
+        rows += [col + j for j in turned]
+        rotations.append(coef.T[turned])
+        # their product t_0 t_1 .. t_{k-2}: row r is delta_{r-1} c[r] plus
+        # gamma_{r-1} at column r - 1, where c[r, j] = alpha_j beta_r ..
+        # beta_{j-1} for j >= r (and alpha_{k-1} = 1)
+        q = np.cumprod(np.where(upper[:k, :k], np.concatenate(([0], beta)),
+                                1.0), axis=1)
+        q[upper[:k, :k].T] = 0.0
+        q[:, :-1] *= alpha
+        q[1:] *= delta[:, None]
+        q.reshape(-1)[k::k + 1] = gamma
+        work[col:, col:] = q @ work[col:, col:]
     schedule = DeviceSchedule(channels=m, doubled=False)
-    # work = t_k .. t_1 u is diagonal, so u = t_1^dag .. t_k^dag diag
+    # work = t_K .. t_1 u is diagonal, so u = t_1^dag .. t_K^dag diag
     if rotations:
-        params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
-        columns = {key: value.tolist() for key, value in params.items()}
-        for j, row in enumerate(rows):
-            schedule.devices.append(Device(
-                kind="beamsplitter", channels=(row, row + 1),
-                params={key: value[j] for key, value in columns.items()}))
-    for i in range(m):
-        theta = float(_angle(work[i, i]))
+        blocks = np.concatenate(rotations).reshape(-1, 2, 2)
+        params = beamsplitter_params(np.conj(np.swapaxes(blocks, 1, 2)))
+        schedule.devices = [
+            Device("beamsplitter", (row, row + 1), {
+                "theta": theta, "phi": phi, "psi": psi, "zeta": zeta})
+            for row, theta, phi, psi, zeta in zip(
+                rows, *(params[key].tolist()
+                        for key in ("theta", "phi", "psi", "zeta")))]
+    for i, theta in enumerate(_angle(np.diag(work)).tolist()):
         if abs(theta) > ANGLE_EPS:
             schedule.devices.append(Device(
                 kind="phase", channels=(i,), params={"theta": theta}))

@@ -1,12 +1,16 @@
 """Shared builders for test cases.
 
 Random models and structured matrices, the open-loop cavity bank used as a
-reference for feedback closure, and planted factorization cases.  A planted
+reference for feedback closure, the triangular decomposition one rotation at
+a time used as a reference for ``reck_decompose``, and planted factorization
+cases.  A planted
 case starts from a hand-built canonical coupling Nhat (whose Gram
 eigenvalues are known exactly) and hides it behind random Bogoliubov factors:
 N = V Nhat W^b.  Recovering the factorization must then reproduce the planted
 eigenvalue multiset and reconstruct N.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -14,6 +18,13 @@ from scipy.linalg import expm
 from lqss.dusvd import SIGMA2, jordan2_factor, pair_weights
 from lqss.errors import StructureError
 from lqss.krein import flat_adjoint, jmat
+from lqss.netlist import (
+    ANGLE_EPS,
+    Device,
+    DeviceSchedule,
+    _angle,
+    beamsplitter_params,
+)
 from lqss.statespace import StateSpace, adjoint, drift
 
 
@@ -79,6 +90,44 @@ def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reck_reference(u):
+    """Triangular decomposition one rotation at a time: the reference for
+    ``reck_decompose``, which builds each column's rotations in one step.
+
+    Entries below the diagonal are eliminated column by column from the
+    bottom, each rotation applied to its two rows at once; the leftover
+    diagonal becomes output phases.
+    """
+    u = np.asarray(u, dtype=complex)
+    m = u.shape[0]
+    work = u.copy()
+    rows, rotations = [], []
+    for col in range(m - 1):
+        for row in range(m - 1, col, -1):
+            pair = work[row - 1:row + 1, col:]
+            a, b = pair[:, 0].tolist()
+            if abs(b) <= ANGLE_EPS * max(1.0, abs(a)):
+                continue
+            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            t = np.array([[a.conjugate(), b.conjugate()], [-b, a]]) / nrm
+            pair[...] = t @ pair
+            rows.append(row - 1)
+            rotations.append(t)
+    schedule = DeviceSchedule(channels=m, doubled=False)
+    if rotations:
+        params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
+        for j, row in enumerate(rows):
+            schedule.devices.append(Device(
+                kind="beamsplitter", channels=(row, row + 1),
+                params={key: float(value[j]) for key, value in params.items()}))
+    for i in range(m):
+        theta = float(_angle(work[i, i]))
+        if abs(theta) > ANGLE_EPS:
+            schedule.devices.append(Device(
+                kind="phase", channels=(i,), params={"theta": theta}))
+    return schedule
 
 
 def random_passive_model(n, m, rng):

@@ -8,7 +8,7 @@ import orjson
 import pytest
 
 from helpers import random_bogoliubov, random_passive_model
-from lqss import modelio, synthesize_general, synthesize_passive
+from lqss import cli, modelio, synthesize_general, synthesize_passive
 from lqss.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -460,11 +460,43 @@ class TestFileErrors:
 
     @pytest.mark.parametrize("command", ["synth", "verify", "decompose"])
     def test_output_in_missing_directory(self, command, files, tmp_path,
-                                         capsys):
+                                         capsys, monkeypatch):
+        # the output path is checked before any input is read
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before the output was checked")
+
+        for module, name in [
+                (modelio, "load_json"), (modelio, "load_model"),
+                (cli, "synthesize_passive"), (cli, "schedule_static"),
+                (cli, "verify_realization")]:
+            monkeypatch.setattr(module, name, refuse)
         out = str(tmp_path / "missing" / "out.json")
         capsys.readouterr()
         assert main(self.argv(command, files, output=out)) == EXIT_VALIDATION
-        assert f"{out}: cannot write" in self.error(capsys)
+        assert (f"{out}: cannot write (No such file or directory)"
+                in self.error(capsys))
+
+    @pytest.mark.parametrize("command", ["synth", "verify", "decompose"])
+    def test_output_is_a_directory(self, command, files, tmp_path, capsys):
+        capsys.readouterr()
+        argv = self.argv(command, files, output=str(tmp_path))
+        assert main(argv) == EXIT_VALIDATION
+        assert f"{tmp_path}: cannot write (Is a directory)" in self.error(
+            capsys)
+
+    def test_failed_synth_leaves_output_alone(self, files, tmp_path, capsys):
+        # the early check neither creates nor truncates the output
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        out = tmp_path / "old.json"
+        out.write_text("old")
+        assert main(self.argv("synth", files, input=str(bad),
+                              output=str(out))) == EXIT_VALIDATION
+        assert out.read_text() == "old"
+        missing = tmp_path / "new.json"
+        assert main(self.argv("synth", files, input=str(bad),
+                              output=str(missing))) == EXIT_VALIDATION
+        assert not missing.exists()
 
     def test_path_that_is_not_utf8(self, tmp_path, capsys):
         # bytes of a path that are not UTF-8 reach Python as surrogate

@@ -4,10 +4,14 @@ Static checks of ``src/lqss`` with the standard-library ``ast`` module: no
 module imports a name it does not use, every top-level function or class is
 exported in ``lqss.__all__`` or referenced from elsewhere in the package, and
 no module imports the standard library's ``json``.  Test-only builders belong
-in ``tests/helpers.py``.
+in ``tests/helpers.py``.  Importing the CLI loads no third-party module beyond
+numpy, scipy.linalg and orjson.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,3 +102,21 @@ def test_orjson_is_the_only_json_codec():
             imports += [f"{module}.py:{node.lineno} {name}" for name in names
                         if name.split(".")[0] == "json"]
     assert not imports, f"standard-library json imported: {imports}"
+
+
+def test_cli_import_adds_only_lqss_and_stdlib():
+    # numpy, scipy.linalg and orjson are loaded first: what scipy pulls in
+    # is its own cost, not the CLI's
+    script = ("import sys, numpy, scipy.linalg, orjson\n"
+              "before = set(sys.modules)\n"
+              "import lqss.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    added = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "lqss.cli" in added
+    foreign = [name for name in added
+               if name.split(".")[0] not in sys.stdlib_module_names
+               and name.split(".")[0] != "lqss"]
+    assert not foreign, f"importing lqss.cli also loads {foreign}"

@@ -4,8 +4,9 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from helpers import random_bogoliubov, random_unitary
+from helpers import random_bogoliubov, random_unitary, reck_reference
 from lqss.errors import NumericalError, StructureError
 from lqss.krein import bogoliubov_residual
 from lqss.netlist import (
@@ -19,6 +20,16 @@ from lqss.netlist import (
     squeezer_matrix,
     takagi,
 )
+
+
+#: devices on 4 doubled-up channels whose channels do not fit their kind
+MALFORMED = [
+    ("beamsplitter", (1, 1)), ("beamsplitter", (0, 5)),
+    ("beamsplitter", (-1, 0)), ("beamsplitter", (0,)),
+    ("beamsplitter", (0, 1, 2)), ("phase", (7,)), ("phase", (0, 1)),
+    ("phase", ()), ("phase", (1.5,)), ("squeezer", (0, 1)),
+    ("squeezer", (4,)),
+]
 
 
 class TestTakagi:
@@ -147,6 +158,37 @@ class TestReck:
         assert lists[0] == lists[1]
 
 
+class TestReckReference:
+    """``reck_decompose`` eliminates a column per step; the reference
+    rotates one pair at a time.  Both give the same device list."""
+
+    @staticmethod
+    def assert_same_devices(u):
+        got, ref = reck_decompose(u).devices, reck_reference(u).devices
+        assert ([(d.kind, d.channels) for d in got]
+                == [(d.kind, d.channels) for d in ref])
+        for dev, want in zip(got, ref):
+            assert dev.params.keys() == want.params.keys()
+            for key, value in want.params.items():
+                assert dev.params[key] == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 33, 96])
+    def test_haar_unitary(self, m):
+        self.assert_same_devices(
+            random_unitary(m, np.random.default_rng(200 + m)))
+
+    @pytest.mark.parametrize("u", [
+        np.eye(4),
+        np.eye(5)[[3, 0, 4, 1, 2]],
+        np.diag([-1 + 1e-13j, 1.0]),
+        block_diag(random_unitary(3, np.random.default_rng(210)),
+                   random_unitary(1, np.random.default_rng(211)),
+                   random_unitary(4, np.random.default_rng(212))),
+    ], ids=["identity", "permutation", "phase-near-pi", "block-diagonal"])
+    def test_skipped_pairs(self, u):
+        self.assert_same_devices(u)
+
+
 class TestDevices:
     def test_phase_embed(self):
         d = Device(kind="phase", channels=(1,), params={"theta": np.pi / 2})
@@ -169,6 +211,16 @@ class TestDevices:
         d = Device(kind="beamsplitter", channels=(0, 1), params={"phi": 0.1})
         with pytest.raises(StructureError, match="theta"):
             d.embed(2, doubled=False)
+
+    @pytest.mark.parametrize("kind, channels", MALFORMED, ids=[
+        f"{kind}{channels}".replace(" ", "") for kind, channels in MALFORMED])
+    def test_malformed_channels(self, kind, channels):
+        params = {"theta": 0.3, "x": 0.2}
+        schedule = DeviceSchedule(channels=4, doubled=True, devices=[
+            Device(kind="phase", channels=(0,), params={"theta": 0.1}),
+            Device(kind=kind, channels=channels, params=params)])
+        with pytest.raises(StructureError, match="device 1"):
+            schedule.matrix()
 
     def test_empty_schedule_is_identity(self):
         sched = DeviceSchedule(channels=2, doubled=False)
@@ -206,6 +258,42 @@ class TestScheduleMatrix:
         assert np.abs(down.matrix() - _embedded_product(down)).max() < 1e-15
         g = beamsplitter_matrix(**params)
         assert np.allclose(down.matrix()[np.ix_([2, 0], [2, 0])], g)
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_random_device_list_matches_embedded_product(self, doubled):
+        # overlapping, descending and non-adjacent splitters, phases and
+        # squeezers in arbitrary order: the layers must keep the order of
+        # every two devices that share a channel
+        rng = np.random.default_rng(77 + doubled)
+        kinds = ["beamsplitter", "phase"] + ["squeezer"] * doubled
+        devices = []
+        for _ in range(240):
+            kind = kinds[rng.integers(len(kinds))]
+            if kind == "beamsplitter":
+                channels = tuple(rng.choice(6, size=2, replace=False).tolist())
+                params = dict(zip(("theta", "phi", "psi", "zeta"),
+                                  rng.uniform(-np.pi, np.pi, 4).tolist()))
+            elif kind == "phase":
+                channels = (int(rng.integers(6)),)
+                params = {"theta": float(rng.uniform(-np.pi, np.pi))}
+            else:
+                channels = (int(rng.integers(6)),)
+                params = {"x": float(rng.uniform(0.0, 0.1)),
+                          "phi": float(rng.uniform(-np.pi, np.pi))}
+            devices.append(Device(kind=kind, channels=channels,
+                                  params=params))
+        pairs = [d.channels for d in devices if d.kind == "beamsplitter"]
+        assert any(i > j for i, j in pairs)
+        assert any(abs(i - j) > 1 for i, j in pairs)
+        schedule = DeviceSchedule(channels=6, doubled=doubled,
+                                  devices=devices)
+        want = _embedded_product(schedule)
+        assert np.abs(schedule.matrix() - want).max() < 1e-12 * max(
+            1.0, np.abs(want).max())
+        # the order matters: the reversed list is a different product
+        backwards = DeviceSchedule(channels=6, doubled=doubled,
+                                   devices=devices[::-1])
+        assert np.abs(backwards.matrix() - want).max() > 1e-3
 
     @pytest.mark.parametrize("doubled", [False, True])
     def test_perturbed_splitter_exceeds_gate(self, doubled):
@@ -268,6 +356,10 @@ def test_schedule_sweep():
             target = random_unitary(m, rng)
         else:
             target = random_bogoliubov(m, seed=int(rng.integers(2 ** 31)))
+        schedule = schedule_static(target)
+        worst = max(worst, schedule.residual(target))
+    for target in (random_unitary(32, rng),
+                   random_bogoliubov(32, seed=int(rng.integers(2 ** 31)))):
         schedule = schedule_static(target)
         worst = max(worst, schedule.residual(target))
     assert worst < 1e-7

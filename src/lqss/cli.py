@@ -35,6 +35,7 @@ from . import modelio
 from .errors import (
     LqssError,
     NumericalError,
+    ParameterError,
     StructureError,
     UnsupportedStructureError,
     ValidationError,
@@ -103,6 +104,12 @@ def _check_writable(path: str | None) -> None:
     raise ValidationError(f"{path}: cannot write ({os.strerror(code)})")
 
 
+def _check_tolerance(tol: float) -> None:
+    # a NaN tolerance would pass or fail every comparison
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"--tol must be a finite number >= 0, not {tol}")
+
+
 def _try_schedule(matrix, kind, label):
     try:
         return schedule_static(matrix, kind=kind)
@@ -112,6 +119,7 @@ def _try_schedule(matrix, kind, label):
 
 
 def cmd_synth(args) -> int:
+    _check_tolerance(args.tol)
     _check_writable(args.output)
     model, opts = modelio.load_model(args.input)
     detunings = _load_detunings(args.detuning_file)
@@ -134,20 +142,26 @@ def cmd_synth(args) -> int:
             f"coupling factorization residual {resid:.3e} exceeds the "
             f"requested tolerance {args.tol:.1e}")
     network = "unitary" if model.kind == "passive" else "bogoliubov"
-    payload = modelio.realization_to_dict(
-        real,
-        pre_schedule=_try_schedule(real.pre, network, "pre network"),
-        post_schedule=_try_schedule(real.post, network, "post network"),
-        feedback_schedule=_try_schedule(real.r_feedback, network,
-                                        "feedback network"))
-    payload["factorization_residual"] = resid
-    modelio.dump_json(args.output, payload)
+    pre = _try_schedule(real.pre, network, "pre network")
+    post = _try_schedule(real.post, network, "post network")
+    feedback = _try_schedule(real.r_feedback, network, "feedback network")
+    # the payload is built, written and freed with the collector paused
+    with modelio.paused_gc():
+        modelio.dump_json(args.output, {
+            **modelio.realization_to_dict(real, pre_schedule=pre,
+                                          post_schedule=post,
+                                          feedback_schedule=feedback),
+            "factorization_residual": resid})
     print(f"synthesized {model.kind} realization -> {args.output} "
           f"(factorization residual {resid:.3e})")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.freqs < 1:
+        raise ParameterError(
+            f"--freqs must be at least 1, not {args.freqs}")
+    _check_tolerance(args.tol)
     _check_writable(args.output)
     model, _ = modelio.load_model(args.model)
     real = modelio.load_realization(args.netlist)

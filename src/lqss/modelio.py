@@ -12,7 +12,10 @@ trip bit for bit, through orjson or through the standard library's ``json``.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -31,11 +34,31 @@ def encode_matrix(x: np.ndarray) -> list:
     return np.stack([x.real, x.imag], -1).tolist()
 
 
-def decode_matrix(data, where: str) -> np.ndarray:
+def _pairs(data) -> np.ndarray | None:
+    """The (rows, cols, 2) array of a list of equal-length lists of
+    two-element lists, read in one pass over the flattened numbers; None for
+    anything else, or when a number does not convert."""
+    if (type(data) is not list or set(map(type, data)) != {list}
+            or len(set(map(len, data))) != 1):
+        return None
+    pairs = list(chain.from_iterable(data))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: not a numeric matrix") from None
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=float,
+                           count=2 * len(pairs))
+    except (TypeError, ValueError, OverflowError):
+        return None  # decode_matrix's np.asarray reports it as before
+    return flat.reshape(len(data), -1, 2)
+
+
+def decode_matrix(data, where: str) -> np.ndarray:
+    arr = _pairs(data)
+    if arr is None:
+        try:
+            arr = np.asarray(data, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: not a numeric matrix") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError(
             f"{where}: expected a matrix of [re, im] pairs, got shape "
@@ -68,9 +91,28 @@ def _check_version(data: dict, where: str) -> None:
             f"{where}: unsupported schema_version {version!r}")
 
 
+@contextmanager
+def paused_gc():
+    """Run the block with the cyclic garbage collector off, then restore the
+    caller's setting, also on error.
+
+    JSON values, as orjson reads and writes them, hold no reference cycles,
+    so a collection while one is built or parsed frees nothing; it only
+    walks the thousands of new lists and dicts.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_json(path: str):
-    """The JSON value in the file ``path``; a file that cannot be read or is
-    not standard JSON raises ``ValidationError`` naming the path."""
+    """The JSON value in the file ``path``, parsed with the garbage
+    collector paused; a file that cannot be read or is not standard JSON
+    raises ``ValidationError`` naming the path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -78,7 +120,8 @@ def load_json(path: str):
         raise ValidationError(
             f"{path}: cannot read ({exc.strerror or exc})") from None
     try:
-        return orjson.loads(data)
+        with paused_gc():
+            return orjson.loads(data)
     except orjson.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
@@ -142,7 +185,8 @@ def model_from_dict(data: dict, where: str = "model") -> tuple:
 
 
 def load_model(path: str) -> tuple:
-    return model_from_dict(load_json(path), where=path)
+    with paused_gc():  # the parsed file is freed inside
+        return model_from_dict(load_json(path), where=path)
 
 
 def schedule_to_dict(schedule: DeviceSchedule) -> dict:
@@ -150,11 +194,7 @@ def schedule_to_dict(schedule: DeviceSchedule) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "bogoliubov" if schedule.doubled else "unitary",
         "channels": schedule.channels,
-        "devices": [
-            {"kind": d.kind, "channels": list(d.channels),
-             "params": {k: float(v) for k, v in d.params.items()}}
-            for d in schedule.devices
-        ],
+        "devices": schedule.records(),
     }
 
 
@@ -163,15 +203,15 @@ def schedule_from_dict(data: dict, where: str = "schedule") -> DeviceSchedule:
     kind = _require(data, "kind", where)
     if kind not in ("unitary", "bogoliubov"):
         raise ValidationError(f"{where}.kind: unknown kind {kind!r}")
-    schedule = DeviceSchedule(
-        channels=int(_require(data, "channels", where)),
-        doubled=kind == "bogoliubov")
-    for i, dd in enumerate(_require(data, "devices", where)):
-        schedule.devices.append(Device(
-            kind=_require(dd, "kind", f"{where}.devices[{i}]"),
-            channels=tuple(_require(dd, "channels", f"{where}.devices[{i}]")),
-            params=dict(dd.get("params", {}))))
-    return schedule
+    devices = [
+        Device(kind=_require(dd, "kind", f"{where}.devices[{i}]"),
+               channels=tuple(_require(dd, "channels",
+                                       f"{where}.devices[{i}]")),
+               params=dict(dd.get("params", {})))
+        for i, dd in enumerate(_require(data, "devices", where))]
+    return DeviceSchedule.from_devices(
+        int(_require(data, "channels", where)), kind == "bogoliubov",
+        devices)
 
 
 def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule | None) -> dict:
@@ -275,7 +315,8 @@ def realization_from_dict(data: dict,
 
 
 def load_realization(path: str) -> LoadedRealization:
-    return realization_from_dict(load_json(path), where=path)
+    with paused_gc():  # the parsed file is freed inside
+        return realization_from_dict(load_json(path), where=path)
 
 
 def report_to_dict(report: VerifyReport) -> dict:

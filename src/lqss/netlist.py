@@ -9,6 +9,9 @@ break into at most m(m-1)/2 two-channel beamsplitters plus output phases
 (triangular elimination), and the middle factor into m single-mode
 squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
 embedded matrices multiply out (left to right) to the decomposed matrix.
+It is stored as arrays: a kind code per device (an index into ``KINDS``), a
+(k, 2) array of channels and a (k, 4) table of parameters; ``Device``
+objects are only a view of one entry, for callers that want one.
 
 The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
 per column: a scalar pass finds the column's rotations, and their product,
@@ -18,7 +21,9 @@ end, each device joins the first layer after the last one that touched its
 channels, so the devices of one layer commute and are applied as one stacked
 row update.  An m-channel Reck schedule has depth 2m - 3, so either job
 takes O(m) numpy calls.  The residual check of every schedule uses the
-device parameters as they are serialized.
+device parameters as they are serialized.  Each schedule is multiplied out
+once: a Bogoliubov network's check reuses the products P2, P1 of its two
+unitary factor schedules and forms diag(P2, P2#) S(x) diag(P1, P1#).
 """
 
 from __future__ import annotations
@@ -99,14 +104,20 @@ def bloch_messiah(r_mat: np.ndarray) -> tuple:
 
 @dataclass
 class Device:
+    """One device as a kind name, a channel tuple and a parameter dict.
+
+    A ``DeviceSchedule`` stores its devices as arrays; this is the view of
+    one of them that ``DeviceSchedule.devices`` returns and
+    ``DeviceSchedule.from_devices`` reads.
+    """
+
     kind: str            # beamsplitter | phase | squeezer
     channels: tuple
     params: dict = field(default_factory=dict)
 
     def embed(self, m: int, doubled: bool) -> np.ndarray:
         """Matrix of the device on m channels (2m x 2m when doubled)."""
-        return DeviceSchedule(channels=m, doubled=doubled,
-                              devices=[self]).matrix()
+        return DeviceSchedule.from_devices(m, doubled, [self]).matrix()
 
 
 def beamsplitter_matrix(theta, phi=0.0, psi=0.0, zeta=0.0) -> np.ndarray:
@@ -143,47 +154,42 @@ def _phase_matrix(theta) -> np.ndarray:
     return np.exp(1j * np.asarray(theta))[..., None, None]
 
 
-#: device kind -> (block builder, channel count, parameter names, their
-#: defaults; None marks a required parameter)
-_BLOCKS = {
-    "beamsplitter": (beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta"),
-                     (None, 0.0, 0.0, 0.0)),
-    "phase": (_phase_matrix, 1, ("theta",), (None,)),
-    "squeezer": (squeezer_matrix, 1, ("x", "phi", "psi"), (None, 0.0, 0.0)),
-}
+#: device kinds by code: (name, block builder, channel count, parameter
+#: names, how many parameters a device always lists).  The first parameter
+#: is required and the others default to 0; a device lists the rest only
+#: when they are non-zero (a Bloch-Messiah squeezer lists just ``x``).
+KINDS = (
+    ("beamsplitter", beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta"),
+     4),
+    ("phase", _phase_matrix, 1, ("theta",), 1),
+    ("squeezer", squeezer_matrix, 1, ("x", "phi", "psi"), 1),
+)
+BEAMSPLITTER, PHASE, SQUEEZER = range(len(KINDS))
+_CODES = {kind[0]: code for code, kind in enumerate(KINDS)}
+_COUNTS = np.array([kind[2] for kind in KINDS])
 
 
-def _layers(devices: list, m: int) -> tuple:
-    """Where each device of a schedule acts, and when.
+def _channel_error(k: int, name: str, count: int, m: int,
+                   channels) -> StructureError:
+    return StructureError(
+        f"device {k}: a {name} needs {count} distinct channel(s) in "
+        f"0..{m - 1}, not {tuple(channels)}")
+
+
+def _layers(wires: np.ndarray, m: int) -> tuple:
+    """The layer of each device of a schedule, and the number of layers.
 
     Layers are counted from the last device: each device goes into the first
-    layer after the last one that touched any of its channels.  Each device
-    must name its kind's number of distinct channels, all in 0 .. m - 1.
-    Returns (kinds, layers, ends, depth): the device indices of each kind,
-    the layer of each device, its first and last channel (the same channel
-    twice for a one-channel device) and the number of layers.
+    layer after the last one that touched either of its channels.
     """
-    kinds = {kind: [] for kind in _BLOCKS}
-    layer, first, last = ([0] * len(devices) for _ in range(3))
+    pairs = wires.tolist()
+    layer = [0] * len(pairs)
     free = [0] * m  # first layer in which each channel is untouched
-    for k in range(len(devices) - 1, -1, -1):
-        dev = devices[k]
-        if dev.kind not in kinds:
-            raise StructureError(f"unknown device kind {dev.kind!r}")
-        kinds[dev.kind].append(k)
-        channels, count = dev.channels, _BLOCKS[dev.kind][1]
-        i, j = (channels[0], channels[-1]) if channels else (None, None)
-        if not (len(channels) == count and isinstance(i, _INTEGER)
-                and isinstance(j, _INTEGER) and 0 <= i < m and 0 <= j < m
-                and (i != j) == (count == 2)):
-            raise StructureError(
-                f"device {k}: a {dev.kind} needs {count} distinct "
-                f"channel(s) in 0..{m - 1}, not {tuple(channels)}")
+    for k in range(len(pairs) - 1, -1, -1):
+        i, j = pairs[k]
         layer[k] = free[i] if free[i] > free[j] else free[j]
         free[i] = free[j] = layer[k] + 1
-        first[k], last[k] = i, j
-    ends = np.array([first, last], dtype=int).T
-    return kinds, np.array(layer, dtype=int), ends, max(free, default=0)
+    return np.array(layer, dtype=int), max(free, default=0)
 
 
 def _angle(z):
@@ -213,13 +219,122 @@ def beamsplitter_params(g: np.ndarray) -> dict:
     return params
 
 
-@dataclass
+def _table(*columns) -> np.ndarray:
+    """(k, 4) parameter table of up to four length-k columns, zero-padded."""
+    table = np.zeros((len(columns[0]), 4))
+    table[:, :len(columns)] = np.transpose(columns)
+    return table
+
+
+def _miss(product: np.ndarray, target: np.ndarray) -> float:
+    """Relative residual of a schedule's product against its network."""
+    return float(np.linalg.norm(product - target)
+                 / max(1.0, np.linalg.norm(target)))
+
+
+@dataclass(eq=False)
 class DeviceSchedule:
-    """Ordered device list; ``matrix()`` multiplies the embeddings out."""
+    """Ordered device list stored as arrays; ``matrix()`` multiplies the
+    embeddings out.
+
+    Device k is of kind ``KINDS[kinds[k]]`` and acts on the channels
+    ``wires[k]`` (a one-channel device names its channel twice).  Row k of
+    the (k, 4) table ``params`` holds its parameters in the order of its
+    kind's names, padded with zeros.  ``devices`` shows the same list as
+    ``Device`` objects.  Construction checks that every device fits its
+    kind and raises a ``StructureError`` naming the first that does not.
+    """
 
     channels: int
     doubled: bool
-    devices: list = field(default_factory=list)
+    kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
+    wires: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
+    params: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+
+    def __post_init__(self):
+        m = self.channels
+        kinds = self.kinds = np.asarray(self.kinds, dtype=int)
+        wires = self.wires = np.asarray(self.wires, dtype=int)
+        self.params = np.asarray(self.params, dtype=float)
+        count = len(kinds)
+        if (kinds.shape != (count,) or wires.shape != (count, 2)
+                or self.params.shape != (count, 4)):
+            raise StructureError(
+                "a schedule of k devices needs k kind codes, a (k, 2) "
+                "channel array and a (k, 4) parameter table")
+        bad = (kinds < 0) | (kinds >= len(KINDS))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise StructureError(f"device {k}: unknown device kind code "
+                                 f"{kinds[k]}")
+        counts = _COUNTS[kinds]
+        bad = (((wires < 0) | (wires >= m)).any(axis=1)
+               | ((wires[:, 0] != wires[:, 1]) != (counts == 2)))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _channel_error(k, KINDS[kinds[k]][0], counts[k], m,
+                                 wires[k, :counts[k]].tolist())
+        bad = np.isnan(self.params).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            name, _, _, names, _ = KINDS[kinds[k]]
+            raise StructureError(f"device {k}: {name} with a missing or NaN "
+                                 f"parameter ({', '.join(names)})")
+        if not self.doubled and (kinds == SQUEEZER).any():
+            raise StructureError(
+                "squeezers only exist in doubled-up schedules")
+
+    @classmethod
+    def from_devices(cls, channels: int, doubled: bool,
+                     devices) -> DeviceSchedule:
+        """The schedule of a list of ``Device`` objects."""
+        kinds, wires = [], []
+        params = np.zeros((len(devices), 4))
+        for k, dev in enumerate(devices):
+            if dev.kind not in _CODES:
+                raise StructureError(
+                    f"device {k}: unknown device kind {dev.kind!r}")
+            code = _CODES[dev.kind]
+            name, _, count, names, _ = KINDS[code]
+            ends = tuple(dev.channels)
+            if not (len(ends) == count
+                    and all(isinstance(c, _INTEGER) for c in ends)):
+                raise _channel_error(k, name, count, channels, ends)
+            kinds.append(code)
+            wires.append((ends[0], ends[-1]))
+            # a missing required parameter reads as None, which becomes NaN
+            params[k, :len(names)] = [
+                dev.params.get(key, None if j == 0 else 0.0)
+                for j, key in enumerate(names)]
+        return cls(channels, doubled, kinds,
+                   np.array(wires, dtype=int).reshape(-1, 2), params)
+
+    @property
+    def devices(self) -> DeviceList:
+        return DeviceList(self)
+
+    def records(self) -> list:
+        """The devices in order, each as a dict of the ``Device`` fields:
+        kind name, channel list and parameter dict.
+
+        The values are Python ints and floats, and each parameter dict lists
+        its kind's parameters as ``KINDS`` says: the form in which
+        ``modelio`` writes a schedule.
+        """
+        out = [None] * len(self.kinds)
+        for code, (name, _, count, names, listed) in enumerate(KINDS):
+            index = np.flatnonzero(self.kinds == code)
+            shown, extra = names[:listed], names[listed:]
+            for at, channels, values in zip(
+                    index.tolist(), self.wires[index, :count].tolist(),
+                    self.params[index, :len(names)].tolist()):
+                params = dict(zip(shown, values))
+                if extra:
+                    params.update((key, value) for key, value
+                                  in zip(extra, values[listed:]) if value)
+                out[at] = {"kind": name, "channels": channels,
+                           "params": params}
+        return out
 
     def matrix(self) -> np.ndarray:
         """Product of the embedded devices, first device leftmost.
@@ -231,30 +346,19 @@ class DeviceSchedule:
         update rows (i + m, j + m) and i + m with the conjugate block, while
         a squeezer updates rows (i, i + m).  An m-channel Reck schedule has
         depth 2m - 3, so its product takes O(m) numpy calls and O(m^3)
-        arithmetic.  Blocks are built from the device parameters, one
-        stacked call per device kind.
+        arithmetic.  Blocks are built from the parameter table, one stacked
+        call per device kind.
         """
-        m, doubled, devices = self.channels, self.doubled, self.devices
-        kinds, layer, ends, depth = _layers(devices, m)
+        m, doubled = self.channels, self.doubled
+        layer, depth = _layers(self.wires, m)
         stacks = {}  # block width -> [(rows, blocks, layers)] per kind
-        for kind, (build, count, names, defaults) in _BLOCKS.items():
-            index = kinds[kind]
-            if not index:
+        for code, (_, build, count, names, _) in enumerate(KINDS):
+            index = np.flatnonzero(self.kinds == code)
+            if not index.size:
                 continue
-            if kind == "squeezer" and not doubled:
-                raise StructureError(
-                    "squeezers only exist in doubled-up schedules")
-            # a missing required parameter reads as None, which becomes NaN
-            args = np.array([[devices[j].params.get(name, default)
-                              for j in index]
-                             for name, default in zip(names, defaults)],
-                            dtype=float)
-            if np.isnan(args).any():
-                raise StructureError(f"{kind} with a missing or NaN "
-                                     f"parameter ({', '.join(names)})")
-            blocks = build(*args)
-            rows, layers = ends[index, :count], layer[index]
-            if kind == "squeezer":
+            blocks = build(*self.params[index, :len(names)].T)
+            rows, layers = self.wires[index, :count], layer[index]
+            if code == SQUEEZER:
                 rows = np.hstack([rows, rows + m])
             elif doubled:
                 rows = np.vstack([rows, rows + m])
@@ -278,32 +382,38 @@ class DeviceSchedule:
         return out
 
     def residual(self, target: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix() - target)
-                     / max(1.0, np.linalg.norm(target)))
+        return _miss(self.matrix(), target)
 
 
-def reck_decompose(u: np.ndarray) -> DeviceSchedule:
-    """Factor a unitary into adjacent-channel beamsplitters plus phases.
+class DeviceList:
+    """The devices of a schedule as ``Device`` objects, built on access."""
 
-    Entries below the diagonal are eliminated column by column from the
-    bottom with two-channel rotations; the leftover diagonal becomes output
-    phase shifters.  At most m(m-1)/2 beamsplitters are produced.
+    def __init__(self, schedule: DeviceSchedule):
+        self.schedule = schedule
 
-    Each column is one step.  A scalar pass up the column x finds all its
-    rotations: at the pair of rows (r - 1, r), a = x[r - 1] meets the carry
-    b from below; the pair is skipped when |b| <= ANGLE_EPS max(1, |a|) and
-    is otherwise rotated by t = [[a*, b*], [-b, a]] / |(a, b)|, whose norm is
-    the new carry.  The product of the column's rotations over its trailing
-    k = m - col rows is a unitary upper Hessenberg matrix; it is built in
-    closed form from one cumulative product of a k x k array, with no
-    division, and applied as one matrix product.  So the elimination takes
-    O(m) numpy calls and O(m^4) BLAS work, where rotating one pair at a time
-    takes O(m^2) numpy calls.
-    """
-    u = np.asarray(u, dtype=complex)
+    def __len__(self) -> int:
+        return len(self.schedule.kinds)
+
+    def __getitem__(self, k):
+        picked = self.schedule.records()[k]
+        if isinstance(k, slice):
+            return [_device(record) for record in picked]
+        return _device(picked)
+
+    def __iter__(self):
+        return map(_device, self.schedule.records())
+
+
+def _device(record: dict) -> Device:
+    return Device(record["kind"], tuple(record["channels"]), record["params"])
+
+
+def _eliminate(u: np.ndarray) -> tuple:
+    """Column-step triangular elimination of a unitary (see
+    ``reck_decompose``): (rows, rotations, diagonal), the top row of each
+    rotation's channel pair, the (k, 2, 2) stack of rotations in the order
+    applied, and the diagonal left over."""
     m = u.shape[0]
-    if np.linalg.norm(u @ u.conj().T - np.eye(m)) > 1e-8 * m:
-        raise StructureError("reck decomposition requires a unitary matrix")
     work = u.copy()
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
     rows, rotations = [], []
@@ -343,25 +453,55 @@ def reck_decompose(u: np.ndarray) -> DeviceSchedule:
         q[1:] *= delta[:, None]
         q.reshape(-1)[k::k + 1] = gamma
         work[col:, col:] = q @ work[col:, col:]
-    schedule = DeviceSchedule(channels=m, doubled=False)
-    # work = t_K .. t_1 u is diagonal, so u = t_1^dag .. t_K^dag diag
-    if rotations:
-        blocks = np.concatenate(rotations).reshape(-1, 2, 2)
-        params = beamsplitter_params(np.conj(np.swapaxes(blocks, 1, 2)))
-        schedule.devices = [
-            Device("beamsplitter", (row, row + 1), {
-                "theta": theta, "phi": phi, "psi": psi, "zeta": zeta})
-            for row, theta, phi, psi, zeta in zip(
-                rows, *(params[key].tolist()
-                        for key in ("theta", "phi", "psi", "zeta")))]
-    for i, theta in enumerate(_angle(np.diag(work)).tolist()):
-        if abs(theta) > ANGLE_EPS:
-            schedule.devices.append(Device(
-                kind="phase", channels=(i,), params={"theta": theta}))
-    if schedule.residual(u) > 1e-8:
+    rotations = (np.concatenate(rotations).reshape(-1, 2, 2) if rotations
+                 else np.zeros((0, 2, 2), dtype=complex))
+    return rows, rotations, np.diag(work)
+
+
+def reck_decompose(u: np.ndarray, with_product: bool = False):
+    """Factor a unitary into adjacent-channel beamsplitters plus phases.
+
+    Entries below the diagonal are eliminated column by column from the
+    bottom with two-channel rotations; the leftover diagonal becomes output
+    phase shifters.  At most m(m-1)/2 beamsplitters are produced.
+
+    Each column is one step.  A scalar pass up the column x finds all its
+    rotations: at the pair of rows (r - 1, r), a = x[r - 1] meets the carry
+    b from below; the pair is skipped when |b| <= ANGLE_EPS max(1, |a|) and
+    is otherwise rotated by t = [[a*, b*], [-b, a]] / |(a, b)|, whose norm is
+    the new carry.  The product of the column's rotations over its trailing
+    k = m - col rows is a unitary upper Hessenberg matrix; it is built in
+    closed form from one cumulative product of a k x k array, with no
+    division, and applied as one matrix product.  So the elimination takes
+    O(m) numpy calls and O(m^4) BLAS work, where rotating one pair at a time
+    takes O(m^2) numpy calls.
+
+    The schedule is multiplied out once and must reproduce u to 1e-8; with
+    ``with_product`` the result is (schedule, that product).
+    """
+    u = np.asarray(u, dtype=complex)
+    m = u.shape[0]
+    if np.linalg.norm(u @ u.conj().T - np.eye(m)) > 1e-8 * m:
+        raise StructureError("reck decomposition requires a unitary matrix")
+    rows, rotations, diagonal = _eliminate(u)
+    # the eliminated u is diagonal, so u = t_1^dag .. t_K^dag diag
+    turns = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
+    phases = _angle(diagonal)
+    shifted = np.flatnonzero(np.abs(phases) > ANGLE_EPS)
+    rows = np.array(rows, dtype=int)
+    schedule = DeviceSchedule(
+        channels=m, doubled=False,
+        kinds=np.repeat([BEAMSPLITTER, PHASE], [len(rows), len(shifted)]),
+        wires=np.concatenate([np.stack([rows, rows + 1], axis=1),
+                              np.stack([shifted, shifted], axis=1)]),
+        params=np.concatenate([
+            _table(*(turns[key] for key in ("theta", "phi", "psi", "zeta"))),
+            _table(phases[shifted])]))
+    product = schedule.matrix()
+    if _miss(product, u) > 1e-8:
         raise NumericalError("triangular unitary decomposition residual "
                              "too large")
-    return schedule
+    return (schedule, product) if with_product else schedule
 
 
 def schedule_static(r_mat: np.ndarray,
@@ -373,6 +513,12 @@ def schedule_static(r_mat: np.ndarray,
     pieces concatenated on doubled-up channels.  ``kind`` forces the
     interpretation ('unitary' or 'bogoliubov') and only that structure is
     checked; by default Bogoliubov structure is preferred when present.
+
+    Each unitary factor's schedule is multiplied out once, in
+    ``reck_decompose``, and must reproduce its factor to 1e-8.  The whole
+    doubled schedule's product is then diag(P2, P2#) S(x) diag(P1, P1#),
+    from those products P2, P1 and the squeezer parameters as written, and
+    must reproduce the network to 1e-7.
     """
     if kind not in (None, "unitary", "bogoliubov"):
         raise StructureError(f"unknown static network kind {kind!r}")
@@ -391,15 +537,22 @@ def schedule_static(r_mat: np.ndarray,
         raise StructureError("static network is not Bogoliubov")
     m = dim // 2
     u2, x, u1 = bloch_messiah(r_mat)
-    schedule = DeviceSchedule(channels=m, doubled=True)
-    for dev in reck_decompose(u2).devices:
-        schedule.devices.append(dev)
-    for i in range(m):
-        if abs(x[i]) > ANGLE_EPS:
-            schedule.devices.append(Device(
-                kind="squeezer", channels=(i,), params={"x": float(x[i])}))
-    for dev in reck_decompose(u1).devices:
-        schedule.devices.append(dev)
-    if schedule.residual(r_mat) > 1e-7:
+    left, p2 = reck_decompose(u2, with_product=True)
+    right, p1 = reck_decompose(u1, with_product=True)
+    x = np.where(np.abs(x) > ANGLE_EPS, x, 0.0)  # the squeezing as written
+    squeezed = np.flatnonzero(x)
+    schedule = DeviceSchedule(
+        channels=m, doubled=True,
+        kinds=np.concatenate([left.kinds, np.full(len(squeezed), SQUEEZER),
+                              right.kinds]),
+        wires=np.concatenate([left.wires,
+                              np.stack([squeezed, squeezed], axis=1),
+                              right.wires]),
+        params=np.concatenate([left.params, _table(x[squeezed]),
+                               right.params]))
+    diag = (p2 * np.cosh(x)) @ p1
+    cross = (p2 * np.sinh(x)) @ p1.conj()
+    product = np.block([[diag, cross], [cross.conj(), diag.conj()]])
+    if _miss(product, r_mat) > 1e-7:
         raise NumericalError("static network schedule residual too large")
     return schedule

@@ -390,6 +390,8 @@ def verify_realization(model: Model, realization, num_freqs: int = 20,
                        seed: int = 42, tol: float = 1e-8) -> VerifyReport:
     """Compare the model transfer function against the realized one on a
     frequency grid; the error metric is ||dG||_F / (1 + ||G||_F)."""
+    if num_freqs < 1:
+        raise ParameterError(f"num_freqs must be at least 1, not {num_freqs}")
     if model.kind != realization.kind:
         raise ParameterError(
             f"model kind {model.kind!r} does not match realization kind "

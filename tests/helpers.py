@@ -2,12 +2,12 @@
 
 Random models and structured matrices, the open-loop cavity bank used as a
 reference for feedback closure, the triangular decomposition one rotation at
-a time used as a reference for ``reck_decompose``, and planted factorization
-cases.  A planted
-case starts from a hand-built canonical coupling Nhat (whose Gram
-eigenvalues are known exactly) and hides it behind random Bogoliubov factors:
-N = V Nhat W^b.  Recovering the factorization must then reproduce the planted
-eigenvalue multiset and reconstruct N.
+a time used as a reference for ``reck_decompose``, device lists built one
+``Device`` at a time as references for the array schedules, and planted
+factorization cases.  A planted case starts from a hand-built canonical
+coupling Nhat (whose Gram eigenvalues are known exactly) and hides it behind
+random Bogoliubov factors: N = V Nhat W^b.  Recovering the factorization
+must then reproduce the planted eigenvalue multiset and reconstruct N.
 """
 
 import math
@@ -23,7 +23,9 @@ from lqss.netlist import (
     Device,
     DeviceSchedule,
     _angle,
+    _eliminate,
     beamsplitter_params,
+    bloch_messiah,
 )
 from lqss.statespace import StateSpace, adjoint, drift
 
@@ -115,19 +117,48 @@ def reck_reference(u):
             pair[...] = t @ pair
             rows.append(row - 1)
             rotations.append(t)
-    schedule = DeviceSchedule(channels=m, doubled=False)
+    devices = []
     if rotations:
         params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
         for j, row in enumerate(rows):
-            schedule.devices.append(Device(
+            devices.append(Device(
                 kind="beamsplitter", channels=(row, row + 1),
                 params={key: float(value[j]) for key, value in params.items()}))
     for i in range(m):
         theta = float(_angle(work[i, i]))
         if abs(theta) > ANGLE_EPS:
-            schedule.devices.append(Device(
+            devices.append(Device(
                 kind="phase", channels=(i,), params={"theta": theta}))
-    return schedule
+    return DeviceSchedule.from_devices(m, False, devices)
+
+
+def reck_devices(u):
+    """The device list of ``reck_decompose(u)`` built one ``Device`` at a
+    time from the same column-step elimination: the reference for the array
+    bookkeeping of the schedule."""
+    rows, rotations, diagonal = _eliminate(np.asarray(u, dtype=complex))
+    devices = []
+    if rows:
+        params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
+        values = [params[key].tolist() for key in ("theta", "phi", "psi",
+                                                    "zeta")]
+        for row, theta, phi, psi, zeta in zip(rows, *values):
+            devices.append(Device("beamsplitter", (row, row + 1), {
+                "theta": theta, "phi": phi, "psi": psi, "zeta": zeta}))
+    for i, theta in enumerate(_angle(diagonal).tolist()):
+        if abs(theta) > ANGLE_EPS:
+            devices.append(Device("phase", (i,), {"theta": theta}))
+    return devices
+
+
+def bogoliubov_devices(r):
+    """The device list of ``schedule_static(r)`` for a Bogoliubov r, built
+    like ``reck_devices``: U2's devices, a squeezer per non-zero
+    squeezing parameter, then U1's devices."""
+    u2, x, u1 = bloch_messiah(r)
+    squeezers = [Device("squeezer", (i,), {"x": float(x[i])})
+                 for i in range(len(x)) if abs(x[i]) > ANGLE_EPS]
+    return reck_devices(u2) + squeezers + reck_devices(u1)
 
 
 def random_passive_model(n, m, rng):

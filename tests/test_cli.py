@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface and JSON round trips."""
 
+import gc
 import json
 import struct
 
@@ -17,7 +18,7 @@ from lqss.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from lqss.errors import ValidationError
+from lqss.errors import ParameterError, ValidationError
 from lqss.krein import phi_to_doubled
 from lqss.statespace import Model, verify_realization
 from test_passive import M3, N3
@@ -81,6 +82,41 @@ class TestMatrixCodec:
     def test_non_numeric(self):
         with pytest.raises(ValidationError, match="not a numeric"):
             modelio.decode_matrix([[["a", "b"]]], "x")
+
+    @staticmethod
+    def asarray_decode(data, where):
+        """``decode_matrix`` as it read every input with ``np.asarray``."""
+        try:
+            arr = np.asarray(data, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: not a numeric matrix") from None
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValidationError(
+                f"{where}: expected a matrix of [re, im] pairs, got shape "
+                f"{arr.shape}")
+        return arr[..., 0] + 1j * arr[..., 1]
+
+    @staticmethod
+    def outcome(decode, data):
+        try:
+            arr = decode(data, "m")
+        except Exception as exc:
+            return type(exc), str(exc)
+        return arr.shape, arr.dtype, arr.tobytes()
+
+    @pytest.mark.parametrize("data", [
+        [[[1, 2]]], [[["1", " 2.5 "]]], [[[None, True]]],
+        [[[1e308, -0.0], [float("nan"), "-1e-300"]]],
+        np.stack([np.eye(3), -np.eye(3)], -1).tolist(),
+        [[1.0, 2.0]], [[["a", "b"]]], [[[1, 2, 3]]], [[[1, 2], [3]]],
+        [[[1, 2, 3], [4]]], [[[1, 2]], [[3, 4], [5, 6]]], [[5, [1, 2]]],
+        [["12"]], [["12", "34"]], [[[1], [2]]], [[{"a": 1, "b": 2}]],
+        [[[1, [2]]]], [[[[1, 2]]]], [], [[]], 5, "ab", None, {"a": 1},
+        [[(1, 2)]], ((([1, 2],),),),
+    ])
+    def test_same_arrays_and_errors_as_asarray(self, data):
+        assert (self.outcome(modelio.decode_matrix, data)
+                == self.outcome(self.asarray_decode, data))
 
 
 class TestModelCodec:
@@ -285,6 +321,65 @@ class TestSynth:
         assert code == EXIT_UNSUPPORTED
         err = json.loads(capsys.readouterr().err)
         assert "neutral" in err["message"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--tol", "nan"], "--tol"),
+        (["synth", "--tol", "inf"], "--tol"),
+        (["synth", "--tol=-1e-9"], "--tol"),
+        (["verify", "--freqs", "0"], "--freqs"),
+        (["verify", "--freqs", "-3"], "--freqs"),
+        (["verify", "--tol", "nan"], "--tol"),
+        (["verify", "--tol", "-1"], "--tol"),
+    ], ids=lambda value: "_".join(value) if isinstance(value, list)
+        else value)
+    def test_bad_value_is_a_validation_exit(self, argv, flag, tmp_path,
+                                            passive_model_file, capsys):
+        net = str(tmp_path / "net.json")
+        assert main(["synth", "--input", passive_model_file,
+                     "--output", net]) == EXIT_OK
+        capsys.readouterr()
+        files = (["--input", passive_model_file, "--output",
+                  str(tmp_path / "o.json")] if argv[0] == "synth" else
+                 ["--model", passive_model_file, "--netlist", net])
+        assert main(argv[:1] + files + argv[1:]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert flag in err["message"]
+
+    def test_verify_needs_a_frequency(self):
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        real = synthesize_passive(M3, N3, np.eye(3))
+        with pytest.raises(ParameterError, match="num_freqs"):
+            verify_realization(model, real, num_freqs=0)
+
+
+class TestPausedGc:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_is_restored(self, gc_state, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"a": [1, 2]}')
+        bad.write_text("{not json")
+        assert modelio.load_json(str(good)) == {"a": [1, 2]}
+        assert gc.isenabled() is gc_state
+        with pytest.raises(ValidationError, match="invalid JSON"):
+            modelio.load_json(str(bad))
+        assert gc.isenabled() is gc_state
+        with pytest.raises(ValidationError, match="cannot read"):
+            modelio.load_model(str(tmp_path / "missing.json"))
+        assert gc.isenabled() is gc_state
+        with pytest.raises(RuntimeError):
+            with modelio.paused_gc():
+                assert not gc.isenabled()
+                raise RuntimeError
+        assert gc.isenabled() is gc_state
 
 
 class TestVerify:

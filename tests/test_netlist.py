@@ -3,13 +3,24 @@
 from functools import reduce
 
 import numpy as np
+import orjson
 import pytest
 from scipy.linalg import block_diag
 
-from helpers import random_bogoliubov, random_unitary, reck_reference
+from helpers import (
+    bogoliubov_devices,
+    random_bogoliubov,
+    random_unitary,
+    reck_devices,
+    reck_reference,
+)
+from lqss import modelio, netlist
 from lqss.errors import NumericalError, StructureError
 from lqss.krein import bogoliubov_residual
 from lqss.netlist import (
+    BEAMSPLITTER,
+    PHASE,
+    SQUEEZER,
     Device,
     DeviceSchedule,
     beamsplitter_matrix,
@@ -216,11 +227,51 @@ class TestDevices:
         f"{kind}{channels}".replace(" ", "") for kind, channels in MALFORMED])
     def test_malformed_channels(self, kind, channels):
         params = {"theta": 0.3, "x": 0.2}
-        schedule = DeviceSchedule(channels=4, doubled=True, devices=[
-            Device(kind="phase", channels=(0,), params={"theta": 0.1}),
-            Device(kind=kind, channels=channels, params=params)])
         with pytest.raises(StructureError, match="device 1"):
-            schedule.matrix()
+            DeviceSchedule.from_devices(4, True, [
+                Device(kind="phase", channels=(0,), params={"theta": 0.1}),
+                Device(kind=kind, channels=channels, params=params)])
+
+    @pytest.mark.parametrize("kinds, wires, params, match", [
+        ([PHASE, 7], [[0, 0], [1, 1]], np.ones((2, 4)), "device 1: unknown"),
+        ([PHASE, BEAMSPLITTER], [[0, 0], [2, 2]], np.ones((2, 4)),
+         r"device 1: a beamsplitter needs 2 .* not \(2, 2\)"),
+        ([PHASE, PHASE], [[0, 0], [0, 1]], np.ones((2, 4)),
+         r"device 1: a phase needs 1 .* not \(0,\)"),
+        ([PHASE, SQUEEZER], [[0, 0], [4, 4]], np.ones((2, 4)),
+         r"device 1: a squeezer needs 1 distinct channel\(s\) in 0..3"),
+        ([PHASE, PHASE], [[0, 0], [1, 1]], [[1.0, 0, 0, 0], [np.nan] * 4],
+         "device 1: phase with a missing or NaN parameter"),
+        ([PHASE], [[0, 0], [1, 1]], np.ones((1, 4)), r"\(k, 2\) channel"),
+    ], ids=["kind", "splitter", "phase", "range", "nan", "shape"])
+    def test_malformed_arrays(self, kinds, wires, params, match):
+        with pytest.raises(StructureError, match=match):
+            DeviceSchedule(channels=4, doubled=True, kinds=kinds,
+                           wires=wires, params=params)
+
+    def test_squeezer_needs_doubled_arrays(self):
+        with pytest.raises(StructureError, match="doubled-up"):
+            DeviceSchedule(channels=2, doubled=False, kinds=[SQUEEZER],
+                           wires=[[0, 0]], params=[[0.3, 0, 0, 0]])
+
+    def test_device_view(self):
+        devices = [
+            Device("beamsplitter", (2, 0), {"theta": 0.4, "zeta": 0.2}),
+            Device("phase", (1,), {"theta": -0.5}),
+            Device("squeezer", (0,), {"x": 0.3}),
+            Device("squeezer", (2,), {"x": 0.1, "psi": 0.7})]
+        schedule = DeviceSchedule.from_devices(3, True, devices)
+        assert len(schedule.devices) == 4
+        assert list(schedule.devices) == [
+            Device("beamsplitter", (2, 0),
+                   {"theta": 0.4, "phi": 0.0, "psi": 0.0, "zeta": 0.2}),
+            Device("phase", (1,), {"theta": -0.5}),
+            Device("squeezer", (0,), {"x": 0.3}),
+            Device("squeezer", (2,), {"x": 0.1, "psi": 0.7})]
+        assert schedule.devices[-1] == schedule.devices[3]
+        assert schedule.devices[1:3] == list(schedule.devices)[1:3]
+        with pytest.raises(IndexError):
+            schedule.devices[4]
 
     def test_empty_schedule_is_identity(self):
         sched = DeviceSchedule(channels=2, doubled=False)
@@ -253,7 +304,7 @@ class TestScheduleMatrix:
 
     def test_descending_channels(self):
         params = {"theta": 0.4, "phi": 0.3, "psi": -1.1, "zeta": 0.2}
-        down = DeviceSchedule(channels=3, doubled=True, devices=[Device(
+        down = DeviceSchedule.from_devices(3, True, [Device(
             kind="beamsplitter", channels=(2, 0), params=params)])
         assert np.abs(down.matrix() - _embedded_product(down)).max() < 1e-15
         g = beamsplitter_matrix(**params)
@@ -285,14 +336,12 @@ class TestScheduleMatrix:
         pairs = [d.channels for d in devices if d.kind == "beamsplitter"]
         assert any(i > j for i, j in pairs)
         assert any(abs(i - j) > 1 for i, j in pairs)
-        schedule = DeviceSchedule(channels=6, doubled=doubled,
-                                  devices=devices)
+        schedule = DeviceSchedule.from_devices(6, doubled, devices)
         want = _embedded_product(schedule)
         assert np.abs(schedule.matrix() - want).max() < 1e-12 * max(
             1.0, np.abs(want).max())
         # the order matters: the reversed list is a different product
-        backwards = DeviceSchedule(channels=6, doubled=doubled,
-                                   devices=devices[::-1])
+        backwards = DeviceSchedule.from_devices(6, doubled, devices[::-1])
         assert np.abs(backwards.matrix() - want).max() > 1e-3
 
     @pytest.mark.parametrize("doubled", [False, True])
@@ -304,10 +353,93 @@ class TestScheduleMatrix:
             target = random_unitary(9, np.random.default_rng(70))
             schedule = reck_decompose(target)
         assert schedule.residual(target) < 1e-8
-        splitter = next(d for d in schedule.devices
-                        if d.kind == "beamsplitter")
-        splitter.params["theta"] += 1e-6
+        splitter = np.flatnonzero(schedule.kinds == BEAMSPLITTER)[0]
+        schedule.params[splitter, 0] += 1e-6
         assert schedule.residual(target) > 1e-8
+
+
+def _bits(devices) -> list:
+    """(kind, channels, parameters) of each device, floats by their bits."""
+    return [(d.kind, d.channels,
+             {key: float(value).hex() for key, value in d.params.items()})
+            for d in devices]
+
+
+def _written(schedule, devices) -> bytes:
+    """A schedule file as written from a list of ``Device`` objects."""
+    return orjson.dumps({
+        "schema_version": 1,
+        "kind": "bogoliubov" if schedule.doubled else "unitary",
+        "channels": schedule.channels,
+        "devices": [{"kind": d.kind, "channels": list(d.channels),
+                     "params": {k: float(v) for k, v in d.params.items()}}
+                    for d in devices]})
+
+
+class TestArraySchedules:
+    """Schedules are arrays; their device lists and files are those of the
+    same decomposition kept as ``Device`` objects, to the bit."""
+
+    @pytest.mark.parametrize("m", [16, 48, 96])
+    @pytest.mark.parametrize("kind", ["unitary", "bogoliubov"])
+    def test_same_devices_and_file(self, kind, m):
+        if kind == "unitary":
+            target = random_unitary(m, np.random.default_rng(300 + m))
+            reference = reck_devices(target)
+        else:
+            target = random_bogoliubov(m, seed=300 + m)
+            reference = bogoliubov_devices(target)
+        schedule = schedule_static(target, kind=kind)
+        assert len(schedule.devices) == len(reference)
+        assert _bits(schedule.devices) == _bits(reference)
+        assert (orjson.dumps(modelio.schedule_to_dict(schedule))
+                == _written(schedule, reference))
+
+    def test_each_factor_is_multiplied_out_once(self, monkeypatch):
+        products = []
+        matrix = DeviceSchedule.matrix
+
+        def counted(schedule):
+            products.append(schedule.doubled)
+            return matrix(schedule)
+
+        monkeypatch.setattr(DeviceSchedule, "matrix", counted)
+        schedule_static(random_bogoliubov(6, seed=310))
+        assert products == [False, False]
+
+    def test_perturbed_u2_splitter_trips_factor_gate(self, monkeypatch):
+        calls = []
+        params = netlist.beamsplitter_params
+
+        def perturbed(g):
+            out = params(g)
+            if not calls:  # the first factor scheduled is U2
+                out["theta"][0] += 1e-6
+            calls.append(len(g))
+            return out
+
+        monkeypatch.setattr(netlist, "beamsplitter_params", perturbed)
+        with pytest.raises(NumericalError, match="triangular unitary "
+                           "decomposition residual too large"):
+            schedule_static(random_bogoliubov(6, seed=311))
+        assert len(calls) == 1
+
+    def test_perturbed_squeezer_trips_network_gate(self, monkeypatch):
+        factor = netlist.bloch_messiah
+
+        def perturbed(r):
+            u2, x, u1 = factor(r)
+            assert x[0] > 1e-3
+            x = x.copy()
+            x[0] += 1e-5
+            return u2, x, u1
+
+        target = random_bogoliubov(6, seed=312)
+        assert schedule_static(target).residual(target) < 1e-12
+        monkeypatch.setattr(netlist, "bloch_messiah", perturbed)
+        with pytest.raises(NumericalError, match="static network schedule "
+                           "residual too large"):
+            schedule_static(target)
 
 
 class TestScheduleStatic:

@@ -181,13 +181,13 @@ def cmd_decompose(args) -> int:
                               "'matrix' field")
     matrix = modelio.decode_matrix(data["matrix"], f"{args.input}.matrix")
     schedule = schedule_static(matrix, kind=args.kind)
-    resid = schedule.residual(matrix)
     payload = modelio.schedule_to_dict(schedule)
-    payload["residual"] = resid
+    payload["residual"] = schedule.residual
     modelio.dump_json(args.output, payload)
     print(f"decomposed {schedule.channels}-channel "
           f"{'bogoliubov' if schedule.doubled else 'unitary'} network into "
-          f"{len(schedule.devices)} devices (residual {resid:.3e})")
+          f"{len(schedule.devices)} devices "
+          f"(residual {schedule.residual:.3e})")
     return EXIT_OK
 
 

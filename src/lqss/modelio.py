@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from .errors import ValidationError
+from .errors import StructureError, ValidationError
 from .general import GeneralRealization
 from .netlist import Device, DeviceSchedule
 from .passive import PassiveRealization
@@ -209,9 +209,12 @@ def schedule_from_dict(data: dict, where: str = "schedule") -> DeviceSchedule:
                                        f"{where}.devices[{i}]")),
                params=dict(dd.get("params", {})))
         for i, dd in enumerate(_require(data, "devices", where))]
-    return DeviceSchedule.from_devices(
-        int(_require(data, "channels", where)), kind == "bogoliubov",
-        devices)
+    channels = int(_require(data, "channels", where))
+    try:
+        return DeviceSchedule.from_devices(channels, kind == "bogoliubov",
+                                           devices)
+    except StructureError as exc:  # names the device as devices[k]
+        raise ValidationError(f"{where}.{exc}") from None
 
 
 def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule | None) -> dict:

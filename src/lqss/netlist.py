@@ -172,7 +172,7 @@ _COUNTS = np.array([kind[2] for kind in KINDS])
 def _channel_error(k: int, name: str, count: int, m: int,
                    channels) -> StructureError:
     return StructureError(
-        f"device {k}: a {name} needs {count} distinct channel(s) in "
+        f"devices[{k}]: a {name} needs {count} distinct channel(s) in "
         f"0..{m - 1}, not {tuple(channels)}")
 
 
@@ -242,7 +242,8 @@ class DeviceSchedule:
     the (k, 4) table ``params`` holds its parameters in the order of its
     kind's names, padded with zeros.  ``devices`` shows the same list as
     ``Device`` objects.  Construction checks that every device fits its
-    kind and raises a ``StructureError`` naming the first that does not.
+    kind; a ``StructureError`` names the first that does not as devices[k].
+    ``residual`` is the product's residual that ``schedule_static`` checked.
     """
 
     channels: int
@@ -250,6 +251,7 @@ class DeviceSchedule:
     kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
     wires: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
     params: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    residual: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         m = self.channels
@@ -265,7 +267,7 @@ class DeviceSchedule:
         bad = (kinds < 0) | (kinds >= len(KINDS))
         if bad.any():
             k = int(np.argmax(bad))
-            raise StructureError(f"device {k}: unknown device kind code "
+            raise StructureError(f"devices[{k}]: unknown device kind code "
                                  f"{kinds[k]}")
         counts = _COUNTS[kinds]
         bad = (((wires < 0) | (wires >= m)).any(axis=1)
@@ -278,11 +280,12 @@ class DeviceSchedule:
         if bad.any():
             k = int(np.argmax(bad))
             name, _, _, names, _ = KINDS[kinds[k]]
-            raise StructureError(f"device {k}: {name} with a missing or NaN "
-                                 f"parameter ({', '.join(names)})")
+            raise StructureError(f"devices[{k}]: {name} with a missing or "
+                                 f"NaN parameter ({', '.join(names)})")
         if not self.doubled and (kinds == SQUEEZER).any():
             raise StructureError(
-                "squeezers only exist in doubled-up schedules")
+                f"devices[{int(np.argmax(kinds == SQUEEZER))}]: squeezers "
+                "only exist in doubled-up schedules")
 
     @classmethod
     def from_devices(cls, channels: int, doubled: bool,
@@ -293,7 +296,7 @@ class DeviceSchedule:
         for k, dev in enumerate(devices):
             if dev.kind not in _CODES:
                 raise StructureError(
-                    f"device {k}: unknown device kind {dev.kind!r}")
+                    f"devices[{k}]: unknown device kind {dev.kind!r}")
             code = _CODES[dev.kind]
             name, _, count, names, _ = KINDS[code]
             ends = tuple(dev.channels)
@@ -380,9 +383,6 @@ class DeviceSchedule:
                     picked = rows[lo:hi]
                     out[picked] = blocks[lo:hi] @ out[picked]
         return out
-
-    def residual(self, target: np.ndarray) -> float:
-        return _miss(self.matrix(), target)
 
 
 class DeviceList:
@@ -498,7 +498,8 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
             _table(*(turns[key] for key in ("theta", "phi", "psi", "zeta"))),
             _table(phases[shifted])]))
     product = schedule.matrix()
-    if _miss(product, u) > 1e-8:
+    schedule.residual = _miss(product, u)
+    if schedule.residual > 1e-8:
         raise NumericalError("triangular unitary decomposition residual "
                              "too large")
     return (schedule, product) if with_product else schedule
@@ -553,6 +554,7 @@ def schedule_static(r_mat: np.ndarray,
     diag = (p2 * np.cosh(x)) @ p1
     cross = (p2 * np.sinh(x)) @ p1.conj()
     product = np.block([[diag, cross], [cross.conj(), diag.conj()]])
-    if _miss(product, r_mat) > 1e-7:
+    schedule.residual = _miss(product, r_mat)
+    if schedule.residual > 1e-7:
         raise NumericalError("static network schedule residual too large")
     return schedule

@@ -20,9 +20,8 @@ taking ``kind``:
 
 The realization produced by the synthesis routines is a bank of reduced
 cavities whose interconnect ports are closed through a static feedback
-network R.  ``close_feedback`` eliminates the loop in two independent ways
-(direct elimination and via the Cayley transform of R) so that the two can
-be cross-checked.
+network R.  ``close_feedback`` closes that loop in Cayley form: the loop
+term is Ntilde^b X Ntilde / 2 with X = cayley(R), one solve with I - R.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .errors import (
     NumericalError,
@@ -64,20 +64,25 @@ def drift(kind: str, m_mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def cayley(r_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def cayley(r_mat: np.ndarray) -> np.ndarray:
     """X = (I - R)^-1 (I + R); raises when R has an eigenvalue at +1.
 
     The formula does not depend on the kind: I + R commutes with
-    (I - R)^-1, so this also equals (I + R)(I - R)^-1.
+    (I - R)^-1, so this also equals (I + R)(I - R)^-1.  It is one LU solve;
+    only when I - R is singular to working precision (a zero pivot, or a
+    reciprocal condition estimate below eps) are the eigenvalues of R
+    computed, to name the one nearest +1.
     """
     r_mat = np.asarray(r_mat, dtype=complex)
     eye = np.eye(r_mat.shape[0])
-    evals = np.linalg.eigvals(r_mat)
-    gap = np.abs(evals - 1.0)
-    worst = int(np.argmin(gap))
-    if gap[worst] < np.sqrt(tol):
-        raise UnitEigenvalueError(complex(evals[worst]))
-    return np.linalg.solve(eye - r_mat, eye + r_mat)
+    shifted = eye - r_mat
+    lu, piv, info = zgetrf(shifted)
+    rcond = zgecon(lu, np.linalg.norm(shifted, 1))[0] if info == 0 else 0.0
+    if not rcond >= np.finfo(float).eps:  # NaN included
+        evals = np.linalg.eigvals(r_mat)
+        raise UnitEigenvalueError(
+            complex(evals[np.argmin(np.abs(evals - 1.0))]))
+    return zgetrs(lu, piv, eye + r_mat)[0]
 
 
 def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
@@ -312,30 +317,18 @@ class Model:
 
 
 def close_feedback(kind: str, nhat: np.ndarray, m_conc: np.ndarray,
-                   ntilde: np.ndarray, r_fb: np.ndarray,
-                   method: str = "elimination") -> StateSpace:
+                   ntilde: np.ndarray, r_fb: np.ndarray) -> StateSpace:
     """Close the interconnect loop U_int = R Y_int around the cavity bank.
 
-    ``method='elimination'`` solves the loop directly;
-    ``method='cayley'`` substitutes the Cayley transform identity
-    (I - R)^-1 R = -I/2 + X/2.  Both must agree; keeping them separate
-    allows the agreement itself to be tested.
+    Eliminating the loop adds -Ntilde^b (I/2 + (I - R)^-1 R) Ntilde to the
+    drift, which (I - R)^-1 R = (X - I)/2, X = cayley(R), turns into
+    -Ntilde^b X Ntilde / 2: one solve, and no sum of two terms that cancel.
     """
     nh_adj = adjoint(kind, nhat)
-    nt_adj = adjoint(kind, ntilde)
-    a = drift(kind, m_conc) - 0.5 * nh_adj @ nhat
-    if method == "elimination":
-        eye = np.eye(m_conc.shape[0], dtype=complex)
-        loop = np.linalg.solve(eye - r_fb, r_fb @ ntilde)
-        a = a - 0.5 * nt_adj @ ntilde - nt_adj @ loop
-    elif method == "cayley":
-        a = a - 0.5 * nt_adj @ cayley(r_fb) @ ntilde
-    else:
-        raise ParameterError(f"unknown feedback elimination method {method!r}")
-    b = -nh_adj
-    c = nhat
-    d = np.eye(nhat.shape[0], dtype=complex)
-    return StateSpace(a=a, b=b, c=c, d=d)
+    a = (drift(kind, m_conc) - 0.5 * nh_adj @ nhat
+         - 0.5 * adjoint(kind, ntilde) @ cayley(r_fb) @ ntilde)
+    return StateSpace(a=a, b=-nh_adj, c=nhat,
+                      d=np.eye(nhat.shape[0], dtype=complex))
 
 
 @dataclass
@@ -401,7 +394,8 @@ def verify_realization(model: Model, realization, num_freqs: int = 20,
             ("pre network", realization.pre, (ports, ports)),
             ("post network", realization.post, (ports, ports)),
             ("N_hat", realization.nhat, (ports, modes)),
-            ("M_conc", realization.m_conc, (modes, modes))):
+            ("M_conc", realization.m_conc, (modes, modes)),
+            ("feedback network", realization.r_feedback, (modes, modes))):
         if np.shape(mat) != shape:
             raise ParameterError(
                 f"realization {name} is {_dims(np.shape(mat))}, but a model "

@@ -88,6 +88,26 @@ def assemble_open_network(kind, nhat, m_conc, ntilde):
     return StateSpace(a=a, b=b, c=c, d=d)
 
 
+def closed_by_hand(kind, real, s):
+    """G(s) of ``real``'s cavity bank with the interconnect ports of the
+    open network closed through R at the transfer-function level:
+    G11 + G12 R (I - G22 R)^-1 G21.  The reference for ``close_feedback``,
+    which closes the loop in the state space through the Cayley transform.
+    """
+    g = assemble_open_network(kind, real.nhat, real.m_conc,
+                              real.ntilde).eval(s)
+    m = real.nhat.shape[0]
+    r = real.r_feedback
+    return g[:m, :m] + g[:m, m:] @ r @ np.linalg.solve(
+        np.eye(len(r)) - g[m:, m:] @ r, g[m:, :m])
+
+
+def schedule_residual(schedule, target):
+    """Relative residual of a schedule's product against its network."""
+    return float(np.linalg.norm(schedule.matrix() - target)
+                 / max(1.0, np.linalg.norm(target)))
+
+
 def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

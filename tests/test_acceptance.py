@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    closed_by_hand,
     multiset_distance,
     planted_coupling,
     random_bogoliubov,
@@ -18,6 +19,7 @@ from helpers import (
     random_general_model,
     random_passive_model,
     random_unitary,
+    schedule_residual,
 )
 from lqss import modelio
 from lqss.cli import EXIT_UNSUPPORTED, main
@@ -203,7 +205,7 @@ def test_criterion_5_planted_factorizations():
             target = random_bogoliubov(m, seed=int(rng.integers(2 ** 31)),
                                        scale=0.4)
         worst_sched = max(worst_sched,
-                          schedule_static(target).residual(target))
+                          schedule_residual(schedule_static(target), target))
     ok = worst_res < 1e-8 and worst_eig < 1e-8 and worst_jordan < 1e-7 \
         and worst_sched < 1e-8
     _report("criterion 5 (planted factorizations)", ok,
@@ -213,14 +215,14 @@ def test_criterion_5_planted_factorizations():
 
 
 def _dual_path_gap(real, rng):
+    # close_feedback against the open network closed by hand
+    closed = close_feedback(real.kind, real.nhat, real.m_conc, real.ntilde,
+                            real.r_feedback)
     gap = 0.0
     for _ in range(3):
         s = complex(abs(rng.normal()) + 0.05, 3.0 * rng.normal())
-        g1 = close_feedback(real.kind, real.nhat, real.m_conc, real.ntilde,
-                            real.r_feedback, method="elimination").eval(s)
-        g2 = close_feedback(real.kind, real.nhat, real.m_conc, real.ntilde,
-                            real.r_feedback, method="cayley").eval(s)
-        gap = max(gap, float(np.linalg.norm(g1 - g2)))
+        gap = max(gap, float(np.linalg.norm(
+            closed.eval(s) - closed_by_hand(real.kind, real, s))))
     return gap
 
 

@@ -8,7 +8,12 @@ import numpy as np
 import orjson
 import pytest
 
-from helpers import random_bogoliubov, random_passive_model
+from helpers import (
+    random_bogoliubov,
+    random_passive_model,
+    random_unitary,
+    schedule_residual,
+)
 from lqss import cli, modelio, synthesize_general, synthesize_passive
 from lqss.cli import (
     EXIT_NUMERICAL,
@@ -20,6 +25,7 @@ from lqss.cli import (
 )
 from lqss.errors import ParameterError, ValidationError
 from lqss.krein import phi_to_doubled
+from lqss.netlist import DeviceSchedule, schedule_static
 from lqss.statespace import Model, verify_realization
 from test_passive import M3, N3
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
@@ -443,6 +449,43 @@ class TestVerify:
         assert err["error"] == "ValidationError"
         assert "reduced.interconnect_kappas" in err["message"]
 
+    @staticmethod
+    def with_feedback(tmp_path, r_feedback):
+        """Paths of a 4-mode, 3-port passive model and of its netlist with
+        the feedback network replaced by ``r_feedback``."""
+        m_mat, n_mat, s_mat = random_passive_model(
+            4, 3, np.random.default_rng(3))
+        model = write_model(tmp_path / "model.json", Model(
+            kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat))
+        out = str(tmp_path / "net.json")
+        assert main(["synth", "--input", model, "--output", out]) == EXIT_OK
+        data = json.load(open(out))
+        data["feedback"]["matrix"] = modelio.encode_matrix(r_feedback)
+        json.dump(data, open(out, "w"))
+        return model, out
+
+    @pytest.mark.parametrize("diagonal", [[1, 1, 1, 1], [1, -1, -1, -1]])
+    def test_feedback_with_unit_eigenvalue(self, diagonal, tmp_path,
+                                           capsys):
+        # I - R is singular: the loop cannot be closed
+        model, net = self.with_feedback(tmp_path, np.diag(diagonal))
+        capsys.readouterr()
+        code = main(["verify", "--model", model, "--netlist", net])
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UnitEigenvalueError"
+        assert err["eigenvalue"] == [1.0, 0.0]
+
+    def test_feedback_of_another_size(self, tmp_path, capsys):
+        model, net = self.with_feedback(tmp_path, -np.eye(3))
+        capsys.readouterr()
+        code = main(["verify", "--model", model, "--netlist", net])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "feedback network is 3x3" in err["message"]
+        assert "needs 4x4" in err["message"]
+
     def test_malformed_netlist(self, passive_model_file, tmp_path, capsys):
         bad = tmp_path / "bad_net.json"
         bad.write_text(json.dumps({"schema_version": 1, "type": "passive"}))
@@ -683,7 +726,7 @@ class TestDecompose:
         assert main(["decompose", "--input", str(path), "--kind", "unitary",
                      "--output", out]) == EXIT_OK
         sched = modelio.schedule_from_dict(json.load(open(out)))
-        assert sched.residual(q) < 1e-8
+        assert schedule_residual(sched, q) < 1e-8
 
     def test_bogoliubov(self, tmp_path):
         r = random_bogoliubov(2, seed=94)
@@ -694,7 +737,28 @@ class TestDecompose:
                      "--output", out]) == EXIT_OK
         sched = modelio.schedule_from_dict(json.load(open(out)))
         assert sched.doubled
-        assert sched.residual(r) < 1e-7
+        assert schedule_residual(sched, r) < 1e-7
+
+    @pytest.mark.parametrize("kind, products", [("unitary", 1),
+                                                 ("bogoliubov", 2)])
+    def test_reports_the_checked_residual(self, kind, products, tmp_path,
+                                          monkeypatch):
+        # the residual is the one schedule_static checked: one product per
+        # triangular factor, and no further multiplication of the schedule
+        matrix = (random_bogoliubov(3, seed=97) if kind == "bogoliubov"
+                  else random_unitary(5, np.random.default_rng(97)))
+        expected = schedule_static(matrix, kind=kind).residual
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": modelio.encode_matrix(matrix)}))
+        out = str(tmp_path / "sched.json")
+        calls = []
+        product = DeviceSchedule.matrix
+        monkeypatch.setattr(DeviceSchedule, "matrix",
+                            lambda self: calls.append(self) or product(self))
+        assert main(["decompose", "--input", str(path), "--kind", kind,
+                     "--output", out]) == EXIT_OK
+        assert len(calls) == products
+        assert json.load(open(out))["residual"] == expected
 
     def test_missing_matrix_field(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -716,7 +780,6 @@ class TestDecompose:
 
 class TestScheduleCodec:
     def test_roundtrip(self, tmp_path):
-        from lqss.netlist import schedule_static
         r = random_bogoliubov(2, seed=95)
         sched = schedule_static(r)
         back = modelio.schedule_from_dict(modelio.schedule_to_dict(sched))
@@ -726,3 +789,33 @@ class TestScheduleCodec:
         with pytest.raises(ValidationError, match="unknown kind"):
             modelio.schedule_from_dict(
                 {"schema_version": 1, "kind": "optical"})
+
+    @pytest.mark.parametrize("kind, device, message", [
+        ("unitary", {"kind": "phase", "channels": [5],
+                     "params": {"theta": 0.1}},
+         r"s\.json\.devices\[1\]: a phase needs 1 distinct channel\(s\) "
+         r"in 0\.\.1, not \(5,\)$"),
+        ("unitary", {"kind": "mirror", "channels": [0]},
+         r"s\.json\.devices\[1\]: unknown device kind 'mirror'$"),
+        ("unitary", {"kind": "squeezer", "channels": [0],
+                     "params": {"x": 0.1}},
+         r"s\.json\.devices\[1\]: squeezers only exist in doubled-up "
+         r"schedules$"),
+        ("bogoliubov", {"kind": "phase", "channels": [1]},
+         r"s\.json\.devices\[1\]: phase with a missing or NaN parameter "
+         r"\(theta\)$"),
+    ])
+    def test_malformed_device_names_its_location(self, kind, device,
+                                                 message):
+        good = {"kind": "phase", "channels": [0], "params": {"theta": 0.2}}
+        with pytest.raises(ValidationError, match=message):
+            modelio.schedule_from_dict(
+                {"schema_version": 1, "kind": kind, "channels": 2,
+                 "devices": [good, device]}, where="s.json")
+
+    def test_missing_channel_count(self):
+        with pytest.raises(ValidationError) as info:
+            modelio.schedule_from_dict(
+                {"schema_version": 1, "kind": "unitary", "devices": []},
+                where="s.json")
+        assert str(info.value) == "s.json: missing required field 'channels'"

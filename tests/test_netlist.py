@@ -13,6 +13,7 @@ from helpers import (
     random_unitary,
     reck_devices,
     reck_reference,
+    schedule_residual,
 )
 from lqss import modelio, netlist
 from lqss.errors import NumericalError, StructureError
@@ -148,7 +149,7 @@ class TestReck:
         rng = np.random.default_rng(100 + m)
         u = random_unitary(m, rng)
         schedule = reck_decompose(u)
-        assert schedule.residual(u) < 1e-8
+        assert schedule_residual(schedule, u) < 1e-8
         n_bs = sum(1 for d in schedule.devices if d.kind == "beamsplitter")
         assert n_bs <= m * (m - 1) // 2
 
@@ -156,7 +157,7 @@ class TestReck:
         u = np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0])))
         schedule = reck_decompose(u)
         assert all(d.kind == "phase" for d in schedule.devices)
-        assert schedule.residual(u) < 1e-10
+        assert schedule_residual(schedule, u) < 1e-10
 
     def test_rejects_nonunitary(self):
         with pytest.raises(StructureError):
@@ -227,21 +228,22 @@ class TestDevices:
         f"{kind}{channels}".replace(" ", "") for kind, channels in MALFORMED])
     def test_malformed_channels(self, kind, channels):
         params = {"theta": 0.3, "x": 0.2}
-        with pytest.raises(StructureError, match="device 1"):
+        with pytest.raises(StructureError, match=r"devices\[1\]"):
             DeviceSchedule.from_devices(4, True, [
                 Device(kind="phase", channels=(0,), params={"theta": 0.1}),
                 Device(kind=kind, channels=channels, params=params)])
 
     @pytest.mark.parametrize("kinds, wires, params, match", [
-        ([PHASE, 7], [[0, 0], [1, 1]], np.ones((2, 4)), "device 1: unknown"),
+        ([PHASE, 7], [[0, 0], [1, 1]], np.ones((2, 4)),
+         r"devices\[1\]: unknown"),
         ([PHASE, BEAMSPLITTER], [[0, 0], [2, 2]], np.ones((2, 4)),
-         r"device 1: a beamsplitter needs 2 .* not \(2, 2\)"),
+         r"devices\[1\]: a beamsplitter needs 2 .* not \(2, 2\)"),
         ([PHASE, PHASE], [[0, 0], [0, 1]], np.ones((2, 4)),
-         r"device 1: a phase needs 1 .* not \(0,\)"),
+         r"devices\[1\]: a phase needs 1 .* not \(0,\)"),
         ([PHASE, SQUEEZER], [[0, 0], [4, 4]], np.ones((2, 4)),
-         r"device 1: a squeezer needs 1 distinct channel\(s\) in 0..3"),
+         r"devices\[1\]: a squeezer needs 1 distinct channel\(s\) in 0..3"),
         ([PHASE, PHASE], [[0, 0], [1, 1]], [[1.0, 0, 0, 0], [np.nan] * 4],
-         "device 1: phase with a missing or NaN parameter"),
+         r"devices\[1\]: phase with a missing or NaN parameter"),
         ([PHASE], [[0, 0], [1, 1]], np.ones((1, 4)), r"\(k, 2\) channel"),
     ], ids=["kind", "splitter", "phase", "range", "nan", "shape"])
     def test_malformed_arrays(self, kinds, wires, params, match):
@@ -352,10 +354,10 @@ class TestScheduleMatrix:
         else:
             target = random_unitary(9, np.random.default_rng(70))
             schedule = reck_decompose(target)
-        assert schedule.residual(target) < 1e-8
+        assert schedule_residual(schedule, target) < 1e-8
         splitter = np.flatnonzero(schedule.kinds == BEAMSPLITTER)[0]
         schedule.params[splitter, 0] += 1e-6
-        assert schedule.residual(target) > 1e-8
+        assert schedule_residual(schedule, target) > 1e-8
 
 
 def _bits(devices) -> list:
@@ -435,7 +437,7 @@ class TestArraySchedules:
             return u2, x, u1
 
         target = random_bogoliubov(6, seed=312)
-        assert schedule_static(target).residual(target) < 1e-12
+        assert schedule_residual(schedule_static(target), target) < 1e-12
         monkeypatch.setattr(netlist, "bloch_messiah", perturbed)
         with pytest.raises(NumericalError, match="static network schedule "
                            "residual too large"):
@@ -449,14 +451,14 @@ class TestScheduleStatic:
         u = random_unitary(m, rng)
         schedule = schedule_static(u, kind="unitary")
         assert not schedule.doubled
-        assert schedule.residual(u) < 1e-8
+        assert schedule_residual(schedule, u) < 1e-8
 
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_bogoliubov_schedule(self, seed):
         r = random_bogoliubov(2, seed=seed)
         schedule = schedule_static(r)
         assert schedule.doubled
-        assert schedule.residual(r) < 1e-7
+        assert schedule_residual(schedule, r) < 1e-7
         kinds = {d.kind for d in schedule.devices}
         assert "squeezer" in kinds  # generic R is actively squeezing
 
@@ -489,9 +491,9 @@ def test_schedule_sweep():
         else:
             target = random_bogoliubov(m, seed=int(rng.integers(2 ** 31)))
         schedule = schedule_static(target)
-        worst = max(worst, schedule.residual(target))
+        worst = max(worst, schedule_residual(schedule, target))
     for target in (random_unitary(32, rng),
                    random_bogoliubov(32, seed=int(rng.integers(2 ** 31)))):
         schedule = schedule_static(target)
-        worst = max(worst, schedule.residual(target))
+        worst = max(worst, schedule_residual(schedule, target))
     assert worst < 1e-7

@@ -6,6 +6,7 @@ from scipy.linalg import block_diag
 
 from helpers import (
     assemble_open_network,
+    closed_by_hand,
     random_general_model,
     random_hermitian_doubled_up,
     random_passive_model,
@@ -66,6 +67,16 @@ class CayleyPairLaws:
         assert abs(info.value.eigenvalue - 1.0) < 1e-10
         assert "unit eigenvalue" in str(info.value)
 
+    def test_no_eigensolve_on_success(self, monkeypatch):
+        # eigenvalues are computed only to name the one that failed
+        r = inv_cayley(self.kind, self.generator(47))
+
+        def eigvals(_):
+            raise AssertionError("cayley called an eigensolver")
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        x = cayley(r)
+        assert np.linalg.norm(inv_cayley(self.kind, x) - r) < 1e-10
+
     def test_inv_cayley_requires_skew(self):
         with pytest.raises(StructureError, match="skew"):
             inv_cayley(self.kind, np.eye(4))
@@ -77,6 +88,23 @@ class CayleyPairLaws:
         eye = np.eye(4)
         lhs = np.linalg.solve(eye - r, r)
         assert np.linalg.norm(lhs - (-eye / 2 + x / 2)) < 1e-10
+
+
+@pytest.mark.parametrize("angle, solved", [(1e-9, True), (1e-17, False)])
+def test_eigenvalue_near_one(angle, solved):
+    # R = diag(e^{i angle}, e^{2i}, -1) has X = diag(i cot(angle/2), i cot 1,
+    # 0).  An eigenvalue 1e-9 from +1 leaves I - R well enough conditioned
+    # for the solve; at 1e-17 the reciprocal condition estimate of I - R is
+    # below machine epsilon
+    r = np.diag(np.exp(1j * np.array([angle, 2.0, np.pi])))
+    if solved:
+        expected = 1j / np.tan(np.array([angle, 2.0, np.pi]) / 2)
+        assert np.allclose(cayley(r), np.diag(expected), rtol=1e-9,
+                           atol=1e-15)
+    else:
+        with pytest.raises(UnitEigenvalueError) as info:
+            cayley(r)
+        assert abs(info.value.eigenvalue - 1.0) < 1e-16
 
 
 @pytest.mark.parametrize("kind", ["passive", "general"])
@@ -228,23 +256,6 @@ def real():
 
 class TestFeedbackClosure:
 
-    def test_methods_agree(self, real):
-        rng = np.random.default_rng(82)
-        for _ in range(5):
-            s = complex(abs(rng.normal()), rng.normal() * 5)
-            g1 = close_feedback("passive", real.nhat, real.m_conc,
-                                real.ntilde, real.r_feedback,
-                                method="elimination").eval(s)
-            g2 = close_feedback("passive", real.nhat, real.m_conc,
-                                real.ntilde, real.r_feedback,
-                                method="cayley").eval(s)
-            assert np.linalg.norm(g1 - g2) < 1e-10
-
-    def test_unknown_method(self, real):
-        with pytest.raises(ParameterError):
-            close_feedback("passive", real.nhat, real.m_conc, real.ntilde,
-                           real.r_feedback, method="magic")
-
     def test_open_network_shape(self, real):
         open_net = assemble_open_network("passive", real.nhat, real.m_conc,
                                          real.ntilde)
@@ -255,21 +266,17 @@ class TestFeedbackClosure:
 
     def test_closing_matches_open_plus_loop(self, real):
         # closing the interconnect ports of the open network by hand must
-        # reproduce close_feedback
-        open_net = assemble_open_network("passive", real.nhat, real.m_conc,
-                                         real.ntilde)
-        n = real.m_conc.shape[0]
-        m = real.nhat.shape[0]
-        s = 0.7 + 2.3j
-        g = open_net.eval(s)
-        g11, g12 = g[:m, :m], g[:m, m:]
-        g21, g22 = g[m:, :m], g[m:, m:]
-        r = real.r_feedback
-        closed = g11 + g12 @ r @ np.linalg.solve(
-            np.eye(n) - g22 @ r, g21)
-        direct = close_feedback("passive", real.nhat, real.m_conc,
-                                real.ntilde, real.r_feedback).eval(s)
-        assert np.linalg.norm(closed - direct) < 1e-9
+        # reproduce close_feedback, for both kinds
+        rng = np.random.default_rng(82)
+        m_mat, n_mat = random_general_model(3, 2, rng)
+        general = synthesize_general(m_mat, n_mat)
+        for kind, case in (("passive", real), ("general", general)):
+            closed = close_feedback(kind, case.nhat, case.m_conc,
+                                    case.ntilde, case.r_feedback)
+            for _ in range(5):
+                s = complex(abs(rng.normal()), rng.normal() * 5)
+                gap = closed.eval(s) - closed_by_hand(kind, case, s)
+                assert np.linalg.norm(gap) < 1e-10
 
 
 class TestFrequencyGrid:

@@ -254,7 +254,33 @@ def real():
     return synthesize_passive(m_mat, n_mat, s_mat)
 
 
+def closed_by_elimination(kind, real):
+    """The closed cavity bank with the loop U_int = R Y_int solved
+    directly in the state space, A - Ntilde^b Ntilde / 2
+    - Ntilde^b (I - R)^-1 R Ntilde, with no Cayley transform: the
+    reference for ``close_feedback``'s Cayley form.
+    """
+    nhat, ntilde, r = real.nhat, real.ntilde, real.r_feedback
+    nh_adj = adjoint(kind, nhat)
+    nt_adj = adjoint(kind, ntilde)
+    loop = np.linalg.solve(np.eye(len(r)) - r, r @ ntilde)
+    a = (drift(kind, real.m_conc) - 0.5 * nh_adj @ nhat
+         - 0.5 * nt_adj @ ntilde - nt_adj @ loop)
+    return StateSpace(a=a, b=-nh_adj, c=nhat,
+                      d=np.eye(nhat.shape[0], dtype=complex))
+
+
 class TestFeedbackClosure:
+
+    def test_methods_agree(self, real):
+        rng = np.random.default_rng(82)
+        cayley_form = close_feedback("passive", real.nhat, real.m_conc,
+                                     real.ntilde, real.r_feedback)
+        eliminated = closed_by_elimination("passive", real)
+        for _ in range(5):
+            s = complex(abs(rng.normal()), rng.normal() * 5)
+            gap = cayley_form.eval(s) - eliminated.eval(s)
+            assert np.linalg.norm(gap) < 1e-10
 
     def test_open_network_shape(self, real):
         open_net = assemble_open_network("passive", real.nhat, real.m_conc,

@@ -134,7 +134,7 @@ def cmd_synth(args) -> int:
                   else synthesize_general)
     real = synthesize(model.m_mat, model.n_mat, model.s_mat,
                       detunings=detunings, interconnect_kappa=kappa)
-    recon = real.v @ real.nhat @ adjoint(model.kind, real.w)
+    recon = real.post @ real.nhat @ adjoint(model.kind, real.w)
     resid = float(np.linalg.norm(recon - model.n_mat)
                   / max(1.0, np.linalg.norm(model.n_mat)))
     if resid > args.tol:
@@ -161,6 +161,8 @@ def cmd_verify(args) -> int:
     if args.freqs < 1:
         raise ParameterError(
             f"--freqs must be at least 1, not {args.freqs}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be at least 0, not {args.seed}")
     _check_tolerance(args.tol)
     _check_writable(args.output)
     model, _ = modelio.load_model(args.model)

@@ -16,9 +16,10 @@ Bogoliubov feedback network
 
 X is doubled-up and J-skew (X^b = -X), so R is Bogoliubov.  Unlike the
 passive case, X + I can be singular, though not at the default interconnect
-rates (``statespace.feedback_network``); given rates that make it singular
-raise ``NumericalError``.  The input checks, the Cayley pair and the feedback
-closure are shared with passive models.
+rates (``statespace.realize``); given rates that make it singular raise
+``NumericalError``.  Only the factorization and the cavity bank are general:
+the input check (``Model``), the reduced Hamiltonian, the feedback network
+(``realize``) and its closure are shared with passive models.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dusvd import DuSvdResult, bogoliubov_svd
-from .krein import flat_adjoint
-from .statespace import feedback_network, validate_model
+from .statespace import Model, Realization, mode_values, realize
 
 #: beamsplitter inserted between the two cavities realizing a complex pair
 PAIR_BEAMSPLITTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -112,46 +112,27 @@ def _phase(amp: complex) -> float:
     return float(np.angle(amp)) if amp else 0.0
 
 
-@dataclass
-class GeneralRealization:
-    kind: str
-    v: np.ndarray              # 2m x 2m Bogoliubov (post network)
-    w: np.ndarray              # 2n x 2n Bogoliubov
-    factorization: DuSvdResult
-    nhat: np.ndarray           # 2m x 2n canonical coupling
-    mhat: np.ndarray           # 2n x 2n reduced Hamiltonian W^dag M W
-    detunings: np.ndarray
-    kappas_tilde: np.ndarray
-    m_conc: np.ndarray
-    ntilde: np.ndarray
-    x: np.ndarray
-    r_feedback: np.ndarray
-    pre: np.ndarray
-    post: np.ndarray
-    cavities: list = field(default_factory=list)
-    devices: list = field(default_factory=list)
-    retries: int = 0           # always 0; perfbench/spans.py reads it
-
-
 def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,
                        s_mat: np.ndarray | None = None,
                        detunings: np.ndarray | None = None,
-                       interconnect_kappa=None) -> GeneralRealization:
+                       interconnect_kappa=None) -> Realization:
     """Realize a general model as static Bogoliubov networks around a
-    cavity bank with feedback."""
-    m_mat, n_mat, s_mat, detunings, rates = validate_model(
-        "general", m_mat, n_mat, s_mat, detunings, interconnect_kappa)
+    cavity bank with feedback.
 
-    fact = bogoliubov_svd(n_mat)
-    mhat = fact.w.conj().T @ m_mat @ fact.w
-    mhat = (mhat + mhat.conj().T) / 2
+    The classification holds the rank and residual of the Bogoliubov
+    factorization and its canonical blocks (kind, size and eigenvalue).
+    """
+    model = Model("general", m_mat, n_mat, s_mat)
+    detunings, rates = mode_values(model.n_modes, detunings,
+                                   interconnect_kappa)
+    fact = bogoliubov_svd(model.n_mat)
     cavities, devices, m_conc = assign_cavities(fact, detunings)
-    rates, ntilde, x, r_feedback = feedback_network(
-        "general", mhat, m_conc, rates)
-
-    return GeneralRealization(
-        kind="general", v=fact.v, w=fact.w, factorization=fact,
-        nhat=fact.nhat, mhat=mhat, detunings=detunings,
-        kappas_tilde=rates, m_conc=m_conc, ntilde=ntilde, x=x,
-        r_feedback=r_feedback, pre=flat_adjoint(fact.v) @ s_mat,
-        post=fact.v, cavities=cavities, devices=devices)
+    return realize(
+        model, fact.v, fact.w, fact.nhat, m_conc, detunings, rates,
+        cavities=cavities, devices=devices, classification={
+            "rank": fact.r,
+            "residual": fact.residual,
+            "blocks": [
+                {"kind": b.kind, "size": b.size,
+                 "value": [float(np.real(b.value)), float(np.imag(b.value))]}
+                for b in fact.blocks]})

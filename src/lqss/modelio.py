@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 import orjson
 
-from .errors import StructureError, ValidationError
-from .general import GeneralRealization
+from .errors import LqssError, StructureError, ValidationError
 from .netlist import Device, DeviceSchedule
-from .passive import PassiveRealization
-from .statespace import Model, VerifyReport, interconnect_coupling
+from .statespace import Model, Realization, VerifyReport
 
 SCHEMA_VERSION = 1
 
@@ -168,13 +165,10 @@ def model_from_dict(data: dict, where: str = "model") -> tuple:
         raise ValidationError(f"{where}.type: unknown model type {kind!r}")
     m_mat = decode_matrix(_require(data, "M", where), f"{where}.M")
     n_mat = decode_matrix(_require(data, "N", where), f"{where}.N")
-    if "S" in data:
-        s_mat = decode_matrix(data["S"], f"{where}.S")
-    else:
-        s_mat = np.eye(n_mat.shape[0], dtype=complex)
+    s_mat = decode_matrix(data["S"], f"{where}.S") if "S" in data else None
     try:
         model = Model(kind=kind, m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
-    except Exception as exc:
+    except LqssError as exc:
         raise ValidationError(f"{where}: {exc}") from None
     opts = {}
     if "detunings" in data:
@@ -203,18 +197,40 @@ def schedule_from_dict(data: dict, where: str = "schedule") -> DeviceSchedule:
     kind = _require(data, "kind", where)
     if kind not in ("unitary", "bogoliubov"):
         raise ValidationError(f"{where}.kind: unknown kind {kind!r}")
-    devices = [
-        Device(kind=_require(dd, "kind", f"{where}.devices[{i}]"),
-               channels=tuple(_require(dd, "channels",
-                                       f"{where}.devices[{i}]")),
-               params=dict(dd.get("params", {})))
-        for i, dd in enumerate(_require(data, "devices", where))]
-    channels = int(_require(data, "channels", where))
+    channels = _require(data, "channels", where)
+    if type(channels) is not int or channels < 0:  # booleans excluded
+        raise ValidationError(f"{where}.channels: expected a channel count, "
+                              f"an integer >= 0, not {channels!r}")
+    records = _require(data, "devices", where)
+    if type(records) is not list:
+        raise ValidationError(f"{where}.devices: expected a list")
+    devices = [_device_from_dict(record, f"{where}.devices[{i}]")
+               for i, record in enumerate(records)]
     try:
         return DeviceSchedule.from_devices(channels, kind == "bogoliubov",
                                            devices)
     except StructureError as exc:  # names the device as devices[k]
         raise ValidationError(f"{where}.{exc}") from None
+
+
+def _device_from_dict(data, where: str) -> Device:
+    """One device record: a kind name, a list of channels and an optional
+    object of numeric parameters.  Whether they fit the kind is
+    ``DeviceSchedule``'s check."""
+    if type(data) is not dict:
+        raise ValidationError(f"{where}: expected an object")
+    kind = _require(data, "kind", where)
+    if type(kind) is not str:
+        raise ValidationError(f"{where}.kind: expected a device kind name")
+    channels = _require(data, "channels", where)
+    if type(channels) is not list:
+        raise ValidationError(f"{where}.channels: expected a list")
+    params = data.get("params", {})
+    if type(params) is not dict or not all(
+            type(value) in (int, float) for value in params.values()):
+        raise ValidationError(f"{where}.params: expected an object of "
+                              "numbers")
+    return Device(kind=kind, channels=tuple(channels), params=dict(params))
 
 
 def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule | None) -> dict:
@@ -224,9 +240,9 @@ def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule | None) -> dic
     return out
 
 
-def realization_to_dict(real, pre_schedule=None, post_schedule=None,
-                        feedback_schedule=None) -> dict:
-    """Serialize a PassiveRealization or GeneralRealization as a netlist."""
+def realization_to_dict(real: Realization, pre_schedule=None,
+                        post_schedule=None, feedback_schedule=None) -> dict:
+    """Serialize a synthesized realization as a netlist."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "type": real.kind,
@@ -240,23 +256,9 @@ def realization_to_dict(real, pre_schedule=None, post_schedule=None,
             "detunings": [float(v) for v in real.detunings],
             "interconnect_kappas": [float(v) for v in real.kappas_tilde],
         },
+        "classification": real.classification,
     }
-    if isinstance(real, PassiveRealization):
-        out["classification"] = {
-            "rank": real.rank,
-            "singular_values": [float(v) for v in real.sigma],
-        }
-    elif isinstance(real, GeneralRealization):
-        fact = real.factorization
-        out["classification"] = {
-            "rank": fact.r,
-            "residual": fact.residual,
-            "blocks": [
-                {"kind": b.kind, "size": b.size,
-                 "value": [float(np.real(b.value)), float(np.imag(b.value))]}
-                for b in fact.blocks
-            ],
-        }
+    if real.kind == "general":
         out["cavities"] = [
             {"mode": c.mode, "role": c.role, "detuning": float(c.detuning),
              "ports": [
@@ -271,21 +273,8 @@ def realization_to_dict(real, pre_schedule=None, post_schedule=None,
     return out
 
 
-@dataclass
-class LoadedRealization:
-    """The verification-relevant part of a serialized netlist."""
-
-    kind: str
-    nhat: np.ndarray
-    m_conc: np.ndarray
-    ntilde: np.ndarray
-    r_feedback: np.ndarray
-    pre: np.ndarray
-    post: np.ndarray
-
-
-def realization_from_dict(data: dict,
-                          where: str = "netlist") -> LoadedRealization:
+def realization_from_dict(data: dict, where: str = "netlist") -> Realization:
+    """The part of a netlist that verification reads."""
     _check_version(data, where)
     kind = _require(data, "type", where)
     if kind not in ("passive", "general"):
@@ -298,11 +287,6 @@ def realization_from_dict(data: dict,
     kappas = _decode_rates(
         _require(reduced, "interconnect_kappas", f"{where}.reduced"),
         f"{where}.reduced.interconnect_kappas")
-    ntilde = interconnect_coupling(kind, kappas)
-    if ntilde.shape[0] != m_conc.shape[0]:
-        raise ValidationError(
-            f"{where}.reduced: interconnect rate count does not match the "
-            "Hamiltonian dimension")
     fb = _require(data, "feedback", where)
     r_feedback = decode_matrix(_require(fb, "matrix", f"{where}.feedback"),
                                f"{where}.feedback.matrix")
@@ -312,12 +296,17 @@ def realization_from_dict(data: dict,
     post = decode_matrix(
         _require(_require(data, "post_network", where), "matrix",
                  f"{where}.post_network"), f"{where}.post_network.matrix")
-    return LoadedRealization(kind=kind, nhat=nhat, m_conc=m_conc,
-                             ntilde=ntilde, r_feedback=r_feedback,
-                             pre=pre, post=post)
+    real = Realization(kind=kind, pre=pre, post=post, nhat=nhat,
+                       m_conc=m_conc, kappas_tilde=kappas,
+                       r_feedback=r_feedback)
+    if real.ntilde.shape[0] != m_conc.shape[0]:
+        raise ValidationError(
+            f"{where}.reduced: interconnect rate count does not match the "
+            "Hamiltonian dimension")
+    return real
 
 
-def load_realization(path: str) -> LoadedRealization:
+def load_realization(path: str) -> Realization:
     with paused_gc():  # the parsed file is freed inside
         return realization_from_dict(load_json(path), where=path)
 

@@ -1,4 +1,5 @@
-"""State-space models, the passive/general geometry and feedback closure.
+"""State-space models, the passive/general geometry, synthesis's shared tail
+and feedback closure.
 
 A passive model with n internal modes and m ports is the triple (S, N, M)
 with dynamics matrix A = -iM - N^dag N / 2; its transfer function is
@@ -7,21 +8,26 @@ uses doubled-up matrices and the J-adjoint: A = -iJM - N^b N / 2,
 G(s) = [I - N (sI + iJM + N^b N/2)^-1 N^b] S.
 
 A passive model is the N2 = 0 case of a general one: the two kinds differ
-only in the adjoint, X^dag against X^b = J X^dag J.  Every step of synthesis
-and verification that depends on the kind is one of the functions here, each
-taking ``kind``:
+only in the adjoint X^a, X^dag against X^b = J X^dag J.  Every step of
+synthesis and verification that depends on the kind is one of the functions
+here, each taking ``kind``:
 
 * ``adjoint`` and ``drift`` (-iM or -iJM);
 * the Cayley pair ``cayley`` / ``inv_cayley`` between a feedback generator
   X and its feedback network R;
-* ``validate_model``, the input checks of both synthesis routines;
-* ``interconnect_coupling`` (Ntilde) and ``feedback_network``, which closes
-  the reduced cavity bank, at default interconnect rates unless given some.
+* ``Model``, whose construction is the one input check of synthesis and
+  verification, and ``mode_values``, which reads the detunings and
+  interconnect rates of its cavity modes;
+* ``interconnect_coupling`` (Ntilde) and ``realize``, the tail of both
+  synthesis routines: from a coupling factorization N = V Nhat W^a and a
+  cavity bank it builds the ``Realization``, closing the bank through a
+  feedback network at default interconnect rates unless given some.
 
-The realization produced by the synthesis routines is a bank of reduced
-cavities whose interconnect ports are closed through a static feedback
-network R.  ``close_feedback`` closes that loop in Cayley form: the loop
-term is Ntilde^b X Ntilde / 2 with X = cayley(R), one solve with I - R.
+A ``Realization`` is a bank of reduced cavities between a pre network
+V^a S and a post network V, with the bank's interconnect ports closed
+through a static feedback network R.  ``close_feedback`` closes that loop in
+Cayley form: the loop term is Ntilde^a X Ntilde / 2 with X = cayley(R), one
+solve with I - R.
 """
 
 from __future__ import annotations
@@ -64,6 +70,14 @@ def drift(kind: str, m_mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lu(a: np.ndarray) -> tuple:
+    """LAPACK LU factors (``zgetrf``) of a complex square matrix and their
+    reciprocal 1-norm condition estimate (``zgecon``), 0 for a zero pivot."""
+    lu, piv, info = zgetrf(a)
+    rcond = zgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
+    return lu, piv, rcond
+
+
 def cayley(r_mat: np.ndarray) -> np.ndarray:
     """X = (I - R)^-1 (I + R); raises when R has an eigenvalue at +1.
 
@@ -75,9 +89,7 @@ def cayley(r_mat: np.ndarray) -> np.ndarray:
     """
     r_mat = np.asarray(r_mat, dtype=complex)
     eye = np.eye(r_mat.shape[0])
-    shifted = eye - r_mat
-    lu, piv, info = zgetrf(shifted)
-    rcond = zgecon(lu, np.linalg.norm(shifted, 1))[0] if info == 0 else 0.0
+    lu, piv, rcond = _lu(eye - r_mat)
     if not rcond >= np.finfo(float).eps:  # NaN included
         evals = np.linalg.eigvals(r_mat)
         raise UnitEigenvalueError(
@@ -89,10 +101,12 @@ def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
     """R = (X - I)(X + I)^-1 for a feedback generator X with X^dag = -X
     (passive) or X doubled-up and X^b = -X (general).
 
-    X commutes with (X + I)^-1, so R is one solve with X + I.  A
+    X commutes with (X + I)^-1, so R is one LU solve with X + I.  A
     skew-Hermitian X never makes X + I singular, and R is unitary.  For
     general models R is Bogoliubov, but X + I is singular when X has the
-    eigenvalue -1, which takes ||X||_2 >= 1; that raises ``NumericalError``.
+    eigenvalue -1, which takes ||X||_2 >= 1.  A zero pivot or a reciprocal
+    condition estimate of X + I below 1e-12 raises ``NumericalError``; only
+    then are its condition number and ||X||_2 computed, for the message.
     """
     x_mat = np.asarray(x_mat, dtype=complex)
     general = kind == "general"
@@ -100,60 +114,32 @@ def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
         raise NumericalError(
             "feedback generator lost the doubled-up structure")
     scale = max(1.0, np.linalg.norm(x_mat))
-    if np.linalg.norm(adjoint(kind, x_mat) + x_mat) > 1e-8 * scale:
-        raise StructureError(
+    if not np.linalg.norm(adjoint(kind, x_mat) + x_mat) <= 1e-8 * scale:
+        raise StructureError(  # NaN included
             "feedback generator must be J-skew (X^b = -X)" if general
             else "feedback generator must be skew-Hermitian")
-    eye = np.eye(x_mat.shape[0])
-    shifted = x_mat + eye
     if general:
         check_doubled_up(x_mat, what="feedback generator")
-        cond = np.linalg.cond(shifted)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise NumericalError(
-                "X + I is numerically singular (condition number "
-                f"{cond:.1e}, ||X||_2 = {np.linalg.norm(x_mat, 2):.3g}); "
-                "the Cayley transform of the feedback generator does not "
-                "exist")
-    return np.linalg.solve(shifted, x_mat - eye)
+    eye = np.eye(x_mat.shape[0])
+    shifted = x_mat + eye
+    lu, piv, rcond = _lu(shifted)
+    if not rcond >= 1e-12:  # NaN included
+        raise NumericalError(
+            "X + I is numerically singular (condition number "
+            f"{np.linalg.cond(shifted):.1e}, ||X||_2 = "
+            f"{np.linalg.norm(x_mat, 2):.3g}); the Cayley transform of the "
+            "feedback generator does not exist")
+    return zgetrs(lu, piv, x_mat - eye)[0]
 
 
-def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
-                   interconnect_kappa) -> tuple:
-    """Checked synthesis inputs (M, N, S, detunings, interconnect rates).
+def mode_values(modes: int, detunings, interconnect_kappa) -> tuple:
+    """(detunings, interconnect rates) of ``modes`` cavity modes, as parsed
+    from a model file or the CLI.
 
-    M, N and S become complex arrays, S defaulting to the identity, with
-    finite entries; the detunings (default zero) and the interconnect rates
-    (None leaves them to ``feedback_network``) have one entry per cavity
-    mode.  Both are converted here and only here, so model files and the
-    CLI pass them on as parsed; a malformed value raises ``ParameterError``.
-    General models need a doubled-up Hamiltonian and a Bogoliubov
-    scattering matrix, passive ones a unitary S.
+    The detunings default to zero; the rates may be one positive number for
+    every mode or one per mode, and None leaves them to ``realize``.  A
+    malformed value raises ``ParameterError``.
     """
-    m_mat = np.asarray(m_mat, dtype=complex)
-    n_mat = np.asarray(n_mat, dtype=complex)
-    general = kind == "general"
-    dim = m_mat.shape[0]
-    modes = dim // 2 if general else dim
-    ports = 2 * (n_mat.shape[0] // 2) if general else n_mat.shape[0]
-    if s_mat is None:
-        s_mat = np.eye(ports, dtype=complex)
-    s_mat = np.asarray(s_mat, dtype=complex)
-    _check_finite(m_mat, n_mat, s_mat)
-    if general:
-        check_doubled_up(m_mat, what="Hamiltonian matrix")
-    if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
-            1.0, np.linalg.norm(m_mat)):
-        raise StructureError("Hamiltonian matrix must be Hermitian")
-    if general:
-        check_bogoliubov(s_mat, what="scattering matrix")
-    elif np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(ports)) > 1e-9:
-        raise StructureError("scattering matrix must be unitary")
-    if n_mat.shape[1] != dim:
-        raise StructureError(
-            "coupling matrix column count must match the "
-            f"{'doubled ' if general else ''}mode dimension")
-
     detunings = _real_numbers(np.zeros(modes) if detunings is None
                               else detunings)
     if detunings.shape != (modes,) or not np.all(np.isfinite(detunings)):
@@ -166,18 +152,7 @@ def validate_model(kind: str, m_mat, n_mat, s_mat, detunings,
             raise ParameterError("expected one positive interconnect rate "
                                  f"or {modes}, one per mode")
         rates = np.broadcast_to(rates, (modes,)).copy()
-    return m_mat, n_mat, s_mat, detunings, rates
-
-
-def _check_finite(m_mat: np.ndarray, n_mat: np.ndarray,
-                  s_mat: np.ndarray) -> None:
-    """Raise ``ParameterError`` naming the first of M, N and S that has a
-    NaN or infinite entry, before any factorization sees it."""
-    for name, mat in (("Hamiltonian matrix M", m_mat),
-                      ("coupling matrix N", n_mat),
-                      ("scattering matrix S", s_mat)):
-        if not np.all(np.isfinite(mat)):
-            raise ParameterError(f"{name} has a non-finite entry")
+    return detunings, rates
 
 
 def _real_numbers(value) -> np.ndarray:
@@ -198,35 +173,6 @@ def interconnect_coupling(kind: str, rates) -> np.ndarray:
     if kind == "general":
         roots = np.concatenate([roots, roots])
     return np.diag(roots).astype(complex)
-
-
-def feedback_network(kind: str, mhat: np.ndarray, m_conc: np.ndarray,
-                     rates=None) -> tuple:
-    """(rates, Ntilde, X, R) of the feedback network that turns the cavity
-    bank M_conc with interconnect rates ``rates`` into the reduced system
-    Mhat.
-
-    X = 2i Ntilde^-1 (Mhat - M_conc) Ntilde^-1, with a J after the first
-    Ntilde^-1 for general models, is -2 Ntilde^-1 drift(kind, Mhat - M_conc)
-    Ntilde^-1 (Ntilde is diagonal and positive, so (Ntilde^b)^-1 =
-    Ntilde^-1).  R = inv_cayley(kind, X).  Without ``rates`` every rate is
-    kappa = 4 ||Mhat - M_conc||_F (1 when that is 0): then ||X||_2 =
-    2 ||Mhat - M_conc||_2 / kappa <= 1/2, so cond(X + I) <= 3.
-    """
-    diff = mhat - m_conc
-    if rates is None:
-        modes = len(mhat) // 2 if kind == "general" else len(mhat)
-        rates = np.full(modes, 4.0 * np.linalg.norm(diff) or 1.0)
-    ntilde = interconnect_coupling(kind, rates)
-    inv = 1.0 / ntilde.diagonal().real
-    x = -2.0 * inv[:, np.newaxis] * drift(kind, diff) * inv
-    try:
-        r_feedback = inv_cayley(kind, x)
-    except NumericalError as exc:
-        raise NumericalError(
-            f"{exc} at interconnect rates from {rates.min():.3g} to "
-            f"{rates.max():.3g}") from None
-    return rates, ntilde, x, r_feedback
 
 
 @dataclass
@@ -271,28 +217,60 @@ class StateSpace:
 
 @dataclass
 class Model:
-    """An input/output model (S, N, M); ``kind`` selects the adjoint."""
+    """An input/output model (S, N, M); ``kind`` selects the adjoint.
+
+    Construction is the one input check of synthesis and verification.  M,
+    N and S become complex arrays, S defaulting to the identity: M square,
+    N with one column per row of M, S square with one row per row of N, and
+    all three finite (``ParameterError`` otherwise, naming the matrix).  M
+    must be Hermitian; a general model needs a doubled-up M and a
+    Bogoliubov S, a passive one a unitary S.  Every other violation raises
+    ``StructureError``.
+    """
 
     kind: str  # "passive" | "general"
     m_mat: np.ndarray
     n_mat: np.ndarray
-    s_mat: np.ndarray
+    s_mat: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("passive", "general"):
             raise ParameterError(f"unknown model kind {self.kind!r}")
-        self.m_mat = np.asarray(self.m_mat, dtype=complex)
-        self.n_mat = np.asarray(self.n_mat, dtype=complex)
-        self.s_mat = np.asarray(self.s_mat, dtype=complex)
-        _check_finite(self.m_mat, self.n_mat, self.s_mat)
-        if self.m_mat.shape[0] != self.m_mat.shape[1]:
-            raise StructureError("Hamiltonian matrix must be square")
-        if self.n_mat.shape[1] != self.m_mat.shape[0]:
+        general = self.kind == "general"
+        m_mat = self.m_mat = np.asarray(self.m_mat, dtype=complex)
+        n_mat = self.n_mat = np.asarray(self.n_mat, dtype=complex)
+        if m_mat.ndim != 2 or m_mat.shape[0] != m_mat.shape[1]:
+            raise StructureError("Hamiltonian matrix must be square, not "
+                                 f"{_dims(m_mat.shape)}")
+        dim = m_mat.shape[0]
+        if n_mat.ndim != 2 or n_mat.shape[1] != dim:
             raise StructureError(
-                "coupling matrix column count must match the mode dimension")
-        if self.s_mat.shape != (self.n_mat.shape[0],) * 2:
+                f"coupling matrix must have {dim} columns, the "
+                f"{'doubled ' if general else ''}mode dimension, not "
+                f"{_dims(n_mat.shape)}")
+        ports = n_mat.shape[0]
+        if self.s_mat is None:
+            self.s_mat = np.eye(ports)
+        s_mat = self.s_mat = np.asarray(self.s_mat, dtype=complex)
+        if s_mat.shape != (ports, ports):
             raise StructureError(
-                "scattering matrix must be square with the port dimension")
+                f"scattering matrix must be {ports}x{ports}, the "
+                f"{'doubled ' if general else ''}port dimension, not "
+                f"{_dims(s_mat.shape)}")
+        for name, mat in (("Hamiltonian matrix M", m_mat),
+                          ("coupling matrix N", n_mat),
+                          ("scattering matrix S", s_mat)):
+            if not np.all(np.isfinite(mat)):
+                raise ParameterError(f"{name} has a non-finite entry")
+        if general:
+            check_doubled_up(m_mat, what="Hamiltonian matrix")
+        if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
+                1.0, np.linalg.norm(m_mat)):
+            raise StructureError("Hamiltonian matrix must be Hermitian")
+        if general:
+            check_bogoliubov(s_mat, what="scattering matrix")
+        elif np.linalg.norm(s_mat @ s_mat.conj().T - np.eye(ports)) > 1e-9:
+            raise StructureError("scattering matrix must be unitary")
 
     @property
     def n_modes(self) -> int:
@@ -314,6 +292,79 @@ class Model:
         """G(s).  Each call reduces A anew; for a sweep, call ``eval`` on one
         ``statespace()``."""
         return self.statespace().eval(s)
+
+
+@dataclass
+class Realization:
+    """Static networks around a cavity bank with feedback: the transfer
+    function is post Ghat(s) pre, Ghat that of the bank (Nhat, M_conc)
+    with its interconnect ports closed through R.
+
+    The first seven fields are what a netlist holds and what verification
+    reads; Ntilde follows from the interconnect rates.  Synthesis also
+    fills the factor W, the reduced Hamiltonian Mhat, the detunings, the
+    feedback generator X, for general models the cavities and intra-block
+    devices, and the classification of the coupling that the netlist
+    records.
+    """
+
+    kind: str
+    pre: np.ndarray            # V^a S
+    post: np.ndarray           # V
+    nhat: np.ndarray           # reduced coupling, N = V Nhat W^a
+    m_conc: np.ndarray         # bank Hamiltonian
+    kappas_tilde: np.ndarray   # interconnect rates, one per mode
+    r_feedback: np.ndarray     # feedback network R
+    w: np.ndarray | None = None
+    mhat: np.ndarray | None = None       # reduced Hamiltonian W^dag M W
+    detunings: np.ndarray | None = None
+    x: np.ndarray | None = None          # feedback generator cayley(R)
+    cavities: list = field(default_factory=list)
+    devices: list = field(default_factory=list)
+    classification: dict = field(default_factory=dict)
+    retries: int = 0           # always 0; perfbench/spans.py reads it
+    ntilde: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ntilde = interconnect_coupling(self.kind, self.kappas_tilde)
+
+
+def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
+            m_conc: np.ndarray, detunings: np.ndarray, rates=None,
+            **found) -> Realization:
+    """The realization of ``model`` from its coupling factorization
+    N = V Nhat W^a and a cavity bank M_conc; the tail of both synthesis
+    routines.  ``found`` holds what the factorization adds (cavities,
+    devices, classification).
+
+    The reduced Hamiltonian is Mhat = W^dag M W, made exactly Hermitian.
+    The feedback network turns the bank, at interconnect rates ``rates``,
+    into the reduced system: X = 2i Ntilde^-1 (Mhat - M_conc) Ntilde^-1,
+    with a J after the first Ntilde^-1 for general models, is
+    -2 Ntilde^-1 drift(kind, Mhat - M_conc) Ntilde^-1 (Ntilde is diagonal
+    and positive, so (Ntilde^b)^-1 = Ntilde^-1), and R = inv_cayley(kind,
+    X).  Without ``rates`` every rate is kappa = 4 ||Mhat - M_conc||_F (1
+    when that is 0): then ||X||_2 = 2 ||Mhat - M_conc||_2 / kappa <= 1/2,
+    so cond(X + I) <= 3.  pre = V^a S and post = V.
+    """
+    kind = model.kind
+    mhat = w.conj().T @ model.m_mat @ w
+    mhat = (mhat + mhat.conj().T) / 2
+    diff = mhat - m_conc
+    if rates is None:
+        rates = np.full(model.n_modes, 4.0 * np.linalg.norm(diff) or 1.0)
+    inv = 1.0 / interconnect_coupling(kind, rates).diagonal().real
+    x = -2.0 * inv[:, np.newaxis] * drift(kind, diff) * inv
+    try:
+        r_feedback = inv_cayley(kind, x)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"{exc} at interconnect rates from {rates.min():.3g} to "
+            f"{rates.max():.3g}") from None
+    return Realization(kind=kind, pre=adjoint(kind, v) @ model.s_mat,
+                       post=v, nhat=nhat, m_conc=m_conc,
+                       kappas_tilde=rates, r_feedback=r_feedback, w=w,
+                       mhat=mhat, detunings=detunings, x=x, **found)
 
 
 def close_feedback(kind: str, nhat: np.ndarray, m_conc: np.ndarray,
@@ -376,15 +427,18 @@ def frequency_grid(m_mat: np.ndarray, num_freqs: int,
 
 
 def _dims(shape: tuple) -> str:
-    return "x".join(str(d) for d in shape)
+    return "x".join(str(d) for d in shape) or "a scalar"
 
 
-def verify_realization(model: Model, realization, num_freqs: int = 20,
+def verify_realization(model: Model, realization: Realization,
+                       num_freqs: int = 20,
                        seed: int = 42, tol: float = 1e-8) -> VerifyReport:
     """Compare the model transfer function against the realized one on a
     frequency grid; the error metric is ||dG||_F / (1 + ||G||_F)."""
     if num_freqs < 1:
         raise ParameterError(f"num_freqs must be at least 1, not {num_freqs}")
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, not {seed}")
     if model.kind != realization.kind:
         raise ParameterError(
             f"model kind {model.kind!r} does not match realization kind "

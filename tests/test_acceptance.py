@@ -51,7 +51,8 @@ def test_criterion_1_passive_worked_example():
     real = synthesize_passive(M3, N3, interconnect_kappa=1.0)
     checks = []
     checks.append(("N_hat diagonal",
-                   np.allclose(real.sigma, SIGMA3, atol=1e-3)))
+                   np.allclose(real.classification["singular_values"], SIGMA3,
+                               atol=1e-3)))
     model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
     report = verify_realization(model, real, num_freqs=20, tol=1e-8)
     checks.append(("verify@1e-8", report.passed))
@@ -60,7 +61,8 @@ def test_criterion_1_passive_worked_example():
                    np.linalg.norm(lhs - real.mhat) < 1e-12))
     checks.append(("Cayley roundtrip@1e-10",
                    np.linalg.norm(cayley(real.r_feedback) - real.x) < 1e-10))
-    checks.append(("V@1e-3", np.allclose(np.abs(real.v), V3_ABS, atol=1e-3)))
+    checks.append(("V@1e-3",
+                   np.allclose(np.abs(real.post), V3_ABS, atol=1e-3)))
     checks.append(("W@1e-3", np.allclose(np.abs(real.w), W3_ABS, atol=1e-3)))
     checks.append(("Mhat@1e-3",
                    np.allclose(np.abs(real.mhat), MHAT3_ABS, atol=1e-3)))

@@ -338,6 +338,7 @@ class TestArguments:
         (["verify", "--freqs", "-3"], "--freqs"),
         (["verify", "--tol", "nan"], "--tol"),
         (["verify", "--tol", "-1"], "--tol"),
+        (["verify", "--seed", "-1"], "--seed"),
     ], ids=lambda value: "_".join(value) if isinstance(value, list)
         else value)
     def test_bad_value_is_a_validation_exit(self, argv, flag, tmp_path,
@@ -359,6 +360,12 @@ class TestArguments:
         real = synthesize_passive(M3, N3, np.eye(3))
         with pytest.raises(ParameterError, match="num_freqs"):
             verify_realization(model, real, num_freqs=0)
+
+    def test_verify_needs_a_nonnegative_seed(self):
+        model = Model(kind="passive", m_mat=M3, n_mat=N3)
+        real = synthesize_passive(M3, N3)
+        with pytest.raises(ParameterError, match="seed must be at least 0"):
+            verify_realization(model, real, seed=-1)
 
 
 class TestPausedGc:
@@ -485,6 +492,24 @@ class TestVerify:
         assert err["error"] == "ParameterError"
         assert "feedback network is 3x3" in err["message"]
         assert "needs 4x4" in err["message"]
+
+    def test_model_that_synth_refuses(self, passive_model_file, tmp_path,
+                                      capsys):
+        # verify reads the model through the same check as synth
+        out = str(tmp_path / "net.json")
+        assert main(["synth", "--input", passive_model_file,
+                     "--output", out]) == EXIT_OK
+        data = json.load(open(passive_model_file))
+        data["M"][0][1] = [5.0, 0.0]  # M no longer Hermitian
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["verify", "--model", str(bad), "--netlist", out])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{bad}: ")
+        assert "Hermitian" in err["message"]
 
     def test_malformed_netlist(self, passive_model_file, tmp_path, capsys):
         bad = tmp_path / "bad_net.json"
@@ -812,6 +837,34 @@ class TestScheduleCodec:
             modelio.schedule_from_dict(
                 {"schema_version": 1, "kind": kind, "channels": 2,
                  "devices": [good, device]}, where="s.json")
+
+    @pytest.mark.parametrize("channels, device, location", [
+        ("two", None, r"s\.json\.channels: "),
+        (2.5, None, r"s\.json\.channels: "),
+        (-1, None, r"s\.json\.channels: "),
+        (True, None, r"s\.json\.channels: "),
+        (2, {"kind": "phase", "channels": 0},
+         r"s\.json\.devices\[1\]\.channels: "),
+        (2, {"kind": "phase", "channels": [0], "params": [1]},
+         r"s\.json\.devices\[1\]\.params: "),
+        (2, {"kind": "phase", "channels": [0], "params": {"theta": "a"}},
+         r"s\.json\.devices\[1\]\.params: "),
+        (2, 5, r"s\.json\.devices\[1\]: "),
+        (2, {"kind": ["phase"], "channels": [0]},
+         r"s\.json\.devices\[1\]\.kind: "),
+    ], ids=["channels_str", "channels_float", "channels_negative",
+            "channels_bool", "device_channels_int", "params_list",
+            "param_str", "device_number", "device_kind_list"])
+    def test_malformed_field_names_its_location(self, channels, device,
+                                                location):
+        devices = [{"kind": "phase", "channels": [0],
+                    "params": {"theta": 0.2}}]
+        if device is not None:
+            devices.append(device)
+        with pytest.raises(ValidationError, match=f"^{location}"):
+            modelio.schedule_from_dict(
+                {"schema_version": 1, "kind": "unitary",
+                 "channels": channels, "devices": devices}, where="s.json")
 
     def test_missing_channel_count(self):
         with pytest.raises(ValidationError) as info:

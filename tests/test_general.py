@@ -116,7 +116,7 @@ class TestWorkedExample:
         assert np.allclose(evals, [-lam, -lam, lam, lam], atol=1e-3)
 
     def test_block_kinds(self, real4):
-        kinds = sorted(b.kind for b in real4.factorization.blocks)
+        kinds = sorted(b["kind"] for b in real4.classification["blocks"])
         assert kinds == ["real_negative", "real_positive"]
 
     def test_canonical_coupling_entries(self, real4):
@@ -148,7 +148,7 @@ class TestWorkedExample:
         assert np.linalg.norm(lhs - j @ real4.mhat) < 1e-12
 
     def test_factorization(self, real4):
-        recon = real4.v @ real4.nhat @ flat_adjoint(real4.w)
+        recon = real4.post @ real4.nhat @ flat_adjoint(real4.w)
         assert np.linalg.norm(recon - N4) < 1e-10
 
     def test_verification(self, real4):
@@ -182,8 +182,8 @@ class TestDegenerateExample:
 
     def test_synthesis(self, model):
         real = synthesize_general(model.m_mat, model.n_mat, model.s_mat)
-        (block,) = real.factorization.blocks
-        assert block.kind == "degenerate_zero"
+        (block,) = real.classification["blocks"]
+        assert block["kind"] == "degenerate_zero"
         # total rate kappa_1 + kappa_2 + kappa_3 = 6 on a single port
         nhat1 = real.nhat[:3, :1]
         nhat2 = real.nhat[:3, 1:2]

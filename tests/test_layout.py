@@ -120,3 +120,18 @@ def test_cli_import_adds_only_lqss_and_stdlib():
                if name.split(".")[0] not in sys.stdlib_module_names
                and name.split(".")[0] != "lqss"]
     assert not foreign, f"importing lqss.cli also loads {foreign}"
+
+
+def test_modelio_imports_no_synthesis_module():
+    # a netlist is written and read through statespace.Realization alone,
+    # whichever routine synthesized it
+    modules = set()
+    for node in ast.walk(MODULES["modelio"]):
+        if isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "lqss." * (node.level > 0) + (node.module or "")
+            modules |= {base.rstrip(".")}
+            modules |= {f"{base.rstrip('.')}.{a.name}" for a in node.names}
+    found = modules & {"lqss.passive", "lqss.general"}
+    assert not found, f"modelio imports {sorted(found)}"

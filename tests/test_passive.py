@@ -83,11 +83,12 @@ def real():
 
 class TestWorkedExample:
     def test_singular_values(self, real):
-        assert np.allclose(real.sigma, SIGMA3, atol=1e-3)
-        assert real.rank == 2
+        assert np.allclose(real.classification["singular_values"], SIGMA3,
+                           atol=1e-3)
+        assert real.classification["rank"] == 2
 
     def test_factor_magnitudes(self, real):
-        assert np.allclose(np.abs(real.v), V3_ABS, atol=1e-3)
+        assert np.allclose(np.abs(real.post), V3_ABS, atol=1e-3)
         assert np.allclose(np.abs(real.w), W3_ABS, atol=1e-3)
 
     def test_reduced_hamiltonian(self, real):
@@ -107,7 +108,7 @@ class TestWorkedExample:
         assert np.linalg.norm(cayley(real.r_feedback) - real.x) < 1e-10
 
     def test_factorization(self, real):
-        recon = real.v @ real.nhat @ real.w.conj().T
+        recon = real.post @ real.nhat @ real.w.conj().T
         assert np.linalg.norm(recon - N3) < 1e-10
 
     def test_verification(self, real):

@@ -179,6 +179,39 @@ def test_nonfinite_model_is_rejected(kind, name, value):
         Model(kind=kind, m_mat=mats["M"], n_mat=mats["N"], s_mat=mats["S"])
 
 
+SYNTHESIZE = {"passive": synthesize_passive, "general": synthesize_general}
+
+#: malformed (M, N, S) made from a well-formed model of each kind
+MALFORMED = {
+    "M_not_square": lambda mats: {**mats, "M": mats["M"][:, :-1]},
+    "M_1d": lambda mats: {**mats, "M": mats["M"][0]},
+    "N_1d": lambda mats: {**mats, "N": mats["N"][0]},
+    "S_wrong_size": lambda mats: {**mats, "S": np.eye(len(mats["S"]) + 2)},
+    # a 3x3 Hermitian M cannot be doubled-up
+    "M_odd": lambda mats: {**mats, "M": np.diag([1.0, 2.0, 3.0]),
+                           "N": mats["N"][:, :3]},
+}
+
+
+@pytest.mark.parametrize("kind, case", [
+    *(("passive", case) for case in MALFORMED if case != "M_odd"),
+    *(("general", case) for case in MALFORMED)])
+def test_malformed_model_is_a_structure_error(kind, case):
+    # Model is the one input check: synthesis raises what it raises, before
+    # numpy sees a shape it cannot use
+    rng = np.random.default_rng(98)
+    if kind == "passive":
+        mats = dict(zip("MNS", random_passive_model(3, 2, rng)))
+    else:
+        m_mat, n_mat = random_general_model(2, 2, rng)
+        mats = {"M": m_mat, "N": n_mat, "S": np.eye(4)}
+    mats = MALFORMED[case](mats)
+    with pytest.raises(StructureError):
+        SYNTHESIZE[kind](mats["M"], mats["N"], mats["S"])
+    with pytest.raises(StructureError):
+        Model(kind=kind, m_mat=mats["M"], n_mat=mats["N"], s_mat=mats["S"])
+
+
 def dense_eval(ss, s):
     """G(s) = C (sI - A)^-1 B + D by a dense solve, the reference for the
     Schur-form evaluator."""

@@ -188,7 +188,7 @@ def cmd_decompose(args) -> int:
     modelio.dump_json(args.output, payload)
     print(f"decomposed {schedule.channels}-channel "
           f"{'bogoliubov' if schedule.doubled else 'unitary'} network into "
-          f"{len(schedule.devices)} devices "
+          f"{len(schedule.kinds)} devices "
           f"(residual {schedule.residual:.3e})")
     return EXIT_OK
 

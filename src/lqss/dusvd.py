@@ -36,7 +36,6 @@ from .errors import (
 )
 from .krein import (
     bogoliubov_residual,
-    check_doubled_up,
     flat_adjoint,
     j_inner,
     jmat,
@@ -409,7 +408,6 @@ def bogoliubov_svd(coupling: np.ndarray,
     stably.
     """
     coupling = np.asarray(coupling, dtype=complex)
-    check_doubled_up(coupling, what="coupling matrix")
     m = coupling.shape[0] // 2
     n = coupling.shape[1] // 2
     gram = j_gram(coupling)

@@ -8,7 +8,8 @@ bank of cavities, one per mode, whose coupling is Nhat itself: cavity k has
 a port p for each nonzero Nhat[p, k] (passive amplitude) or Nhat[p, n + k]
 (active amplitude).  Only the role of a cavity and, for a complex pair, the
 beamsplitter and interaction between its two cavities depend on the kind of
-canonical block.  The interconnect ports of the bank are closed through a
+canonical block.  The cavities and that beamsplitter are kept as the records
+the netlist writes.  The interconnect ports of the bank are closed through a
 Bogoliubov feedback network
 
     R = (X - I)(X + I)^-1,
@@ -24,15 +25,10 @@ the input check (``Model``), the reduced Hamiltonian, the feedback network
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .dusvd import DuSvdResult, bogoliubov_svd
 from .statespace import Model, Realization, mode_values, realize
-
-#: beamsplitter inserted between the two cavities realizing a complex pair
-PAIR_BEAMSPLITTER = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: cavity role of each canonical block kind
 ROLES = {"real_positive": "passive", "real_negative": "active",
@@ -40,43 +36,20 @@ ROLES = {"real_positive": "passive", "real_negative": "active",
          "degenerate_zero": "tunable", "kernel": "idle"}
 
 
-@dataclass
-class PortSpec:
-    """Coupling of one cavity mode to one port channel."""
-
-    port: int
-    kappa: float = 0.0   # passive rate
-    g: float = 0.0       # active rate
-    phi: float = 0.0     # passive phase
-    theta: float = 0.0   # active phase
-
-
-@dataclass
-class CavitySpec:
-    mode: int
-    role: str          # passive | active | pair | jordan | tunable | idle
-    detuning: float
-    ports: list = field(default_factory=list)
-
-
-@dataclass
-class IntraBlockDevice:
-    """A static device wired between cavities of one canonical block."""
-
-    kind: str
-    channels: tuple
-    matrix: np.ndarray
-
-
 def assign_cavities(result: DuSvdResult, detunings: np.ndarray) -> tuple:
     """Map canonical blocks to cavities and build the bank Hamiltonian.
 
-    Returns (cavities, devices, m_conc) where m_conc is the 2n x 2n
+    Returns (cavities, devices, m_conc).  The cavities and the devices wired
+    between the cavities of one block are the records a netlist holds:
+    cavity k is {mode, role, detuning, ports}, with a port record {port,
+    kappa, g, phi, theta} for each port it couples to, and a complex pair's
+    beamsplitter is {kind, channels, matrix}.  m_conc is the 2n x 2n
     doubled-up Hamiltonian of the concatenated bank: the chosen detunings on
     the diagonal plus the interaction terms generated by cascading the two
     cavities of each complex pair through a beamsplitter.  Nhat is the
     coupling of the bank, so cavity k couples to port p with passive
-    amplitude Nhat[p, k] and active amplitude Nhat[p, n + k].
+    amplitude Nhat[p, k] (rate kappa, phase phi) and active amplitude
+    Nhat[p, n + k] (rate g, phase theta).
     """
     m, n = (d // 2 for d in result.nhat.shape)
     nhat1, nhat2 = result.nhat[:m, :n], result.nhat[:m, n:]
@@ -87,18 +60,19 @@ def assign_cavities(result: DuSvdResult, detunings: np.ndarray) -> tuple:
     for b in result.blocks:
         for k in range(pos, pos + b.size):
             amp1, amp2 = nhat1[:, k], nhat2[:, k]
-            cavities.append(CavitySpec(
-                mode=k, role=ROLES[b.kind], detuning=detunings[k],
-                ports=[PortSpec(port=int(p),
-                                kappa=float(abs(amp1[p])) ** 2,
-                                phi=_phase(amp1[p]),
-                                g=float(abs(amp2[p])) ** 2,
-                                theta=_phase(amp2[p]))
-                       for p in np.flatnonzero((amp1 != 0) | (amp2 != 0))]))
+            cavities.append({
+                "mode": k, "role": ROLES[b.kind],
+                "detuning": float(detunings[k]),
+                "ports": [{"port": int(p),
+                           "kappa": float(abs(amp1[p])) ** 2,
+                           "g": float(abs(amp2[p])) ** 2,
+                           "phi": _phase(amp1[p]), "theta": _phase(amp2[p])}
+                          for p in np.flatnonzero((amp1 != 0) | (amp2 != 0))]})
         if b.kind == "complex_pair":
-            devices.append(IntraBlockDevice(
-                kind="beamsplitter", channels=(pos, pos + 1),
-                matrix=PAIR_BEAMSPLITTER.copy()))
+            # the beamsplitter [[0, 1], [-1, 0]], as [re, im] pairs
+            devices.append({"kind": "beamsplitter", "channels": [pos, pos + 1],
+                            "matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                       [[-1.0, 0.0], [0.0, 0.0]]]})
             # cascading the two cavities through the beamsplitter induces a
             # mode-mode interaction of strength Im(lambda)/2
             m2[pos, pos + 1] = m2[pos + 1, pos] = -np.imag(b.value) / 2.0

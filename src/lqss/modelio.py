@@ -20,7 +20,7 @@ import numpy as np
 import orjson
 
 from .errors import LqssError, StructureError, ValidationError
-from .netlist import Device, DeviceSchedule
+from .netlist import DeviceSchedule
 from .statespace import Model, Realization, VerifyReport
 
 SCHEMA_VERSION = 1
@@ -31,31 +31,36 @@ def encode_matrix(x: np.ndarray) -> list:
     return np.stack([x.real, x.imag], -1).tolist()
 
 
-def _pairs(data) -> np.ndarray | None:
-    """The (rows, cols, 2) array of a list of equal-length lists of
-    two-element lists, read in one pass over the flattened numbers; None for
-    anything else, or when a number does not convert."""
+def _pairs(data) -> list | None:
+    """The numbers of a list of equal-length lists of two-element lists,
+    flattened in order; None for anything else."""
     if (type(data) is not list or set(map(type, data)) != {list}
             or len(set(map(len, data))) != 1):
         return None
     pairs = list(chain.from_iterable(data))
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
         return None
-    try:
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=float,
-                           count=2 * len(pairs))
-    except (TypeError, ValueError, OverflowError):
-        return None  # decode_matrix's np.asarray reports it as before
-    return flat.reshape(len(data), -1, 2)
+    return list(chain.from_iterable(pairs))
+
+
+def _numbers(values) -> bool:
+    """Whether every value is a JSON number: an int or a float, and not a
+    boolean, a string or None."""
+    return set(map(type, values)) <= {int, float}
 
 
 def decode_matrix(data, where: str) -> np.ndarray:
-    arr = _pairs(data)
-    if arr is None:
+    numbers = _pairs(data)
+    if numbers is None:
         try:
             arr = np.asarray(data, dtype=float)
         except (TypeError, ValueError):
             raise ValidationError(f"{where}: not a numeric matrix") from None
+    elif _numbers(numbers):
+        arr = np.fromiter(numbers, dtype=float, count=len(numbers))
+        arr = arr.reshape(len(data), -1, 2)
+    else:
+        raise ValidationError(f"{where}: not a numeric matrix")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError(
             f"{where}: expected a matrix of [re, im] pairs, got shape "
@@ -65,14 +70,10 @@ def decode_matrix(data, where: str) -> np.ndarray:
 
 def _decode_rates(data, where: str) -> np.ndarray:
     """A JSON list of positive numbers as a 1-d float array."""
-    try:
-        rates = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        rates = None
-    if (not isinstance(data, list) or rates is None or rates.ndim != 1
-            or not np.all(rates > 0)):
+    if (type(data) is not list or not _numbers(data)
+            or not all(rate > 0 for rate in data)):
         raise ValidationError(f"{where}: expected a list of positive rates")
-    return rates
+    return np.array(data, dtype=float)
 
 
 def _require(data: dict, key: str, where: str):
@@ -188,7 +189,7 @@ def schedule_to_dict(schedule: DeviceSchedule) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "bogoliubov" if schedule.doubled else "unitary",
         "channels": schedule.channels,
-        "devices": schedule.records(),
+        "devices": schedule.devices,
     }
 
 
@@ -204,33 +205,11 @@ def schedule_from_dict(data: dict, where: str = "schedule") -> DeviceSchedule:
     records = _require(data, "devices", where)
     if type(records) is not list:
         raise ValidationError(f"{where}.devices: expected a list")
-    devices = [_device_from_dict(record, f"{where}.devices[{i}]")
-               for i, record in enumerate(records)]
     try:
-        return DeviceSchedule.from_devices(channels, kind == "bogoliubov",
-                                           devices)
+        return DeviceSchedule.from_records(channels, kind == "bogoliubov",
+                                           records)
     except StructureError as exc:  # names the device as devices[k]
         raise ValidationError(f"{where}.{exc}") from None
-
-
-def _device_from_dict(data, where: str) -> Device:
-    """One device record: a kind name, a list of channels and an optional
-    object of numeric parameters.  Whether they fit the kind is
-    ``DeviceSchedule``'s check."""
-    if type(data) is not dict:
-        raise ValidationError(f"{where}: expected an object")
-    kind = _require(data, "kind", where)
-    if type(kind) is not str:
-        raise ValidationError(f"{where}.kind: expected a device kind name")
-    channels = _require(data, "channels", where)
-    if type(channels) is not list:
-        raise ValidationError(f"{where}.channels: expected a list")
-    params = data.get("params", {})
-    if type(params) is not dict or not all(
-            type(value) in (int, float) for value in params.values()):
-        raise ValidationError(f"{where}.params: expected an object of "
-                              "numbers")
-    return Device(kind=kind, channels=tuple(channels), params=dict(params))
 
 
 def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule | None) -> dict:
@@ -259,17 +238,8 @@ def realization_to_dict(real: Realization, pre_schedule=None,
         "classification": real.classification,
     }
     if real.kind == "general":
-        out["cavities"] = [
-            {"mode": c.mode, "role": c.role, "detuning": float(c.detuning),
-             "ports": [
-                 {"port": p.port, "kappa": p.kappa, "g": p.g,
-                  "phi": p.phi, "theta": p.theta} for p in c.ports]}
-            for c in real.cavities
-        ]
-        out["devices"] = [
-            {"kind": d.kind, "channels": list(d.channels),
-             "matrix": encode_matrix(d.matrix)} for d in real.devices
-        ]
+        out["cavities"] = real.cavities
+        out["devices"] = real.devices
     return out
 
 

@@ -10,8 +10,9 @@ break into at most m(m-1)/2 two-channel beamsplitters plus output phases
 squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
 embedded matrices multiply out (left to right) to the decomposed matrix.
 It is stored as arrays: a kind code per device (an index into ``KINDS``), a
-(k, 2) array of channels and a (k, 4) table of parameters; ``Device``
-objects are only a view of one entry, for callers that want one.
+(k, 2) array of channels and a (k, 4) table of parameters.  The one
+per-device view is ``devices``, the list of records (dicts) that a schedule
+file holds, and ``from_records`` reads such a list back.
 
 The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
 per column: a scalar pass finds the column's rotations, and their product,
@@ -38,7 +39,6 @@ from .errors import NumericalError, StructureError
 from .krein import check_bogoliubov, is_bogoliubov
 
 ANGLE_EPS = 1e-12
-_INTEGER = (int, np.integer)
 
 
 def takagi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,24 +100,6 @@ def bloch_messiah(r_mat: np.ndarray) -> tuple:
         raise NumericalError("squeezer-unitary factorization residual too "
                              f"large ({max(res1, res2):.3e})")
     return u2, x, u1
-
-
-@dataclass
-class Device:
-    """One device as a kind name, a channel tuple and a parameter dict.
-
-    A ``DeviceSchedule`` stores its devices as arrays; this is the view of
-    one of them that ``DeviceSchedule.devices`` returns and
-    ``DeviceSchedule.from_devices`` reads.
-    """
-
-    kind: str            # beamsplitter | phase | squeezer
-    channels: tuple
-    params: dict = field(default_factory=dict)
-
-    def embed(self, m: int, doubled: bool) -> np.ndarray:
-        """Matrix of the device on m channels (2m x 2m when doubled)."""
-        return DeviceSchedule.from_devices(m, doubled, [self]).matrix()
 
 
 def beamsplitter_matrix(theta, phi=0.0, psi=0.0, zeta=0.0) -> np.ndarray:
@@ -240,9 +222,10 @@ class DeviceSchedule:
     Device k is of kind ``KINDS[kinds[k]]`` and acts on the channels
     ``wires[k]`` (a one-channel device names its channel twice).  Row k of
     the (k, 4) table ``params`` holds its parameters in the order of its
-    kind's names, padded with zeros.  ``devices`` shows the same list as
-    ``Device`` objects.  Construction checks that every device fits its
-    kind; a ``StructureError`` names the first that does not as devices[k].
+    kind's names, padded with zeros.  ``devices`` lists the devices as the
+    records a schedule file holds, and ``from_records`` reads such a list.
+    Construction checks that every device fits its kind; a
+    ``StructureError`` names the first that does not as devices[k].
     ``residual`` is the product's residual that ``schedule_static`` checked.
     """
 
@@ -288,37 +271,56 @@ class DeviceSchedule:
                 "only exist in doubled-up schedules")
 
     @classmethod
-    def from_devices(cls, channels: int, doubled: bool,
-                     devices) -> DeviceSchedule:
-        """The schedule of a list of ``Device`` objects."""
-        kinds, wires = [], []
-        params = np.zeros((len(devices), 4))
-        for k, dev in enumerate(devices):
-            if dev.kind not in _CODES:
-                raise StructureError(
-                    f"devices[{k}]: unknown device kind {dev.kind!r}")
-            code = _CODES[dev.kind]
-            name, _, count, names, _ = KINDS[code]
-            ends = tuple(dev.channels)
-            if not (len(ends) == count
-                    and all(isinstance(c, _INTEGER) for c in ends)):
+    def from_records(cls, channels: int, doubled: bool,
+                     records) -> DeviceSchedule:
+        """The schedule of a list of device records, the inverse of
+        ``devices``.
+
+        Each record is a dict with a kind name, a list of channels and an
+        optional dict of numbers, the parameters; one that is missing reads
+        as 0, or as NaN for the kind's first.  A record that is not of this
+        form or does not fit its kind raises ``StructureError`` naming it as
+        devices[k].
+        """
+        kinds = np.zeros(len(records), dtype=int)
+        wires = np.zeros((len(records), 2), dtype=int)
+        params = np.zeros((len(records), 4))
+        for k, record in enumerate(records):
+            where = f"devices[{k}]"
+            if type(record) is not dict:
+                raise StructureError(f"{where}: expected an object")
+            for key in ("kind", "channels"):
+                if key not in record:
+                    raise StructureError(
+                        f"{where}: missing required field {key!r}")
+            name, ends = record["kind"], record["channels"]
+            if type(name) is not str:
+                raise StructureError(f"{where}.kind: expected a device kind "
+                                     "name")
+            if type(ends) is not list:
+                raise StructureError(f"{where}.channels: expected a list")
+            values = record.get("params", {})
+            if type(values) is not dict or not all(
+                    type(value) in (int, float) for value in values.values()):
+                raise StructureError(f"{where}.params: expected an object of "
+                                     "numbers")
+            if name not in _CODES:
+                raise StructureError(f"{where}: unknown device kind {name!r}")
+            code = kinds[k] = _CODES[name]
+            _, _, count, names, _ = KINDS[code]
+            if not (len(ends) == count and all(
+                    type(c) is int and 0 <= c < channels for c in ends)):
                 raise _channel_error(k, name, count, channels, ends)
-            kinds.append(code)
-            wires.append((ends[0], ends[-1]))
-            # a missing required parameter reads as None, which becomes NaN
-            params[k, :len(names)] = [
-                dev.params.get(key, None if j == 0 else 0.0)
-                for j, key in enumerate(names)]
-        return cls(channels, doubled, kinds,
-                   np.array(wires, dtype=int).reshape(-1, 2), params)
+            wires[k] = ends[0], ends[-1]
+            # a missing first parameter reads as None, which becomes NaN
+            params[k, :len(names)] = [values.get(key, 0.0 if j else None)
+                                      for j, key in enumerate(names)]
+        return cls(channels, doubled, kinds, wires, params)
 
     @property
-    def devices(self) -> DeviceList:
-        return DeviceList(self)
-
-    def records(self) -> list:
-        """The devices in order, each as a dict of the ``Device`` fields:
-        kind name, channel list and parameter dict.
+    def devices(self) -> list:
+        """The devices in order, each as a record: a dict of its kind name,
+        channel list and parameter dict.
 
         The values are Python ints and floats, and each parameter dict lists
         its kind's parameters as ``KINDS`` says: the form in which
@@ -383,29 +385,6 @@ class DeviceSchedule:
                     picked = rows[lo:hi]
                     out[picked] = blocks[lo:hi] @ out[picked]
         return out
-
-
-class DeviceList:
-    """The devices of a schedule as ``Device`` objects, built on access."""
-
-    def __init__(self, schedule: DeviceSchedule):
-        self.schedule = schedule
-
-    def __len__(self) -> int:
-        return len(self.schedule.kinds)
-
-    def __getitem__(self, k):
-        picked = self.schedule.records()[k]
-        if isinstance(k, slice):
-            return [_device(record) for record in picked]
-        return _device(picked)
-
-    def __iter__(self):
-        return map(_device, self.schedule.records())
-
-
-def _device(record: dict) -> Device:
-    return Device(record["kind"], tuple(record["channels"]), record["params"])
 
 
 def _eliminate(u: np.ndarray) -> tuple:
@@ -481,8 +460,8 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
-    if np.linalg.norm(u @ u.conj().T - np.eye(m)) > 1e-8 * m:
-        raise StructureError("reck decomposition requires a unitary matrix")
+    if not np.linalg.norm(u @ u.conj().T - np.eye(m)) <= 1e-8 * m:
+        raise StructureError("static network is not unitary")  # NaN too
     rows, rotations, diagonal = _eliminate(u)
     # the eliminated u is diagonal, so u = t_1^dag .. t_K^dag diag
     turns = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
@@ -513,7 +492,8 @@ def schedule_static(r_mat: np.ndarray,
     split by ``bloch_messiah`` into (unitary, squeezers, unitary) and the
     pieces concatenated on doubled-up channels.  ``kind`` forces the
     interpretation ('unitary' or 'bogoliubov') and only that structure is
-    checked; by default Bogoliubov structure is preferred when present.
+    checked, once, by ``reck_decompose`` or ``bloch_messiah``; by default
+    Bogoliubov structure is preferred when present.
 
     Each unitary factor's schedule is multiplied out once, in
     ``reck_decompose``, and must reproduce its factor to 1e-8.  The whole
@@ -524,19 +504,11 @@ def schedule_static(r_mat: np.ndarray,
     if kind not in (None, "unitary", "bogoliubov"):
         raise StructureError(f"unknown static network kind {kind!r}")
     r_mat = np.asarray(r_mat, dtype=complex)
-    dim = r_mat.shape[0]
-    bogoliubov = (kind != "unitary" and dim % 2 == 0
-                  and is_bogoliubov(r_mat, 1e-7))
     if kind is None:
-        kind = "bogoliubov" if bogoliubov else "unitary"
+        kind = "bogoliubov" if is_bogoliubov(r_mat, 1e-7) else "unitary"
     if kind == "unitary":
-        if not (np.linalg.norm(r_mat @ r_mat.conj().T - np.eye(dim))
-                <= 1e-8 * dim):
-            raise StructureError("static network is not unitary")
         return reck_decompose(r_mat)
-    if not bogoliubov:
-        raise StructureError("static network is not Bogoliubov")
-    m = dim // 2
+    m = r_mat.shape[0] // 2
     u2, x, u1 = bloch_messiah(r_mat)
     left, p2 = reck_decompose(u2, with_product=True)
     right, p1 = reck_decompose(u1, with_product=True)

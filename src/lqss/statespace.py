@@ -223,7 +223,7 @@ class Model:
     N and S become complex arrays, S defaulting to the identity: M square,
     N with one column per row of M, S square with one row per row of N, and
     all three finite (``ParameterError`` otherwise, naming the matrix).  M
-    must be Hermitian; a general model needs a doubled-up M and a
+    must be Hermitian; a general model needs a doubled-up M and N and a
     Bogoliubov S, a passive one a unitary S.  Every other violation raises
     ``StructureError``.
     """
@@ -264,6 +264,7 @@ class Model:
                 raise ParameterError(f"{name} has a non-finite entry")
         if general:
             check_doubled_up(m_mat, what="Hamiltonian matrix")
+            check_doubled_up(n_mat, what="coupling matrix")
         if np.linalg.norm(m_mat - m_mat.conj().T) > 1e-9 * max(
                 1.0, np.linalg.norm(m_mat)):
             raise StructureError("Hamiltonian matrix must be Hermitian")
@@ -302,10 +303,10 @@ class Realization:
 
     The first seven fields are what a netlist holds and what verification
     reads; Ntilde follows from the interconnect rates.  Synthesis also
-    fills the factor W, the reduced Hamiltonian Mhat, the detunings, the
-    feedback generator X, for general models the cavities and intra-block
-    devices, and the classification of the coupling that the netlist
-    records.
+    fills the factor W, the reduced Hamiltonian Mhat, the detunings and the
+    feedback generator X, and three fields that are the JSON records the
+    netlist writes as they are: for general models the cavities and the
+    intra-block devices, and the classification of the coupling.
     """
 
     kind: str
@@ -345,7 +346,9 @@ def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
     and positive, so (Ntilde^b)^-1 = Ntilde^-1), and R = inv_cayley(kind,
     X).  Without ``rates`` every rate is kappa = 4 ||Mhat - M_conc||_F (1
     when that is 0): then ||X||_2 = 2 ||Mhat - M_conc||_2 / kappa <= 1/2,
-    so cond(X + I) <= 3.  pre = V^a S and post = V.
+    so cond(X + I) <= 3.  Rates small enough that X overflows, or that make
+    X + I singular, raise ``NumericalError`` naming them.  pre = V^a S and
+    post = V.
     """
     kind = model.kind
     mhat = w.conj().T @ model.m_mat @ w
@@ -354,8 +357,11 @@ def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
     if rates is None:
         rates = np.full(model.n_modes, 4.0 * np.linalg.norm(diff) or 1.0)
     inv = 1.0 / interconnect_coupling(kind, rates).diagonal().real
-    x = -2.0 * inv[:, np.newaxis] * drift(kind, diff) * inv
+    with np.errstate(over="ignore"):  # refused below
+        x = -2.0 * inv[:, np.newaxis] * drift(kind, diff) * inv
     try:
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("the feedback generator X overflowed")
         r_feedback = inv_cayley(kind, x)
     except NumericalError as exc:
         raise NumericalError(

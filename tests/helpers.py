@@ -3,7 +3,7 @@
 Random models and structured matrices, the open-loop cavity bank used as a
 reference for feedback closure, the triangular decomposition one rotation at
 a time used as a reference for ``reck_decompose``, device lists built one
-``Device`` at a time as references for the array schedules, and planted
+record at a time as references for the array schedules, and planted
 factorization cases.  A planted case starts from a hand-built canonical
 coupling Nhat (whose Gram eigenvalues are known exactly) and hides it behind
 random Bogoliubov factors: N = V Nhat W^b.  Recovering the factorization
@@ -20,7 +20,6 @@ from lqss.errors import StructureError
 from lqss.krein import flat_adjoint, jmat
 from lqss.netlist import (
     ANGLE_EPS,
-    Device,
     DeviceSchedule,
     _angle,
     _eliminate,
@@ -141,20 +140,21 @@ def reck_reference(u):
     if rotations:
         params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
         for j, row in enumerate(rows):
-            devices.append(Device(
-                kind="beamsplitter", channels=(row, row + 1),
-                params={key: float(value[j]) for key, value in params.items()}))
+            devices.append({
+                "kind": "beamsplitter", "channels": [row, row + 1],
+                "params": {key: float(value[j])
+                           for key, value in params.items()}})
     for i in range(m):
         theta = float(_angle(work[i, i]))
         if abs(theta) > ANGLE_EPS:
-            devices.append(Device(
-                kind="phase", channels=(i,), params={"theta": theta}))
-    return DeviceSchedule.from_devices(m, False, devices)
+            devices.append({"kind": "phase", "channels": [i],
+                            "params": {"theta": theta}})
+    return DeviceSchedule.from_records(m, False, devices)
 
 
 def reck_devices(u):
-    """The device list of ``reck_decompose(u)`` built one ``Device`` at a
-    time from the same column-step elimination: the reference for the array
+    """The device records of ``reck_decompose(u)`` built one at a time
+    from the same column-step elimination: the reference for the array
     bookkeeping of the schedule."""
     rows, rotations, diagonal = _eliminate(np.asarray(u, dtype=complex))
     devices = []
@@ -163,11 +163,14 @@ def reck_devices(u):
         values = [params[key].tolist() for key in ("theta", "phi", "psi",
                                                     "zeta")]
         for row, theta, phi, psi, zeta in zip(rows, *values):
-            devices.append(Device("beamsplitter", (row, row + 1), {
-                "theta": theta, "phi": phi, "psi": psi, "zeta": zeta}))
+            devices.append({"kind": "beamsplitter",
+                            "channels": [row, row + 1], "params": {
+                                "theta": theta, "phi": phi, "psi": psi,
+                                "zeta": zeta}})
     for i, theta in enumerate(_angle(diagonal).tolist()):
         if abs(theta) > ANGLE_EPS:
-            devices.append(Device("phase", (i,), {"theta": theta}))
+            devices.append({"kind": "phase", "channels": [i],
+                            "params": {"theta": theta}})
     return devices
 
 
@@ -176,7 +179,8 @@ def bogoliubov_devices(r):
     like ``reck_devices``: U2's devices, a squeezer per non-zero
     squeezing parameter, then U1's devices."""
     u2, x, u1 = bloch_messiah(r)
-    squeezers = [Device("squeezer", (i,), {"x": float(x[i])})
+    squeezers = [{"kind": "squeezer", "channels": [i],
+                  "params": {"x": float(x[i])}}
                  for i in range(len(x)) if abs(x[i]) > ANGLE_EPS]
     return reck_devices(u2) + squeezers + reck_devices(u1)
 

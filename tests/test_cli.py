@@ -111,8 +111,9 @@ class TestMatrixCodec:
         return arr.shape, arr.dtype, arr.tobytes()
 
     @pytest.mark.parametrize("data", [
-        [[[1, 2]]], [[["1", " 2.5 "]]], [[[None, True]]],
-        [[[1e308, -0.0], [float("nan"), "-1e-300"]]],
+        [[[1, 2]]], [[[1, 2.5], [-3, 0.0]]],
+        [[[-0.0, 5e-324]], [[1e-300, -1.7976931348623157e308]]],
+        [[[["1", "2"]]]],
         np.stack([np.eye(3), -np.eye(3)], -1).tolist(),
         [[1.0, 2.0]], [[["a", "b"]]], [[[1, 2, 3]]], [[[1, 2], [3]]],
         [[[1, 2, 3], [4]]], [[[1, 2]], [[3, 4], [5, 6]]], [[5, [1, 2]]],
@@ -123,6 +124,15 @@ class TestMatrixCodec:
     def test_same_arrays_and_errors_as_asarray(self, data):
         assert (self.outcome(modelio.decode_matrix, data)
                 == self.outcome(self.asarray_decode, data))
+
+    @pytest.mark.parametrize("data", [
+        [[["1", " 2.5 "]]], [[[None, True]]],
+        [[[1e308, -0.0], [float("nan"), "-1e-300"]]],
+    ], ids=["strings", "null_and_bool", "one_string"])
+    def test_non_numbers_are_refused(self, data):
+        # np.asarray reads "1.5" and true as numbers and null as NaN
+        with pytest.raises(ValidationError, match=r"^m: not a numeric "):
+            modelio.decode_matrix(data, "m")
 
 
 class TestModelCodec:
@@ -510,6 +520,50 @@ class TestVerify:
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(f"{bad}: ")
         assert "Hermitian" in err["message"]
+
+    @pytest.mark.parametrize("location, value", [
+        ("feedback.matrix", None), ("pre_network.matrix", None),
+        ("reduced.N_hat", None), ("feedback.matrix", "0.5"),
+        ("feedback.matrix", True), ("reduced.interconnect_kappas", True),
+        ("reduced.interconnect_kappas", "2")])
+    def test_non_number_in_netlist(self, location, value, passive_model_file,
+                                   tmp_path, capsys):
+        out = str(tmp_path / "net.json")
+        assert main(["synth", "--input", passive_model_file,
+                     "--output", out]) == EXIT_OK
+        data = json.load(open(out))
+        part, key = location.split(".")
+        if key == "interconnect_kappas":
+            data[part][key][0] = value
+        else:
+            data[part][key][0][0][0] = value
+        json.dump(data, open(out, "w"))
+        capsys.readouterr()
+        code = main(["verify", "--model", passive_model_file,
+                     "--netlist", out])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{out}.{location}: ")
+
+    def test_general_model_that_synth_refuses(self, general_model_file,
+                                              tmp_path, capsys):
+        # a coupling matrix that is not doubled-up, against the netlist of
+        # the model before the change
+        out = str(tmp_path / "net.json")
+        assert main(["synth", "--input", general_model_file,
+                     "--output", out]) == EXIT_OK
+        data = json.load(open(general_model_file))
+        data["N"][0][0][0] += 0.5
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["verify", "--model", str(bad), "--netlist", out])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{bad}: coupling matrix is not "
+                                         "doubled-up")
 
     def test_malformed_netlist(self, passive_model_file, tmp_path, capsys):
         bad = tmp_path / "bad_net.json"

@@ -164,7 +164,7 @@ class TestWorkedExample:
             assert np.linalg.norm(gap) < 1e-10
 
     def test_cavity_roles(self, real4):
-        roles = sorted(c.role for c in real4.cavities)
+        roles = sorted(c["role"] for c in real4.cavities)
         assert roles == ["active", "passive"]
 
 
@@ -201,10 +201,10 @@ class TestDegenerateExample:
     def test_tunable_cavity(self, model):
         real = synthesize_general(model.m_mat, model.n_mat, model.s_mat)
         (cav,) = real.cavities
-        assert cav.role == "tunable"
-        (port,) = cav.ports
-        assert port.kappa == pytest.approx(6.0, abs=1e-10)
-        assert port.g == pytest.approx(6.0, abs=1e-10)
+        assert cav["role"] == "tunable"
+        (port,) = cav["ports"]
+        assert port["kappa"] == pytest.approx(6.0, abs=1e-10)
+        assert port["g"] == pytest.approx(6.0, abs=1e-10)
 
 
 class TestComplexPair:
@@ -214,10 +214,10 @@ class TestComplexPair:
         n_mat, _, _, n = planted_coupling([("pair", 1.0 + 1.5j)], rng)
         m_mat = random_hermitian_doubled_up(n, rng, scale=0.5)
         real = synthesize_general(m_mat, n_mat)
-        roles = [c.role for c in real.cavities]
+        roles = [c["role"] for c in real.cavities]
         assert roles == ["pair", "pair"]
         assert len(real.devices) == 1
-        assert real.devices[0].kind == "beamsplitter"
+        assert real.devices[0]["kind"] == "beamsplitter"
         # the cascade-induced interaction term nu/2 sits in the upper-right
         # (two-photon) half-block of the bank Hamiltonian
         nu = 1.5
@@ -236,7 +236,7 @@ def test_jordan_synthesis_verifies(specs, seed):
     n_mat, _, _, n = planted_coupling(specs, rng)
     m_mat = random_hermitian_doubled_up(n, rng, scale=0.5)
     real = synthesize_general(m_mat, n_mat)
-    roles = [c.role for c in real.cavities]
+    roles = [c["role"] for c in real.cavities]
     assert roles == ["passive"] * (len(specs) - 1) + ["jordan", "jordan"]
     model = Model(kind="general", m_mat=m_mat, n_mat=n_mat,
                   s_mat=np.eye(n_mat.shape[0], dtype=complex))
@@ -250,9 +250,11 @@ def nhat_from_cavities(real):
     nhat1 = np.zeros((m, n), dtype=complex)
     nhat2 = np.zeros((m, n), dtype=complex)
     for cav in real.cavities:
-        for p in cav.ports:
-            nhat1[p.port, cav.mode] = np.sqrt(p.kappa) * np.exp(1j * p.phi)
-            nhat2[p.port, cav.mode] = np.sqrt(p.g) * np.exp(1j * p.theta)
+        for p in cav["ports"]:
+            nhat1[p["port"], cav["mode"]] = (np.sqrt(p["kappa"])
+                                             * np.exp(1j * p["phi"]))
+            nhat2[p["port"], cav["mode"]] = (np.sqrt(p["g"])
+                                             * np.exp(1j * p["theta"]))
     return np.block([[nhat1, nhat2], [nhat2.conj(), nhat1.conj()]])
 
 

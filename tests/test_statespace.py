@@ -14,6 +14,7 @@ from helpers import (
 )
 from lqss import statespace
 from lqss.errors import (
+    NumericalError,
     ParameterError,
     PoleError,
     StructureError,
@@ -210,6 +211,31 @@ def test_malformed_model_is_a_structure_error(kind, case):
         SYNTHESIZE[kind](mats["M"], mats["N"], mats["S"])
     with pytest.raises(StructureError):
         Model(kind=kind, m_mat=mats["M"], n_mat=mats["N"], s_mat=mats["S"])
+
+
+def test_general_coupling_must_be_doubled_up():
+    # Model is the one input check, so verification refuses what synthesis
+    # refuses
+    m_mat, n_mat = random_general_model(3, 2, np.random.default_rng(0))
+    n_mat[0, 0] += 0.5
+    for check in (lambda: Model("general", m_mat, n_mat),
+                  lambda: synthesize_general(m_mat, n_mat)):
+        with pytest.raises(StructureError,
+                           match="coupling matrix is not doubled-up"):
+            check()
+
+
+@pytest.mark.parametrize("kind", ["passive", "general"])
+def test_overflowing_feedback_generator(kind):
+    # at a rate of 1e-320 X = -2 Ntilde^-1 drift Ntilde^-1 overflows, and
+    # the error must say so rather than call X not skew or not doubled-up
+    rng = np.random.default_rng(0)
+    mats = (random_passive_model(3, 2, rng) if kind == "passive"
+            else random_general_model(2, 2, rng))
+    with pytest.raises(NumericalError, match=r"^the feedback generator X "
+                       r"overflowed at interconnect rates from 1e-320 to "
+                       r"1e-320$"):
+        SYNTHESIZE[kind](*mats, interconnect_kappa=1e-320)
 
 
 def dense_eval(ss, s):

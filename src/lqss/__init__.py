@@ -13,7 +13,7 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .general import synthesize_general
+from .general import synthesize, synthesize_general
 from .netlist import bloch_messiah, reck_decompose, schedule_static, takagi
 from .passive import synthesize_passive
 from .spectral import check_degeneracy, j_gram, krein_spectrum
@@ -29,6 +29,7 @@ __all__ = [
     "reck_decompose",
     "schedule_static",
     "symplectic_svd",
+    "synthesize",
     "synthesize_general",
     "synthesize_passive",
     "takagi",

@@ -40,10 +40,9 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .general import synthesize_general
+from .general import synthesize
 from .netlist import schedule_static
-from .passive import synthesize_passive
-from .statespace import adjoint, verify_realization
+from .statespace import verify_realization
 
 log = logging.getLogger("lqss")
 
@@ -130,13 +129,8 @@ def cmd_synth(args) -> int:
         kappa = opts.get("interconnect_kappa")
     log.info("synthesizing %s model with %d modes / %d ports",
              model.kind, model.n_modes, model.n_ports)
-    synthesize = (synthesize_passive if model.kind == "passive"
-                  else synthesize_general)
-    real = synthesize(model.m_mat, model.n_mat, model.s_mat,
-                      detunings=detunings, interconnect_kappa=kappa)
-    recon = real.post @ real.nhat @ adjoint(model.kind, real.w)
-    resid = float(np.linalg.norm(recon - model.n_mat)
-                  / max(1.0, np.linalg.norm(model.n_mat)))
+    real = synthesize(model, detunings, kappa)
+    resid = real.factorization_residual
     if resid > args.tol:
         raise NumericalError(
             f"coupling factorization residual {resid:.3e} exceeds the "
@@ -147,11 +141,9 @@ def cmd_synth(args) -> int:
     feedback = _try_schedule(real.r_feedback, network, "feedback network")
     # the payload is built, written and freed with the collector paused
     with modelio.paused_gc():
-        modelio.dump_json(args.output, {
-            **modelio.realization_to_dict(real, pre_schedule=pre,
-                                          post_schedule=post,
-                                          feedback_schedule=feedback),
-            "factorization_residual": resid})
+        modelio.dump_json(args.output, modelio.realization_to_dict(
+            real, pre_schedule=pre, post_schedule=post,
+            feedback_schedule=feedback))
     print(f"synthesized {model.kind} realization -> {args.output} "
           f"(factorization residual {resid:.3e})")
     return EXIT_OK

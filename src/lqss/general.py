@@ -1,26 +1,34 @@
-"""Synthesis of general (active) models via the Bogoliubov factorization.
+"""Synthesis: one entry point, ``synthesize(model)``, for both kinds.
 
-A general model (S, N, M) with doubled-up matrices factors as
-G(s) = V Ghat(s) (V^b S) where N = V Nhat W^b is the Bogoliubov
-factorization and Ghat is the transfer function of the reduced system
-(I, Nhat, Mhat) with Mhat = W^dag M W.  The reduced system is realized by a
-bank of cavities, one per mode, whose coupling is Nhat itself: cavity k has
-a port p for each nonzero Nhat[p, k] (passive amplitude) or Nhat[p, n + k]
-(active amplitude).  Only the role of a cavity and, for a complex pair, the
-beamsplitter and interaction between its two cavities depend on the kind of
-canonical block.  The cavities and that beamsplitter are kept as the records
-the netlist writes.  The interconnect ports of the bank are closed through a
-Bogoliubov feedback network
+A model (S, N, M) factors as G(s) = V Ghat(s) (V^a S) where N = V Nhat W^a
+is a coupling factorization and Ghat is the transfer function of the
+reduced system (I, Nhat, Mhat) with Mhat = W^dag M W.  A passive model is
+the N2 = 0 case of a general one, so only the factorization and the cavity
+bank depend on the kind:
+
+* passive: an ordinary SVD, each singular pair's free phase fixed, and r
+  one-port cavities (kappa_i = sigma_i^2) plus n - r interconnect-only
+  ones, with the chosen detunings as the bank Hamiltonian;
+* general: the Bogoliubov factorization (``bogoliubov_svd``) and a bank of
+  cavities, one per mode, whose coupling is Nhat itself: cavity k has a port
+  p for each nonzero Nhat[p, k] (passive amplitude) or Nhat[p, n + k]
+  (active amplitude).  Only the role of a cavity and, for a complex pair,
+  the beamsplitter and interaction between its two cavities depend on the
+  kind of canonical block.  The cavities and that beamsplitter are kept as
+  the records the netlist writes.
+
+The interconnect ports of the bank are closed through a feedback network
 
     R = (X - I)(X + I)^-1,
-    X = 2i (Ntilde^b)^-1 (J Mhat - J M_conc) Ntilde^-1.
+    X = 2i (Ntilde^a)^-1 (Mhat - M_conc) Ntilde^-1,
 
-X is doubled-up and J-skew (X^b = -X), so R is Bogoliubov.  Unlike the
-passive case, X + I can be singular, though not at the default interconnect
-rates (``statespace.realize``); given rates that make it singular raise
-``NumericalError``.  Only the factorization and the cavity bank are general:
-the input check (``Model``), the reduced Hamiltonian, the feedback network
-(``realize``) and its closure are shared with passive models.
+with a J after the first factor for general models.  For passive models X
+is skew-Hermitian and R unitary; for general ones X is doubled-up and J-skew
+(X^b = -X), so R is Bogoliubov, but X + I can be singular, though not at the
+default interconnect rates; given rates that make it singular raise
+``NumericalError``.  The input check (``Model``), the reduced Hamiltonian,
+the feedback network and the factorization residual are the shared tail,
+``statespace.realize``.
 """
 
 from __future__ import annotations
@@ -28,7 +36,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dusvd import DuSvdResult, bogoliubov_svd
+from .krein import unit_phases
 from .statespace import Model, Realization, mode_values, realize
+
+#: singular values of a passive coupling at most this times the largest
+#: count as zero
+RANK_RTOL = 1e-10
 
 #: cavity role of each canonical block kind
 ROLES = {"real_positive": "passive", "real_negative": "active",
@@ -86,19 +99,23 @@ def _phase(amp: complex) -> float:
     return float(np.angle(amp)) if amp else 0.0
 
 
-def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,
-                       s_mat: np.ndarray | None = None,
-                       detunings: np.ndarray | None = None,
-                       interconnect_kappa=None) -> Realization:
-    """Realize a general model as static Bogoliubov networks around a
-    cavity bank with feedback.
+def synthesize(model: Model, detunings: np.ndarray | None = None,
+               interconnect_kappa=None) -> Realization:
+    """Realize a checked model as static networks around a cavity bank with
+    feedback.
 
-    The classification holds the rank and residual of the Bogoliubov
-    factorization and its canonical blocks (kind, size and eigenvalue).
+    ``detunings`` and ``interconnect_kappa`` are read by ``mode_values``;
+    the factorization and the cavity bank follow ``model.kind``.  The
+    classification holds the rank of N and its singular values (passive),
+    or the rank and residual of the Bogoliubov factorization and its
+    canonical blocks, each with kind, size and eigenvalue (general).
     """
-    model = Model("general", m_mat, n_mat, s_mat)
     detunings, rates = mode_values(model.n_modes, detunings,
                                    interconnect_kappa)
+    if model.kind == "passive":
+        v, w, nhat, classification = _passive_factors(model.n_mat)
+        return realize(model, v, w, nhat, np.diag(detunings).astype(complex),
+                       detunings, rates, classification=classification)
     fact = bogoliubov_svd(model.n_mat)
     cavities, devices, m_conc = assign_cavities(fact, detunings)
     return realize(
@@ -110,3 +127,33 @@ def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,
                 {"kind": b.kind, "size": b.size,
                  "value": [float(np.real(b.value)), float(np.imag(b.value))]}
                 for b in fact.blocks]})
+
+
+def _passive_factors(n_mat: np.ndarray) -> tuple:
+    """(V, W, Nhat, classification) of the SVD N = V Nhat W^dag.
+
+    Each singular pair's free phase is fixed: the largest entry of each W
+    column becomes real positive, and the paired V column follows.
+    """
+    m, n = n_mat.shape
+    v, sigma, wh = np.linalg.svd(n_mat)
+    w = wh.conj().T
+    phases = unit_phases(w)
+    w = w * phases
+    k = min(m, n)
+    v[:, :k] *= phases[:k]
+    cutoff = RANK_RTOL * (sigma[0] if sigma.size else 0.0)
+    rank = int(np.sum(sigma > cutoff))
+    nhat = np.zeros((m, n), dtype=complex)
+    nhat[:rank, :rank] = np.diag(sigma[:rank])
+    return v, w, nhat, {"rank": rank,
+                        "singular_values": [float(s) for s in sigma]}
+
+
+def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,
+                       s_mat: np.ndarray | None = None,
+                       detunings: np.ndarray | None = None,
+                       interconnect_kappa=None) -> Realization:
+    """``synthesize`` of the general model (S, N, M)."""
+    return synthesize(Model("general", m_mat, n_mat, s_mat), detunings,
+                      interconnect_kappa)

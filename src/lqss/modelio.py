@@ -240,6 +240,7 @@ def realization_to_dict(real: Realization, pre_schedule=None,
     if real.kind == "general":
         out["cavities"] = real.cavities
         out["devices"] = real.devices
+    out["factorization_residual"] = real.factorization_residual
     return out
 
 

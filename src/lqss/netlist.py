@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import block_diag, sqrtm
 
 from .errors import NumericalError, StructureError
-from .krein import check_bogoliubov, is_bogoliubov
+from .krein import check_bogoliubov
 
 ANGLE_EPS = 1e-12
 
@@ -493,7 +493,9 @@ def schedule_static(r_mat: np.ndarray,
     pieces concatenated on doubled-up channels.  ``kind`` forces the
     interpretation ('unitary' or 'bogoliubov') and only that structure is
     checked, once, by ``reck_decompose`` or ``bloch_messiah``; by default
-    Bogoliubov structure is preferred when present.
+    Bogoliubov structure is preferred when present: a network that fails
+    ``bloch_messiah``'s Bogoliubov check is decomposed as unitary, so each
+    structure is still checked once.
 
     Each unitary factor's schedule is multiplied out once, in
     ``reck_decompose``, and must reproduce its factor to 1e-8.  The whole
@@ -504,12 +506,15 @@ def schedule_static(r_mat: np.ndarray,
     if kind not in (None, "unitary", "bogoliubov"):
         raise StructureError(f"unknown static network kind {kind!r}")
     r_mat = np.asarray(r_mat, dtype=complex)
-    if kind is None:
-        kind = "bogoliubov" if is_bogoliubov(r_mat, 1e-7) else "unitary"
     if kind == "unitary":
         return reck_decompose(r_mat)
+    try:
+        u2, x, u1 = bloch_messiah(r_mat)
+    except StructureError:  # only its Bogoliubov check raises this
+        if kind:
+            raise
+        return reck_decompose(r_mat)
     m = r_mat.shape[0] // 2
-    u2, x, u1 = bloch_messiah(r_mat)
     left, p2 = reck_decompose(u2, with_product=True)
     right, p1 = reck_decompose(u1, with_product=True)
     x = np.where(np.abs(x) > ANGLE_EPS, x, 0.0)  # the squeezing as written

@@ -96,26 +96,6 @@ class KreinSpectrum:
         return out
 
     @property
-    def r_plus(self) -> int:
-        return sum(c.pair_count for c in self.by_kind("real_positive", 1))
-
-    @property
-    def r_minus(self) -> int:
-        return sum(c.pair_count for c in self.by_kind("real_negative", 1))
-
-    @property
-    def r_c(self) -> int:
-        return sum(c.pair_count for c in self.by_kind("complex_pair"))
-
-    @property
-    def r_0_off_kernel(self) -> int:
-        return sum(c.pair_count for c in self.by_kind("zero_off_kernel", 1))
-
-    @property
-    def r_0_kernel(self) -> int:
-        return sum(c.pair_count for c in self.by_kind("zero_in_kernel", 1))
-
-    @property
     def jordan_pairs(self) -> list:
         return [c for c in self.classes if c.jordan_size == 2]
 

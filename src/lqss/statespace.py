@@ -18,10 +18,11 @@ here, each taking ``kind``:
 * ``Model``, whose construction is the one input check of synthesis and
   verification, and ``mode_values``, which reads the detunings and
   interconnect rates of its cavity modes;
-* ``interconnect_coupling`` (Ntilde) and ``realize``, the tail of both
-  synthesis routines: from a coupling factorization N = V Nhat W^a and a
-  cavity bank it builds the ``Realization``, closing the bank through a
-  feedback network at default interconnect rates unless given some.
+* ``interconnect_coupling`` (Ntilde) and ``realize``, the tail of
+  synthesis: from a coupling factorization N = V Nhat W^a and a cavity bank
+  it builds the ``Realization`` with its factorization residual, closing
+  the bank through a feedback network at default interconnect rates unless
+  given some.
 
 A ``Realization`` is a bank of reduced cavities between a pre network
 V^a S and a post network V, with the bank's interconnect ports closed
@@ -48,8 +49,8 @@ from .errors import (
 from .krein import (
     check_bogoliubov,
     check_doubled_up,
+    doubled_up_residual,
     flat_adjoint,
-    is_doubled_up,
 )
 
 
@@ -110,16 +111,20 @@ def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
     """
     x_mat = np.asarray(x_mat, dtype=complex)
     general = kind == "general"
-    if general and not is_doubled_up(x_mat, 1e-7):
+    scale = max(1.0, np.linalg.norm(x_mat))
+    # one residual for two guards: lost in arithmetic above 1e-7, and
+    # refused as input above 1e-9 once X is known to be J-skew
+    structure = doubled_up_residual(x_mat) if general else 0.0
+    if not structure <= 1e-7 * scale:  # NaN included
         raise NumericalError(
             "feedback generator lost the doubled-up structure")
-    scale = max(1.0, np.linalg.norm(x_mat))
     if not np.linalg.norm(adjoint(kind, x_mat) + x_mat) <= 1e-8 * scale:
         raise StructureError(  # NaN included
             "feedback generator must be J-skew (X^b = -X)" if general
             else "feedback generator must be skew-Hermitian")
-    if general:
-        check_doubled_up(x_mat, what="feedback generator")
+    if structure > 1e-9 * scale:
+        raise StructureError(
+            "feedback generator is not doubled-up within tolerance 1e-09")
     eye = np.eye(x_mat.shape[0])
     shifted = x_mat + eye
     lu, piv, rcond = _lu(shifted)
@@ -304,9 +309,10 @@ class Realization:
     The first seven fields are what a netlist holds and what verification
     reads; Ntilde follows from the interconnect rates.  Synthesis also
     fills the factor W, the reduced Hamiltonian Mhat, the detunings and the
-    feedback generator X, and three fields that are the JSON records the
+    feedback generator X, three fields that are the JSON records the
     netlist writes as they are: for general models the cavities and the
-    intra-block devices, and the classification of the coupling.
+    intra-block devices, and the classification of the coupling, and the
+    factorization residual ||V Nhat W^a - N||_F / max(1, ||N||_F).
     """
 
     kind: str
@@ -323,6 +329,7 @@ class Realization:
     cavities: list = field(default_factory=list)
     devices: list = field(default_factory=list)
     classification: dict = field(default_factory=dict)
+    factorization_residual: float | None = None
     retries: int = 0           # always 0; perfbench/spans.py reads it
     ntilde: np.ndarray = field(init=False, repr=False)
 
@@ -334,9 +341,10 @@ def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
             m_conc: np.ndarray, detunings: np.ndarray, rates=None,
             **found) -> Realization:
     """The realization of ``model`` from its coupling factorization
-    N = V Nhat W^a and a cavity bank M_conc; the tail of both synthesis
-    routines.  ``found`` holds what the factorization adds (cavities,
-    devices, classification).
+    N = V Nhat W^a and a cavity bank M_conc; the tail of synthesis for both
+    kinds.  ``found`` holds what the factorization adds (cavities, devices,
+    classification).  The factorization residual
+    ||V Nhat W^a - N||_F / max(1, ||N||_F) is recorded, not judged.
 
     The reduced Hamiltonian is Mhat = W^dag M W, made exactly Hermitian.
     The feedback network turns the bank, at interconnect rates ``rates``,
@@ -351,6 +359,9 @@ def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
     post = V.
     """
     kind = model.kind
+    n_mat = model.n_mat
+    residual = float(np.linalg.norm(v @ nhat @ adjoint(kind, w) - n_mat)
+                     / max(1.0, np.linalg.norm(n_mat)))
     mhat = w.conj().T @ model.m_mat @ w
     mhat = (mhat + mhat.conj().T) / 2
     diff = mhat - m_conc
@@ -370,7 +381,8 @@ def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
     return Realization(kind=kind, pre=adjoint(kind, v) @ model.s_mat,
                        post=v, nhat=nhat, m_conc=m_conc,
                        kappas_tilde=rates, r_feedback=r_feedback, w=w,
-                       mhat=mhat, detunings=detunings, x=x, **found)
+                       mhat=mhat, detunings=detunings, x=x,
+                       factorization_residual=residual, **found)
 
 
 def close_feedback(kind: str, nhat: np.ndarray, m_conc: np.ndarray,

@@ -3,14 +3,17 @@
 Random models and structured matrices, the open-loop cavity bank used as a
 reference for feedback closure, the triangular decomposition one rotation at
 a time used as a reference for ``reck_decompose``, device lists built one
-record at a time as references for the array schedules, and planted
-factorization cases.  A planted case starts from a hand-built canonical
-coupling Nhat (whose Gram eigenvalues are known exactly) and hides it behind
-random Bogoliubov factors: N = V Nhat W^b.  Recovering the factorization
-must then reproduce the planted eigenvalue multiset and reconstruct N.
+record at a time as references for the array schedules, planted
+factorization cases, the pair counts of a Krein spectrum, and a count of
+the ``Model`` objects a call builds.  A planted case starts from a
+hand-built canonical coupling Nhat (whose Gram eigenvalues are known
+exactly) and hides it behind random Bogoliubov factors: N = V Nhat W^b.
+Recovering the factorization must then reproduce the planted eigenvalue
+multiset and reconstruct N.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -26,7 +29,37 @@ from lqss.netlist import (
     beamsplitter_params,
     bloch_messiah,
 )
-from lqss.statespace import StateSpace, adjoint, drift
+from lqss.statespace import Model, StateSpace, adjoint, drift
+
+#: eigenvector pairs of a Krein spectrum by class: semisimple real positive
+#: and real negative, complex pairs, and semisimple zero off and in Ker N
+PairCounts = namedtuple("PairCounts",
+                        "r_plus r_minus r_c r_0_off_kernel r_0_kernel")
+
+
+def pair_counts(spec):
+    """The ``PairCounts`` of a ``spectral.KreinSpectrum``."""
+    def pairs(kind, jordan_size=None):
+        return sum(c.pair_count for c in spec.by_kind(kind, jordan_size))
+
+    return PairCounts(pairs("real_positive", 1), pairs("real_negative", 1),
+                      pairs("complex_pair"), pairs("zero_off_kernel", 1),
+                      pairs("zero_in_kernel", 1))
+
+
+def counted_builds(monkeypatch):
+    """The list to which every ``Model`` built from now on, in the test
+    that owns ``monkeypatch``, appends its kind: each construction runs the
+    model's input checks once."""
+    built = []
+    check = Model.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        check(self)
+
+    monkeypatch.setattr(Model, "__post_init__", counted)
+    return built
 
 
 def sigmat(dim):

@@ -9,12 +9,20 @@ import orjson
 import pytest
 
 from helpers import (
+    counted_builds,
     random_bogoliubov,
     random_passive_model,
     random_unitary,
     schedule_residual,
 )
-from lqss import cli, modelio, synthesize_general, synthesize_passive
+from lqss import (
+    cli,
+    krein,
+    modelio,
+    synthesize,
+    synthesize_general,
+    synthesize_passive,
+)
 from lqss.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -180,6 +188,14 @@ class TestSynth:
         assert data["cavities"]
         assert main(["verify", "--model", general_model_file,
                      "--netlist", out]) == EXIT_OK
+
+    def test_model_is_built_once(self, general_model_file, tmp_path,
+                                 monkeypatch):
+        # the model file is checked as it loads, and synthesis reuses it
+        built = counted_builds(monkeypatch)
+        assert main(["synth", "--input", general_model_file,
+                     "--output", str(tmp_path / "gnet.json")]) == EXIT_OK
+        assert built == ["general"]
 
     def test_zero_coupling_interconnect_only(self, tmp_path):
         model = Model(kind="passive", m_mat=M3,
@@ -594,6 +610,22 @@ class TestNetlistFile:
                                   getattr(real, name)), name
 
     @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_residual_is_the_library_residual(self, kind, passive_model_file,
+                                              general_model_file, tmp_path):
+        path = passive_model_file if kind == "passive" else general_model_file
+        out = tmp_path / "net.json"
+        assert main(["synth", "--input", path,
+                     "--output", str(out)]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert list(data)[-1] == "factorization_residual"
+        real = synthesize(modelio.load_model(path)[0])
+        assert same_json(data["factorization_residual"],
+                         real.factorization_residual)
+        if kind == "general":
+            assert same_json(data["classification"]["residual"],
+                             real.factorization_residual)
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
     def test_netlist_with_feedback_generator_still_loads(
             self, kind, passive_model_file, general_model_file, tmp_path):
         # netlists no longer store X = cayley(R); older ones that carry it
@@ -684,7 +716,7 @@ class TestFileErrors:
 
         for module, name in [
                 (modelio, "load_json"), (modelio, "load_model"),
-                (cli, "synthesize_passive"), (cli, "schedule_static"),
+                (cli, "synthesize"), (cli, "schedule_static"),
                 (cli, "verify_realization")]:
             monkeypatch.setattr(module, name, refuse)
         out = str(tmp_path / "missing" / "out.json")
@@ -838,6 +870,27 @@ class TestDecompose:
                      "--output", out]) == EXIT_OK
         assert len(calls) == products
         assert json.load(open(out))["residual"] == expected
+
+    @pytest.mark.parametrize("bogoliubov", [True, False])
+    def test_detected_kind_is_checked_once(self, bogoliubov, tmp_path,
+                                           monkeypatch):
+        # without --kind, the one Bogoliubov check both picks the kind and
+        # guards the factorization
+        matrix = (random_bogoliubov(2, seed=98) if bogoliubov
+                  else random_unitary(4, np.random.default_rng(98)))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": modelio.encode_matrix(matrix)}))
+        out = str(tmp_path / "sched.json")
+        calls = []
+        residual = krein.bogoliubov_residual
+        monkeypatch.setattr(krein, "bogoliubov_residual",
+                            lambda r: calls.append(r) or residual(r))
+        assert main(["decompose", "--input", str(path),
+                     "--output", out]) == EXIT_OK
+        assert len(calls) == 1
+        sched = modelio.schedule_from_dict(json.load(open(out)))
+        assert sched.doubled == bogoliubov
+        assert schedule_residual(sched, matrix) < 1e-7
 
     def test_missing_matrix_field(self, tmp_path, capsys):
         path = tmp_path / "m.json"

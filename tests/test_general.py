@@ -5,18 +5,22 @@ import pytest
 
 from helpers import (
     closed_by_hand,
+    counted_builds,
     planted_coupling,
     random_bogoliubov,
     random_general_model,
     random_hermitian_doubled_up,
+    random_passive_model,
 )
 from lqss.dusvd import bogoliubov_svd
 from lqss.errors import NumericalError, StructureError
-from lqss.general import synthesize_general
+from lqss.general import synthesize, synthesize_general
 from lqss.krein import flat_adjoint, jmat
+from lqss.passive import synthesize_passive
 from lqss.spectral import j_gram
 from lqss.statespace import (
     Model,
+    adjoint,
     close_feedback,
     inv_cayley,
     verify_realization,
@@ -88,6 +92,47 @@ class TestFeedbackGuards:
         with pytest.raises(NumericalError, match=r"numerically singular.*"
                            r"\|\|X\|\|_2 = 1\b.*rates from 1 to 1"):
             synthesize_general(m_mat, np.eye(2), interconnect_kappa=1.0)
+
+
+class TestSynthesize:
+    """One synthesis path for both kinds, on a model checked once."""
+
+    @pytest.mark.parametrize("kind, n, m, seed", [
+        ("passive", 5, 3, 0), ("general", 4, 4, 0), ("general", 8, 6, 3)])
+    def test_checked_model_and_residual(self, kind, n, m, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        mats = (random_passive_model(n, m, rng) if kind == "passive"
+                else random_general_model(n, m, rng))
+        model = Model(kind, *mats)
+        built = counted_builds(monkeypatch)
+        real = synthesize(model)
+        assert built == []
+        # the residual ||V Nhat W^a - N||_F / max(1, ||N||_F) comes with
+        # the realization, without the CLI
+        n_mat = model.n_mat
+        recon = real.post @ real.nhat @ adjoint(kind, real.w)
+        assert real.factorization_residual == float(
+            np.linalg.norm(recon - n_mat) / max(1.0, np.linalg.norm(n_mat)))
+        assert real.factorization_residual < 1e-9  # lqss synth's --tol
+        if kind == "general":
+            assert (real.factorization_residual
+                    == real.classification["residual"])
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_wrapper_builds_one_model(self, kind, monkeypatch):
+        rng = np.random.default_rng(60)
+        mats = (random_passive_model(3, 2, rng) if kind == "passive"
+                else random_general_model(3, 2, rng))
+        wrapper = (synthesize_passive if kind == "passive"
+                   else synthesize_general)
+        built = counted_builds(monkeypatch)
+        real = wrapper(*mats, detunings=[0.5, 0.0, -0.5],
+                       interconnect_kappa=2.0)
+        assert built == [kind]
+        direct = synthesize(Model(kind, *mats), [0.5, 0.0, -0.5], 2.0)
+        for name in ("pre", "post", "nhat", "m_conc", "r_feedback"):
+            assert np.array_equal(getattr(real, name),
+                                  getattr(direct, name)), name
 
 
 class TestActivePortDampedForm:

@@ -109,12 +109,15 @@ def _check_tolerance(tol: float) -> None:
         raise ParameterError(f"--tol must be a finite number >= 0, not {tol}")
 
 
-def _try_schedule(matrix, kind, label):
+def _schedule(matrix, kind, label):
+    """The device schedule of one synthesized network; a network that cannot
+    be scheduled is a numerical failure of synthesis, since it was built
+    unitary or Bogoliubov."""
     try:
         return schedule_static(matrix, kind=kind)
     except LqssError as exc:
-        log.warning("no device schedule for %s: %s", label, exc)
-        return None
+        raise NumericalError(
+            f"no device schedule for the {label}: {exc}") from None
 
 
 def cmd_synth(args) -> int:
@@ -136,14 +139,13 @@ def cmd_synth(args) -> int:
             f"coupling factorization residual {resid:.3e} exceeds the "
             f"requested tolerance {args.tol:.1e}")
     network = "unitary" if model.kind == "passive" else "bogoliubov"
-    pre = _try_schedule(real.pre, network, "pre network")
-    post = _try_schedule(real.post, network, "post network")
-    feedback = _try_schedule(real.r_feedback, network, "feedback network")
+    pre = _schedule(real.pre, network, "pre network")
+    post = _schedule(real.post, network, "post network")
+    feedback = _schedule(real.r_feedback, network, "feedback network")
     # the payload is built, written and freed with the collector paused
     with modelio.paused_gc():
         modelio.dump_json(args.output, modelio.realization_to_dict(
-            real, pre_schedule=pre, post_schedule=post,
-            feedback_schedule=feedback))
+            real, pre, post, feedback))
     print(f"synthesized {model.kind} realization -> {args.output} "
           f"(factorization residual {resid:.3e})")
     return EXIT_OK

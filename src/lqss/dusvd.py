@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegeneracyError,
     NumericalError,
     StructureError,
     UnsupportedStructureError,
@@ -50,6 +49,7 @@ from .spectral import (
     j_gram,
     j_positive_vectors,
     krein_spectrum,
+    neutral_image,
     null_space,
 )
 
@@ -140,9 +140,9 @@ def jordan2_factor(lam: float, in_kernel: bool = False) -> tuple:
 def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
     """Factor the image of J-neutral zero modes.
 
-    Given the off-kernel zero-eigenvalue vectors z (J-norm +1), forms
-    P = N [Z, Sigma Z#], requires P P^b = 0, and rotates the zero-mode
-    basis so each mode maps to a single J-neutral image direction:
+    Given the off-kernel zero-eigenvalue vectors z (J-norm +1), takes their
+    J-neutral image P = N [Z, Sigma Z#] (``neutral_image``) and rotates the
+    zero-mode basis so each mode maps to a single J-neutral image direction:
     N z_i = h_i p_i with Sigma p_i# = p_i.  The mode basis comes from the
     SVD of the annihilation half of P; a residual phase per mode makes the
     neutral vectors swap-conjugation invariant.
@@ -153,14 +153,7 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
     """
     r0 = len(z_off)
     m = coupling.shape[0] // 2
-    zmat = np.column_stack(z_off)
-    p = coupling @ np.column_stack([zmat, swap_conj(zmat)])
-    pnorm = max(1.0, float(np.linalg.norm(p)) ** 2)
-    neutral = float(np.linalg.norm(p @ flat_adjoint(p)))
-    if neutral > 1e-8 * pnorm:
-        raise DegeneracyError(
-            "zero modes outside Ker N have a non-neutral image "
-            f"(||P P^b|| = {neutral:.3e}); no canonical factorization exists")
+    p = neutral_image(coupling, z_off)
     p1 = p[:m, :r0]
     p2 = p[:m, r0:]
     u, h, yh = np.linalg.svd(p1, full_matrices=False)
@@ -197,7 +190,7 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
     # rotate each mode so the neutral image satisfies Sigma p# = p exactly
     phases = np.exp(1j * np.angle(d) / 2.0)
     y1 = y * phases[np.newaxis, :]
-    w_cols = zmat @ y1
+    w_cols = np.column_stack(z_off) @ y1
     p_cols = []
     for i in range(r0):
         pi = coupling @ w_cols[:, i] / h[i]
@@ -216,7 +209,7 @@ def _build_blocks(coupling: np.ndarray,
     for cls in spectrum.classes:
         if cls.jordan_size == 2:
             for z1, z2 in cls.vectors:
-                in_ker = cls.value == 0 and cls.in_kernel
+                in_ker = cls.kind == "zero_in_kernel"
                 nbar1, nbar2, params = jordan2_factor(
                     float(np.real(cls.value)), in_kernel=in_ker)
                 zb1 = (z1 + z2) / np.sqrt(2.0)
@@ -397,8 +390,7 @@ def complete_j_basis(known_cols: np.ndarray, m: int) -> list:
     return j_positive_vectors(basis, m - k)
 
 
-def bogoliubov_svd(coupling: np.ndarray,
-                   spectrum: KreinSpectrum | None = None) -> DuSvdResult:
+def bogoliubov_svd(coupling: np.ndarray) -> DuSvdResult:
     """Factor a doubled-up coupling matrix as N = V Nhat W^b.
 
     V (2m x 2m) and W (2n x 2n) are Bogoliubov; Nhat is the canonical sparse
@@ -410,9 +402,7 @@ def bogoliubov_svd(coupling: np.ndarray,
     coupling = np.asarray(coupling, dtype=complex)
     m = coupling.shape[0] // 2
     n = coupling.shape[1] // 2
-    gram = j_gram(coupling)
-    if spectrum is None:
-        spectrum = krein_spectrum(gram, coupling)
+    spectrum = krein_spectrum(j_gram(coupling), coupling)
 
     blocks = _build_blocks(coupling, spectrum)
     _apply_phase_convention(blocks)

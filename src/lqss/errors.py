@@ -46,9 +46,7 @@ class PoleError(NumericalError):
 class UnitEigenvalueError(NumericalError):
     """Cayley transform of a matrix with an eigenvalue at +1."""
 
-    def __init__(self, eigenvalue, message=None):
+    def __init__(self, eigenvalue):
         self.eigenvalue = eigenvalue
-        super().__init__(
-            message
-            or f"matrix has a unit eigenvalue {eigenvalue}; Cayley transform undefined"
-        )
+        super().__init__(f"matrix has a unit eigenvalue {eigenvalue}; "
+                         "Cayley transform undefined")

@@ -26,9 +26,9 @@ with a J after the first factor for general models.  For passive models X
 is skew-Hermitian and R unitary; for general ones X is doubled-up and J-skew
 (X^b = -X), so R is Bogoliubov, but X + I can be singular, though not at the
 default interconnect rates; given rates that make it singular raise
-``NumericalError``.  The input check (``Model``), the reduced Hamiltonian,
-the feedback network and the factorization residual are the shared tail,
-``statespace.realize``.
+``NumericalError``.  Each factorization computes its own residual; the
+input check (``Model``), the reduced Hamiltonian and the feedback network
+are the shared tail, ``statespace.realize``, which records that residual.
 """
 
 from __future__ import annotations
@@ -113,14 +113,15 @@ def synthesize(model: Model, detunings: np.ndarray | None = None,
     detunings, rates = mode_values(model.n_modes, detunings,
                                    interconnect_kappa)
     if model.kind == "passive":
-        v, w, nhat, classification = _passive_factors(model.n_mat)
-        return realize(model, v, w, nhat, np.diag(detunings).astype(complex),
-                       detunings, rates, classification=classification)
+        v, w, nhat, residual, classification = _passive_factors(model.n_mat)
+        return realize(model, v, w, nhat, residual,
+                       np.diag(detunings).astype(complex), detunings, rates,
+                       classification=classification)
     fact = bogoliubov_svd(model.n_mat)
     cavities, devices, m_conc = assign_cavities(fact, detunings)
     return realize(
-        model, fact.v, fact.w, fact.nhat, m_conc, detunings, rates,
-        cavities=cavities, devices=devices, classification={
+        model, fact.v, fact.w, fact.nhat, fact.residual, m_conc, detunings,
+        rates, cavities=cavities, devices=devices, classification={
             "rank": fact.r,
             "residual": fact.residual,
             "blocks": [
@@ -130,7 +131,8 @@ def synthesize(model: Model, detunings: np.ndarray | None = None,
 
 
 def _passive_factors(n_mat: np.ndarray) -> tuple:
-    """(V, W, Nhat, classification) of the SVD N = V Nhat W^dag.
+    """(V, W, Nhat, residual, classification) of the SVD N = V Nhat W^dag,
+    with the residual ||V Nhat W^dag - N||_F / max(1, ||N||_F).
 
     Each singular pair's free phase is fixed: the largest entry of each W
     column becomes real positive, and the paired V column follows.
@@ -146,8 +148,10 @@ def _passive_factors(n_mat: np.ndarray) -> tuple:
     rank = int(np.sum(sigma > cutoff))
     nhat = np.zeros((m, n), dtype=complex)
     nhat[:rank, :rank] = np.diag(sigma[:rank])
-    return v, w, nhat, {"rank": rank,
-                        "singular_values": [float(s) for s in sigma]}
+    residual = float(np.linalg.norm(v @ nhat @ w.conj().T - n_mat)
+                     / max(1.0, np.linalg.norm(n_mat)))
+    return v, w, nhat, residual, {
+        "rank": rank, "singular_values": [float(s) for s in sigma]}
 
 
 def synthesize_general(m_mat: np.ndarray, n_mat: np.ndarray,

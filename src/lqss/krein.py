@@ -114,16 +114,17 @@ def doubled_up_residual(x: np.ndarray) -> float:
     return float(np.linalg.norm(swapped - np.conj(x)))
 
 
-def is_doubled_up(x: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> bool:
+def is_doubled_up(x: np.ndarray) -> bool:
     if x.shape[0] % 2 or x.shape[1] % 2:
         return False
-    return doubled_up_residual(x) <= tol * max(1.0, np.linalg.norm(x))
+    return (doubled_up_residual(x)
+            <= DEFAULT_STRUCTURE_TOL * max(1.0, np.linalg.norm(x)))
 
 
-def check_doubled_up(x: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL,
-                     what: str = "matrix") -> np.ndarray:
-    if not is_doubled_up(x, tol):
-        raise StructureError(f"{what} is not doubled-up within tolerance {tol}")
+def check_doubled_up(x: np.ndarray, what: str = "matrix") -> np.ndarray:
+    if not is_doubled_up(x):
+        raise StructureError(f"{what} is not doubled-up within tolerance "
+                             f"{DEFAULT_STRUCTURE_TOL}")
     return x
 
 
@@ -150,9 +151,9 @@ def check_bogoliubov(r: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL,
     return r
 
 
-def phi_to_real(x: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> np.ndarray:
+def phi_to_real(x: np.ndarray) -> np.ndarray:
     """Phi_{2m} X Phi_{2n}^-1 for doubled-up X; the result is real."""
-    check_doubled_up(x, tol, "phi_to_real input")
+    check_doubled_up(x, "phi_to_real input")
     rows, cols = x.shape
     out = phimat(rows) @ x @ phimat(cols).conj().T
     return np.real(out)

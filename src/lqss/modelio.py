@@ -212,16 +212,16 @@ def schedule_from_dict(data: dict, where: str = "schedule") -> DeviceSchedule:
         raise ValidationError(f"{where}.{exc}") from None
 
 
-def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule | None) -> dict:
-    out = {"matrix": encode_matrix(matrix)}
-    if schedule is not None:
-        out["schedule"] = schedule_to_dict(schedule)
-    return out
+def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule) -> dict:
+    return {"matrix": encode_matrix(matrix),
+            "schedule": schedule_to_dict(schedule)}
 
 
-def realization_to_dict(real: Realization, pre_schedule=None,
-                        post_schedule=None, feedback_schedule=None) -> dict:
-    """Serialize a synthesized realization as a netlist."""
+def realization_to_dict(real: Realization, pre_schedule: DeviceSchedule,
+                        post_schedule: DeviceSchedule,
+                        feedback_schedule: DeviceSchedule) -> dict:
+    """Serialize a synthesized realization, with the device schedules of
+    its three networks, as a netlist."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "type": real.kind,

@@ -15,7 +15,13 @@ eigenvectors in the normalizations required by the factorization code in
 ``scipy.linalg.eig`` call when it passes the kernel cutoff of ``null_space``
 (a certificate); otherwise, and always for Jordan blocks, from an SVD.
 Real eigenvalues carrying a 2 x 2 Jordan block are detected and returned as
-generalized-eigenvector pairs; larger Jordan blocks are rejected.
+generalized-eigenvector pairs; larger Jordan blocks are rejected.  Every
+cutoff is a constant, so the coupling alone fixes the classification
+(``krein_spectrum(gram, coupling)``).
+
+Zero modes outside Ker N are supported only when their image under N is
+J-neutral; ``neutral_image`` is that one test, for ``check_degeneracy`` and
+for the factorization in ``dusvd``.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ class EigenClass:
     value: complex
     vectors: list = field(default_factory=list)
     jordan_size: int = 1
-    in_kernel: bool = False  # for jordan_size == 2, value == 0 only
 
     @property
     def pair_count(self) -> int:
@@ -81,7 +86,7 @@ class KreinSpectrum:
     dim: int  # 2n
     #: eigenvalue clusters whose eigenspace came from the SVD fallback
     svd_fallbacks: int = 0
-    #: largest ||(G - lam I) E||_2 / (tol_rank * scale) over the clusters
+    #: largest ||(G - lam I) E||_2 / (TOL_RANK * scale) over the clusters
     #: whose eigenvector basis E was certified (at most 1)
     certificate_ratio: float = 0.0
 
@@ -94,10 +99,6 @@ class KreinSpectrum:
                 continue
             out.append(c)
         return out
-
-    @property
-    def jordan_pairs(self) -> list:
-        return [c for c in self.classes if c.jordan_size == 2]
 
 
 def j_gram(n: np.ndarray) -> np.ndarray:
@@ -122,9 +123,8 @@ def null_space(a: np.ndarray, rtol: float,
     return vh[rank:].conj().T
 
 
-def numeric_rank(a: np.ndarray, rtol: float = 1e-10,
-                 scale: float | None = None) -> int:
-    """Rank with cutoff rtol * scale (scale defaults to the largest
+def numeric_rank(a: np.ndarray, scale: float | None = None) -> int:
+    """Rank with cutoff 1e-10 * scale (scale defaults to the largest
     singular value; pass the natural scale of the problem when ``a`` may be
     a numerically-zero residue of larger quantities)."""
     s = np.linalg.svd(a, compute_uv=False)
@@ -134,21 +134,21 @@ def numeric_rank(a: np.ndarray, rtol: float = 1e-10,
         scale = s[0]
     if scale == 0.0:
         return 0
-    return int(np.sum(s > rtol * scale))
+    return int(np.sum(s > 1e-10 * scale))
 
 
-def _orthonormal_columns(cols: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, dropping near-null directions.
 
     The cutoff is absolute: callers pass unit-norm columns, so directions
-    with singular value below ``atol`` are deflation residue, not signal.
+    with singular value below 1e-8 are deflation residue, not signal.
     """
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return cols[:, :0]
-    return u[:, s > atol]
+    return u[:, s > 1e-8]
 
 
 def _j_project_off(cols: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -164,8 +164,7 @@ def _j_project_off(cols: np.ndarray, span: np.ndarray) -> np.ndarray:
     return cols - span @ coeff
 
 
-def j_positive_vectors(basis: np.ndarray, count: int,
-                       tol: float = 1e-8) -> list:
+def j_positive_vectors(basis: np.ndarray, count: int) -> list:
     """Extract ``count`` J-orthonormal vectors of J-norm +1 from a subspace.
 
     ``basis`` must span a subspace invariant under v -> Sigma v# on which J
@@ -183,7 +182,7 @@ def j_positive_vectors(basis: np.ndarray, count: int,
         gram = work.conj().T @ j @ work
         gram = (gram + gram.conj().T) / 2
         evals, evecs = np.linalg.eigh(gram)
-        if evals[-1] <= tol:
+        if evals[-1] <= 1e-8:
             raise DegeneracyError(
                 "no J-positive direction left in subspace; the restricted "
                 "inner product is degenerate")
@@ -223,8 +222,8 @@ def _cluster(values: np.ndarray, tol: float) -> list:
     return [g.tolist() for g in np.split(order, starts)]
 
 
-def _extract_jordan2_pair(gram: np.ndarray, lam: float, cand: np.ndarray,
-                          tol: float) -> tuple:
+def _extract_jordan2_pair(gram: np.ndarray, lam: float,
+                          cand: np.ndarray) -> tuple:
     """Pick a normalized generalized pair (z1, z2) with <z1,z2> = 1,
     <z2,z2> = 0 from candidate generalized directions ``cand``.
 
@@ -243,7 +242,7 @@ def _extract_jordan2_pair(gram: np.ndarray, lam: float, cand: np.ndarray,
     evals, evecs = np.linalg.eigh((form + form.conj().T) / 2)
     k = int(np.argmax(np.abs(evals)))
     g = evals[k]
-    if abs(g) < tol:
+    if abs(g) < 1e-8:
         raise NumericalError(
             "Jordan pair normalization constant is numerically zero")
     z2 = cand @ evecs[:, k]
@@ -275,7 +274,7 @@ def _certified_basis(gram, lam, vecs, mult, cutoff):
     return (basis, ratio) if ratio <= 1.0 else (None, ratio)
 
 
-def _real_cluster_classes(gram, coupling, lam, mult, scale, tol_rank, e1):
+def _real_cluster_classes(gram, coupling, lam, mult, scale, e1):
     """Classify one real (possibly zero) eigenvalue cluster with eigenspace
     basis ``e1``."""
     shifted = gram - lam * np.eye(gram.shape[0])
@@ -285,11 +284,10 @@ def _real_cluster_classes(gram, coupling, lam, mult, scale, tol_rank, e1):
     n_jordan = mult - geo
     jordan_pairs = []
     if n_jordan > 0:
-        e2 = null_space(shifted @ shifted, max(tol_rank, 1e-6),
-                        scale=scale ** 2)
+        e2 = null_space(shifted @ shifted, 1e-6, scale=scale ** 2)
         if e2.shape[1] - geo != n_jordan:
-            e3 = null_space(shifted @ shifted @ shifted,
-                            max(tol_rank, 1e-6), scale=scale ** 3)
+            e3 = null_space(shifted @ shifted @ shifted, 1e-6,
+                            scale=scale ** 3)
             if e3.shape[1] > e2.shape[1]:
                 raise UnsupportedStructureError(
                     f"eigenvalue {lam:.6g} of the Gram matrix carries a "
@@ -305,8 +303,8 @@ def _real_cluster_classes(gram, coupling, lam, mult, scale, tol_rank, e1):
         for _ in range(n_jordan // 2):
             # candidate generalized directions: part of work2 outside e1
             proj = work2 - e1 @ (e1.conj().T @ work2)
-            cand = _orthonormal_columns(proj, 1e-8)
-            z1, z2 = _extract_jordan2_pair(gram, lam, cand, 1e-8)
+            cand = _orthonormal_columns(proj)
+            z1, z2 = _extract_jordan2_pair(gram, lam, cand)
             jordan_pairs.append((z1, z2))
             span = np.column_stack([z1, z2, swap_conj(z1), swap_conj(z2)])
             work2 = _orthonormal_columns(_j_project_off(work2, span))
@@ -320,8 +318,7 @@ def _real_cluster_classes(gram, coupling, lam, mult, scale, tol_rank, e1):
                           <= 1e-7 * max(1.0, np.linalg.norm(coupling)))
                 classes.append(EigenClass(
                     kind="zero_in_kernel" if in_ker else "zero_off_kernel",
-                    value=0.0, vectors=[(z1, z2)], jordan_size=2,
-                    in_kernel=in_ker))
+                    value=0.0, vectors=[(z1, z2)], jordan_size=2))
         else:
             kind = "real_positive" if lam > 0 else "real_negative"
             classes.append(EigenClass(kind=kind, value=lam,
@@ -441,8 +438,7 @@ def _complex_cluster_class(lam, mult, e_lam):
     return EigenClass(kind="complex_pair", value=lam, vectors=pairs)
 
 
-def krein_spectrum(gram: np.ndarray, coupling: np.ndarray,
-                   tol_rank: float = TOL_RANK) -> KreinSpectrum:
+def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
     """Classify the spectrum of G = N^b N and return prepared eigenvectors.
 
     Raises UnsupportedStructureError for Jordan blocks of size > 2 and
@@ -451,7 +447,7 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray,
     gram = np.asarray(gram, dtype=complex)
     dim = gram.shape[0]
     scale = max(1.0, float(np.linalg.norm(gram, 2)))
-    cutoff = tol_rank * scale
+    cutoff = TOL_RANK * scale
     evals, evecs = dense_eig(gram)
     groups = _cluster(evals, TOL_CLUSTER * scale)
 
@@ -476,13 +472,13 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray,
                                         cutoff)
         if basis is None:
             fallbacks += 1
-            basis = null_space(gram - lam * np.eye(dim), tol_rank,
+            basis = null_space(gram - lam * np.eye(dim), TOL_RANK,
                                scale=scale)
         else:
             worst = max(worst, ratio)
         if real:
             classes.extend(_real_cluster_classes(
-                gram, coupling, lam, mult, scale, tol_rank, basis))
+                gram, coupling, lam, mult, scale, basis))
         else:
             classes.append(_complex_cluster_class(lam, mult, basis))
 
@@ -518,30 +514,40 @@ def _order_classes(classes: list) -> None:
     classes.sort(key=key)
 
 
-def check_degeneracy(coupling: np.ndarray, gram: np.ndarray | None = None,
-                     rtol: float = 1e-10) -> str:
+def neutral_image(coupling: np.ndarray, z_off: list) -> np.ndarray:
+    """The image P = N [Z, Sigma Z#] of the zero modes z outside Ker N.
+
+    It must be J-neutral, ||P P^b||_F <= 1e-8 max(1, ||P||_F)^2; otherwise
+    no canonical factorization exists and ``DegeneracyError`` is raised.
+    """
+    zmat = np.column_stack(z_off)
+    p = coupling @ np.column_stack([zmat, swap_conj(zmat)])
+    neutral = float(np.linalg.norm(p @ flat_adjoint(p)))
+    if not neutral <= 1e-8 * max(1.0, float(np.linalg.norm(p))) ** 2:
+        raise DegeneracyError(
+            "zero modes outside Ker N have a non-neutral image "
+            f"(||P P^b|| = {neutral:.3e}); no canonical factorization exists")
+    return p
+
+
+def check_degeneracy(coupling: np.ndarray) -> str:
     """Classify the kernel structure of a coupling matrix.
 
     Returns 'nondegenerate' when Ker(N^b N) = Ker N, 'degenerate_special'
-    when the extra kernel directions have a J-neutral image (P P^b = 0), and
-    'degenerate_unsupported' otherwise.
+    when the extra kernel directions have a J-neutral image (P P^b = 0, see
+    ``neutral_image``), and 'degenerate_unsupported' otherwise.
     """
     coupling = np.asarray(coupling, dtype=complex)
-    if gram is None:
-        gram = j_gram(coupling)
+    gram = j_gram(coupling)
     nnorm = max(1.0, float(np.linalg.norm(coupling, 2)))
-    if numeric_rank(coupling, rtol) == numeric_rank(gram, rtol,
-                                                    scale=nnorm ** 2):
+    if numeric_rank(coupling) == numeric_rank(gram, scale=nnorm ** 2):
         return "nondegenerate"
     spec = krein_spectrum(gram, coupling)
-    z_off = []
-    for c in spec.by_kind("zero_off_kernel", 1):
-        z_off.extend(c.vectors)
+    z_off = [z for c in spec.by_kind("zero_off_kernel", 1) for z in c.vectors]
     if not z_off:
         return "degenerate_unsupported"
-    zmat = np.column_stack(z_off)
-    p = coupling @ np.column_stack([zmat, swap_conj(zmat)])
-    resid = np.linalg.norm(p @ flat_adjoint(p))
-    if resid <= 1e-8 * max(1.0, np.linalg.norm(p) ** 2):
-        return "degenerate_special"
-    return "degenerate_unsupported"
+    try:
+        neutral_image(coupling, z_off)
+    except DegeneracyError:
+        return "degenerate_unsupported"
+    return "degenerate_special"

@@ -19,10 +19,9 @@ here, each taking ``kind``:
   verification, and ``mode_values``, which reads the detunings and
   interconnect rates of its cavity modes;
 * ``interconnect_coupling`` (Ntilde) and ``realize``, the tail of
-  synthesis: from a coupling factorization N = V Nhat W^a and a cavity bank
-  it builds the ``Realization`` with its factorization residual, closing
-  the bank through a feedback network at default interconnect rates unless
-  given some.
+  synthesis: from a coupling factorization N = V Nhat W^a, its residual and
+  a cavity bank it builds the ``Realization``, closing the bank through a
+  feedback network at default interconnect rates unless given some.
 
 A ``Realization`` is a bank of reduced cavities between a pre network
 V^a S and a post network V, with the bank's interconnect ports closed
@@ -338,13 +337,13 @@ class Realization:
 
 
 def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
-            m_conc: np.ndarray, detunings: np.ndarray, rates=None,
-            **found) -> Realization:
+            residual: float, m_conc: np.ndarray, detunings: np.ndarray,
+            rates=None, **found) -> Realization:
     """The realization of ``model`` from its coupling factorization
-    N = V Nhat W^a and a cavity bank M_conc; the tail of synthesis for both
-    kinds.  ``found`` holds what the factorization adds (cavities, devices,
-    classification).  The factorization residual
-    ||V Nhat W^a - N||_F / max(1, ||N||_F) is recorded, not judged.
+    N = V Nhat W^a, with its residual ||V Nhat W^a - N||_F / max(1, ||N||_F),
+    and a cavity bank M_conc; the tail of synthesis for both kinds.
+    ``found`` holds what the factorization adds (cavities, devices,
+    classification).  The residual is recorded, not judged.
 
     The reduced Hamiltonian is Mhat = W^dag M W, made exactly Hermitian.
     The feedback network turns the bank, at interconnect rates ``rates``,
@@ -359,9 +358,6 @@ def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
     post = V.
     """
     kind = model.kind
-    n_mat = model.n_mat
-    residual = float(np.linalg.norm(v @ nhat @ adjoint(kind, w) - n_mat)
-                     / max(1.0, np.linalg.norm(n_mat)))
     mhat = w.conj().T @ model.m_mat @ w
     mhat = (mhat + mhat.conj().T) / 2
     diff = mhat - m_conc

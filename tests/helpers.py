@@ -4,10 +4,11 @@ Random models and structured matrices, the open-loop cavity bank used as a
 reference for feedback closure, the triangular decomposition one rotation at
 a time used as a reference for ``reck_decompose``, device lists built one
 record at a time as references for the array schedules, planted
-factorization cases, the pair counts of a Krein spectrum, and a count of
-the ``Model`` objects a call builds.  A planted case starts from a
-hand-built canonical coupling Nhat (whose Gram eigenvalues are known
-exactly) and hides it behind random Bogoliubov factors: N = V Nhat W^b.
+factorization cases, the pair counts and Jordan classes of a Krein
+spectrum, and a count of the ``Model`` objects a call builds.  A planted
+case starts from a hand-built canonical coupling Nhat (whose Gram
+eigenvalues are known exactly) and hides it behind random Bogoliubov
+factors: N = V Nhat W^b.
 Recovering the factorization must then reproduce the planted eigenvalue
 multiset and reconstruct N.
 """
@@ -45,6 +46,12 @@ def pair_counts(spec):
     return PairCounts(pairs("real_positive", 1), pairs("real_negative", 1),
                       pairs("complex_pair"), pairs("zero_off_kernel", 1),
                       pairs("zero_in_kernel", 1))
+
+
+def jordan_pairs(spec):
+    """The classes of a ``spectral.KreinSpectrum`` with a size-2 Jordan
+    block."""
+    return [c for c in spec.classes if c.jordan_size == 2]
 
 
 def counted_builds(monkeypatch):

@@ -31,7 +31,7 @@ from lqss.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from lqss.errors import ParameterError, ValidationError
+from lqss.errors import NumericalError, ParameterError, ValidationError
 from lqss.krein import phi_to_doubled
 from lqss.netlist import DeviceSchedule, schedule_static
 from lqss.statespace import Model, verify_realization
@@ -196,6 +196,37 @@ class TestSynth:
         assert main(["synth", "--input", general_model_file,
                      "--output", str(tmp_path / "gnet.json")]) == EXIT_OK
         assert built == ["general"]
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_network_without_schedule_fails(self, kind, passive_model_file,
+                                            general_model_file, tmp_path,
+                                            monkeypatch, capsys):
+        # a netlist holds all three schedules or is not written
+        synthesized, original = [], cli.synthesize
+
+        def synthesize(*args):
+            synthesized.append(original(*args))
+            return synthesized[-1]
+
+        def schedule(matrix, kind):
+            if matrix is synthesized[0].r_feedback:
+                raise NumericalError("static network schedule residual too "
+                                     "large")
+            return schedule_static(matrix, kind=kind)
+
+        monkeypatch.setattr(cli, "synthesize", synthesize)
+        monkeypatch.setattr(cli, "schedule_static", schedule)
+        path = passive_model_file if kind == "passive" else general_model_file
+        out = tmp_path / "net.json"
+        capsys.readouterr()
+        assert main(["synth", "--input", path,
+                     "--output", str(out)]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalError"
+        assert err["message"] == ("no device schedule for the feedback "
+                                  "network: static network schedule residual "
+                                  "too large")
+        assert not out.exists()
 
     def test_zero_coupling_interconnect_only(self, tmp_path):
         model = Model(kind="passive", m_mat=M3,

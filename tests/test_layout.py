@@ -2,8 +2,9 @@
 
 Static checks of ``src/lqss`` with the standard-library ``ast`` module: no
 module imports a name it does not use, every top-level function or class is
-exported in ``lqss.__all__`` or referenced from elsewhere in the package, and
-no module imports the standard library's ``json``.  Test-only builders belong
+exported in ``lqss.__all__`` or referenced from elsewhere in the package,
+every defaulted parameter is set by some call in the package, and no module
+imports the standard library's ``json``.  Test-only helpers belong
 in ``tests/helpers.py``.  Importing the CLI loads no third-party module beyond
 numpy, scipy.linalg and orjson.
 """
@@ -26,6 +27,21 @@ UNREACHED_OK = {
     "modelio.schedule_from_dict":
         "reads the schedule file format that schedule_to_dict writes "
         "(the output of lqss decompose)",
+}
+
+
+#: functions whose defaulted parameters no call in the package sets, and why
+#: they stay
+UNSET_OK = {
+    "cli.main": "tests and the benchmark call the CLI with an argument list",
+    "passive.synthesize_passive":
+        "the benchmark's library route calls it by name",
+    "general.synthesize_general":
+        "the benchmark's library route calls it by name",
+    "modelio.model_to_dict":
+        "writes the model file format that load_model reads",
+    "modelio.schedule_from_dict":
+        "reads the schedule file format that schedule_to_dict writes",
 }
 
 
@@ -86,6 +102,81 @@ def test_top_level_names_are_reached():
     assert not unreached, (
         f"top-level names neither in lqss.__all__ nor used in the package "
         f"(move test-only code to tests/helpers.py): {unreached}")
+
+
+def defined_functions():
+    """(qualified name, name a call uses, parameter offset, node) of every
+    function in the package; calling a class calls its ``__init__``, and a
+    method's ``self`` or ``cls`` is not passed by position."""
+    def walk(module, body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(module, node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                offset = 0 if owner is None or static else 1
+                init = owner is not None and node.name == "__init__"
+                path = [module] + [owner] * (owner is not None) + [node.name]
+                if init:
+                    yield ".".join(path[:-1]), owner, offset, node
+                else:
+                    yield ".".join(path), node.name, offset, node
+                yield from walk(module, node.body, None)
+    for module, tree in MODULES.items():
+        yield from walk(module, tree.body, None)
+
+
+def unset_parameters(calls: list, offset: int, node) -> set:
+    """The defaulted parameters of ``node`` that none of ``calls`` sets by
+    keyword, by position, or through a ``*`` or ``**`` argument."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaulted = {a.arg for a in positional[len(positional)
+                                           - len(args.defaults):]}
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None}
+    names = [a.arg for a in positional[offset:]]
+    out = set()
+    for call in calls:
+        for k, arg in enumerate(call.args):
+            out |= set(names[k:] if isinstance(arg, ast.Starred)
+                       else names[k:k + 1])
+        for kw in call.keywords:
+            out |= defaulted if kw.arg is None else {kw.arg}
+    return defaulted - out
+
+
+def test_defaulted_parameters_are_set():
+    # a default that no call changes is a constant with a keyword's cost
+    calls, values = {}, set()
+    for tree in MODULES.values():
+        # a called name, or a class caught or subclassed, is not a value
+        not_values = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                not_values.add(id(node.func))
+                name = (node.func.id if isinstance(node.func, ast.Name)
+                        else getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                not_values |= {id(sub) for sub in ast.walk(node.type)}
+            elif isinstance(node, ast.ClassDef):
+                not_values |= {id(sub) for base in node.bases
+                               for sub in ast.walk(base)}
+        values |= {node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and id(node) not in not_values}
+    unset = []
+    for qualified, called, offset, node in defined_functions():
+        if called in values or qualified in UNSET_OK:
+            continue
+        unset += [f"{qualified}.{name}" for name in sorted(
+            unset_parameters(calls.get(called, []), offset, node))]
+    assert not unset, (
+        f"defaulted parameters that no call in the package sets (make each "
+        f"one a constant): {unset}")
 
 
 def test_orjson_is_the_only_json_codec():

@@ -28,6 +28,15 @@ V^a S and a post network V, with the bank's interconnect ports closed
 through a static feedback network R.  ``close_feedback`` closes that loop in
 Cayley form: the loop term is Ntilde^a X Ntilde / 2 with X = cayley(R), one
 solve with I - R.
+
+Verification evaluates each side's ``StateSpace`` over a frequency sweep.
+The first ``eval`` reduces A to a Schur form A = Z T Z^dag, T upper
+triangular, by one of two routes chosen from A alone.  A doubled-up A of
+even dimension n (to within n eps ||A||_F; general drifts are) is reduced in
+real arithmetic: the real Schur form of Phi A Phi^dag, made triangular by
+one rotation per 2 x 2 block.  Any other A takes the complex Schur form,
+which costs more than twice as much.  Each point is then one
+LAPACK triangular solve (``ztrtrs``) with sI - T and one product.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+from scipy.linalg import schur
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs, ztrtrs
 
 from .errors import (
     NumericalError,
@@ -50,6 +59,7 @@ from .krein import (
     check_doubled_up,
     doubled_up_residual,
     flat_adjoint,
+    phimat,
 )
 
 
@@ -179,15 +189,58 @@ def interconnect_coupling(kind: str, rates) -> np.ndarray:
     return np.diag(roots).astype(complex)
 
 
+def _schur_form(a: np.ndarray) -> tuple:
+    """(T, Z) with A = Z T Z^dag, T upper triangular and Z unitary.
+
+    A doubled-up A of even dimension n, to within n eps ||A||_F, is
+    reduced in real arithmetic: Phi A Phi^dag is then real up to rounding,
+    its real part has the real Schur form Q T_r Q^T, and one unitary 2 x 2
+    rotation per 2 x 2 block of T_r (a complex-conjugate eigenvalue pair)
+    makes it triangular.  The blocks are disjoint, so all rotations are
+    applied at once; Z = Phi^dag Q G.  Any other A takes the complex Schur
+    form, which costs more than twice as much.
+    """
+    n = a.shape[0]
+    if n % 2 or not (doubled_up_residual(a)
+                     <= n * np.finfo(float).eps * np.linalg.norm(a)):
+        return schur(a, output="complex")
+    phi = phimat(n)
+    t_r, q = schur((phi @ a @ phi.conj().T).real)
+    t, z = t_r.astype(complex), phi.conj().T @ q
+    # LAPACK leaves each 2 x 2 block, at rows j and j + 1, standardized as
+    # [[a, b], [c, a]] with bc < 0.  Its eigenvalue a + i mu, mu =
+    # sqrt(-bc), has the unit eigenvector (g, h) = (b, i mu) / sqrt(b (b - c))
+    # with g real and h imaginary, so the rotation is G = [[g, h], [h, g]].
+    top = np.flatnonzero(t_r.diagonal(-1))
+    bot = top + 1
+    b, c = t_r[top, bot], t_r[bot, top]
+    scale = np.sqrt(b * (b - c))
+    g, h = b / scale, 1j * np.sqrt(-b * c) / scale
+    for mat in (t, z):  # columns: X G
+        left, right = mat[:, top], mat[:, bot]
+        mat[:, top], mat[:, bot] = left * g + right * h, left * h + right * g
+    up, down = t[top], t[bot]  # rows: G^dag T
+    g, h = g[:, np.newaxis], h[:, np.newaxis]
+    t[top], t[bot] = up * g - down * h, down * g - up * h
+    t[bot, top] = 0.0
+    return t, z
+
+
 @dataclass
 class StateSpace:
     """Minimal complex state-space wrapper: G(s) = C (sI - A)^-1 B + D.
 
-    The first ``eval`` reduces A to complex Schur form A = Z T Z^dag and
-    keeps (T, Z^dag B, C Z); every point then costs one triangular solve
-    with (sI - T) and one product, O(n^2 p + n p q) for p inputs and q
-    outputs, instead of a dense LU.  A, B, C and D must not be modified after
-    the first ``eval``.
+    The first ``eval`` reduces A to Schur form A = Z T Z^dag, T upper
+    triangular and Z unitary, and keeps (-T, Z^dag B, C Z).  A doubled-up A
+    of even dimension n (to within n eps ||A||_F) is reduced in real
+    arithmetic, through the real matrix Phi A Phi^dag, and its 2 x 2 blocks
+    are then made triangular; any other A takes the complex Schur form.
+    Every point writes s - diag(T) into the diagonal of the kept -T and
+    costs one LAPACK triangular solve (``ztrtrs``) and one product,
+    O(n^2 p + n p q) for p inputs and q outputs, instead of a dense LU.
+    A, B, C and D must not be modified after the first ``eval``, and since
+    every ``eval`` writes into the same buffer, one instance must not be
+    evaluated from two threads at once.
     """
 
     a: np.ndarray
@@ -204,16 +257,20 @@ class StateSpace:
         if self._schur is None:
             if not np.all(np.isfinite(self.a)):
                 raise PoleError(s)
-            t, z = schur(self.a, output="complex")
+            t, z = _schur_form(self.a)
             tiny = t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
-            self._schur = t, z.conj().T @ self.b, self.c @ z, tiny
-        t, zb, cz, tiny = self._schur
-        shifted = -t
-        shifted[np.diag_indices_from(shifted)] += s
-        if np.any(np.abs(shifted.diagonal()) <= tiny):
+            # Fortran order, so that LAPACK reads the buffer in place
+            self._schur = (np.asfortranarray(-t), t.diagonal().copy(),
+                           z.conj().T @ self.b, self.c @ z, tiny)
+        shifted, diag, zb, cz, tiny = self._schur
+        pivots = s - diag
+        if np.any(np.abs(pivots) <= tiny):
             raise PoleError(s)
-        core = solve_triangular(shifted, zb, check_finite=False)
-        out = cz @ core + self.d
+        np.fill_diagonal(shifted, pivots)
+        # ztrtrs rejects a system with no states
+        core = ztrtrs(shifted, zb)[0] if zb.size else zb
+        out = cz @ core
+        out += self.d
         if not np.all(np.isfinite(out)):
             raise PoleError(s)
         return out

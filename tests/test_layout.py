@@ -5,7 +5,8 @@ module imports a name it does not use, every top-level function or class is
 exported in ``lqss.__all__`` or referenced from elsewhere in the package,
 every defaulted parameter is set by some call in the package, and no module
 imports the standard library's ``json``.  Test-only helpers belong
-in ``tests/helpers.py``.  Importing the CLI loads no third-party module beyond
+in ``tests/helpers.py``, and no test seeds anything with the built-in
+``hash``.  Importing the CLI loads no third-party module beyond
 numpy, scipy.linalg and orjson.
 """
 
@@ -16,7 +17,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lqss"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lqss"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
 
@@ -226,3 +228,15 @@ def test_modelio_imports_no_synthesis_module():
             modules |= {f"{base.rstrip('.')}.{a.name}" for a in node.names}
     found = modules & {"lqss.passive", "lqss.general"}
     assert not found, f"modelio imports {sorted(found)}"
+
+
+def test_tests_do_not_call_hash():
+    # hash of a str changes with PYTHONHASHSEED, so a seed drawn from it
+    # makes a test pass or fail by the interpreter's start-up state
+    calls = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "hash"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"built-in hash called at {calls}"

@@ -7,6 +7,7 @@ from scipy.linalg import block_diag
 from helpers import (
     assemble_open_network,
     closed_by_hand,
+    random_doubled_up,
     random_general_model,
     random_hermitian_doubled_up,
     random_passive_model,
@@ -21,6 +22,7 @@ from lqss.errors import (
     UnitEigenvalueError,
 )
 from lqss.general import synthesize_general
+from lqss.krein import doubled_up_residual, phi_to_doubled
 from lqss.passive import synthesize_passive
 from lqss.statespace import (
     Model,
@@ -248,24 +250,97 @@ def dense_eval(ss, s):
 ROT = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
 
 
+def pair_and_reals():
+    """A real 4 x 4 matrix with a 2 x 2 block for the eigenvalues
+    -0.5 +- i sqrt(6) and a triangular block for 1 and -2, in a random
+    orthonormal basis."""
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+    return q @ block_diag([[-0.5, 2.0], [-3.0, -0.5]],
+                          [[1.0, 4.0], [0.0, -2.0]]) @ q.T
+
+
 def complex_normal(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+#: the points at which ``eval`` is compared with ``dense_eval``
+POINTS = (0.0, 2.5j, 0.1 - 40j, 3.0 + 0.5j, 1e4j)
+
+
+def assert_matches_dense(a, rng):
+    """``eval`` of A with B, C and D drawn from ``rng`` agrees with
+    ``dense_eval`` to 1e-12 relative at every one of ``POINTS``."""
+    n = a.shape[0]
+    ss = StateSpace(a=a, b=complex_normal(rng, n, 3),
+                    c=complex_normal(rng, 7, n), d=complex_normal(rng, 7, 3))
+    for s in POINTS:
+        expected = dense_eval(ss, s)
+        got = ss.eval(s)
+        assert got.shape == (7, 3)
+        assert (np.linalg.norm(got - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+
+
+def doubled_up_drift(n, seed):
+    """A random doubled-up n x n A whose spectrum lies left of the points
+    in ``POINTS``."""
+    rng = np.random.default_rng(seed)
+    return random_doubled_up(n // 2, n // 2, rng) / np.sqrt(n) - np.eye(n)
+
+
+def nearly_doubled_up_drift(n, seed):
+    """``doubled_up_drift`` moved off the doubled-up structure by about
+    1e-10 relative, far more than the n eps ||A||_F the real route
+    allows."""
+    a = doubled_up_drift(n, seed)
+    bump = complex_normal(np.random.default_rng(seed + 1), n, n)
+    a = a + 1e-10 * np.linalg.norm(a) / np.linalg.norm(bump) * bump
+    assert doubled_up_residual(a) > 1e-11 * np.linalg.norm(a)
+    return a
+
+
+@pytest.fixture
+def schur_routes(monkeypatch):
+    """The list to which every Schur reduction from now on, in the test,
+    appends the form it asks of ``scipy.linalg.schur``: "real" for the
+    route through Phi A Phi^dag, "complex" for the other."""
+    routes, original = [], statespace.schur
+
+    def recorded(a, output="real"):
+        routes.append(output)
+        return original(a, output=output)
+    monkeypatch.setattr(statespace, "schur", recorded)
+    return routes
 
 
 class TestStateSpace:
     @pytest.mark.parametrize("n", [1, 5, 64])
     def test_matches_dense_solve(self, n):
         rng = np.random.default_rng(600 + n)
-        ss = StateSpace(a=complex_normal(rng, n, n) / np.sqrt(n) - np.eye(n),
-                        b=complex_normal(rng, n, 3),
-                        c=complex_normal(rng, 7, n),
-                        d=complex_normal(rng, 7, 3))
-        for s in (0.0, 2.5j, 0.1 - 40j, 3.0 + 0.5j, 1e4j):
-            expected = dense_eval(ss, s)
-            got = ss.eval(s)
-            assert got.shape == (7, 3)
-            assert (np.linalg.norm(got - expected)
-                    <= 1e-12 * np.linalg.norm(expected))
+        assert_matches_dense(
+            complex_normal(rng, n, n) / np.sqrt(n) - np.eye(n), rng)
+
+    @pytest.mark.parametrize("n", [2, 4, 64])
+    def test_doubled_up_takes_the_real_route(self, n, schur_routes):
+        assert_matches_dense(doubled_up_drift(n, 700 + n),
+                             np.random.default_rng(800 + n))
+        assert schur_routes == ["real"]
+
+    def test_nearly_doubled_up_takes_the_complex_route(self, schur_routes):
+        assert_matches_dense(nearly_doubled_up_drift(64, 764),
+                             np.random.default_rng(864))
+        assert schur_routes == ["complex"]
+
+    @pytest.mark.parametrize("route", ["real", "complex"])
+    def test_reduction_is_triangular_and_unitary(self, route, schur_routes):
+        a = (doubled_up_drift(64, 900) if route == "real"
+             else nearly_doubled_up_drift(64, 900))
+        t, z = statespace._schur_form(a)
+        assert schur_routes == [route]
+        assert np.all(np.tril(t, -1) == 0)
+        assert np.linalg.norm(z.conj().T @ z - np.eye(64)) <= 1e-13
+        assert (np.linalg.norm(z @ t @ z.conj().T - a)
+                <= 1e-13 * np.linalg.norm(a))
 
     @pytest.mark.parametrize("a, poles", [
         (np.array([[1.0, 2.0, 3.0], [0.0, -1j, 1.0], [0.0, 0.0, 4.0]]),
@@ -273,7 +348,11 @@ class TestStateSpace:
         # [[2, 1], [0, 3]] conjugated by a rotation: no longer triangular, so
         # its Schur form holds the eigenvalues only to rounding
         (ROT @ np.array([[2.0, 1.0], [0.0, 3.0]]) @ ROT.T, (2.0, 3.0)),
-    ], ids=["triangular", "rotated"])
+        # doubled-up, so reduced through its real form, whose Schur form
+        # keeps the pair as a 2 x 2 block until the rotation
+        (phi_to_doubled(pair_and_reals()),
+         (-0.5 + 6 ** 0.5 * 1j, -0.5 - 6 ** 0.5 * 1j, 1.0, -2.0)),
+    ], ids=["triangular", "rotated", "doubled-up"])
     def test_pole_at_each_eigenvalue(self, a, poles):
         n = a.shape[0]
         ss = StateSpace(a=a, b=np.ones((n, 2)), c=np.ones((2, n)),
@@ -282,6 +361,15 @@ class TestStateSpace:
             with pytest.raises(PoleError):
                 ss.eval(pole)
         assert np.all(np.isfinite(ss.eval(1j)))
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_no_modes(self, kind, capfd):
+        # G(s) = S; no LAPACK call, which would print an error for a
+        # 0 x 0 system
+        model = Model(kind=kind, m_mat=np.zeros((0, 0)),
+                      n_mat=np.zeros((2, 0)))
+        assert np.array_equal(model.tf(1j), np.eye(2))
+        assert capfd.readouterr() == ("", "")
 
     def test_non_finite_a_is_a_pole(self):
         # a NaN read from a netlist must not reach the Schur reduction

@@ -267,14 +267,9 @@ def realization_from_dict(data: dict, where: str = "netlist") -> Realization:
     post = decode_matrix(
         _require(_require(data, "post_network", where), "matrix",
                  f"{where}.post_network"), f"{where}.post_network.matrix")
-    real = Realization(kind=kind, pre=pre, post=post, nhat=nhat,
+    return Realization(kind=kind, pre=pre, post=post, nhat=nhat,
                        m_conc=m_conc, kappas_tilde=kappas,
                        r_feedback=r_feedback)
-    if real.ntilde.shape[0] != m_conc.shape[0]:
-        raise ValidationError(
-            f"{where}.reduced: interconnect rate count does not match the "
-            "Hamiltonian dimension")
-    return real
 
 
 def load_realization(path: str) -> Realization:

@@ -11,13 +11,16 @@ doubled-up and J-Hermitian (G^b = G).  Its eigenvalues come in the patterns
 
 The routines here compute that classification and produce J-orthonormalized
 eigenvectors in the normalizations required by the factorization code in
-``dusvd``.  Each eigenspace basis comes from the eigenvectors of one
-``scipy.linalg.eig`` call when it passes the kernel cutoff of ``null_space``
-(a certificate); otherwise, and always for Jordan blocks, from an SVD.
-Real eigenvalues carrying a 2 x 2 Jordan block are detected and returned as
-generalized-eigenvector pairs; larger Jordan blocks are rejected.  Every
-cutoff is a constant, so the coupling alone fixes the classification
-(``krein_spectrum(gram, coupling)``).
+``dusvd``.  One complex Schur form G = Q T Q^dag gives every eigenvalue
+cluster: reordering it (LAPACK ``ztrsen``) to put the cluster's eigenvalues
+first makes the leading Schur vectors Q1 an orthonormal basis of the
+cluster's invariant subspace, and every structural decision is taken on the
+cluster's own block B = T11 - lam I, with G Q1 = Q1 T11.  The eigenspace is
+Q1 times the right singular vectors of B below the kernel cutoff; real
+eigenvalues carrying a 2 x 2 Jordan block are returned as
+generalized-eigenvector pairs, and larger Jordan blocks (B^2 not zero) are
+rejected.  Every cutoff is a constant, so the coupling alone fixes the
+classification (``krein_spectrum(gram, coupling)``).
 
 Zero modes outside Ker N are supported only when their image under N is
 J-neutral; ``neutral_image`` is that one test, for ``check_degeneracy`` and
@@ -31,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
-from scipy.linalg import eig as dense_eig
+from scipy.linalg import schur
+from scipy.linalg.lapack import ztrsen
 
 from .errors import (
     DegeneracyError,
@@ -80,15 +84,14 @@ class EigenClass:
 
 @dataclass
 class KreinSpectrum:
-    """Classified spectrum of a Gram matrix G = N^b N."""
+    """Classified spectrum of a Gram matrix G = N^b N, read off one complex
+    Schur form that is reordered once per eigenvalue cluster."""
 
     classes: list
     dim: int  # 2n
-    #: eigenvalue clusters whose eigenspace came from the SVD fallback
-    svd_fallbacks: int = 0
-    #: largest ||(G - lam I) E||_2 / (TOL_RANK * scale) over the clusters
-    #: whose eigenvector basis E was certified (at most 1)
-    certificate_ratio: float = 0.0
+    #: largest ||(G - lam I) E||_2 / (TOL_RANK * scale) over the semisimple
+    #: clusters, each read off as ||B||_2 (at most 1)
+    certificate_ratio: float
 
     def by_kind(self, kind: str, jordan_size: int | None = None) -> list:
         out = []
@@ -257,49 +260,23 @@ def _extract_jordan2_pair(gram: np.ndarray, lam: float,
     return z1, z2
 
 
-def _certified_basis(gram, lam, vecs, mult, cutoff):
-    """Orthonormal eigenspace basis from computed eigenvectors, if certified.
-
-    Returns (E, ratio) with ``ratio = ||(G - lam I) E||_2 / cutoff`` when the
-    columns of ``vecs`` span ``mult`` directions and ``ratio <= 1``, else
-    (None, ratio).  A certified E has ``mult`` orthonormal columns on which
-    G - lam I is below the kernel cutoff, so by Courant-Fischer it lies in
-    the kernel that ``null_space`` with the same cutoff would return.
-    """
-    basis = _orthonormal_columns(vecs)
-    if basis.shape[1] != mult:
-        return None, np.inf
-    resid = gram @ basis - lam * basis
-    ratio = float(np.linalg.norm(resid, 2)) / cutoff
-    return (basis, ratio) if ratio <= 1.0 else (None, ratio)
-
-
-def _real_cluster_classes(gram, coupling, lam, mult, scale, e1):
+def _real_cluster_classes(gram, coupling, lam, scale, e1, q1, block):
     """Classify one real (possibly zero) eigenvalue cluster with eigenspace
-    basis ``e1``."""
-    shifted = gram - lam * np.eye(gram.shape[0])
-    geo = e1.shape[1]
+    basis ``e1`` inside its invariant subspace ``q1``, on which G - lam I
+    acts as ``block``."""
     classes = []
-
-    n_jordan = mult - geo
+    n_jordan = q1.shape[1] - e1.shape[1]
     jordan_pairs = []
     if n_jordan > 0:
-        e2 = null_space(shifted @ shifted, 1e-6, scale=scale ** 2)
-        if e2.shape[1] - geo != n_jordan:
-            e3 = null_space(shifted @ shifted @ shifted, 1e-6,
-                            scale=scale ** 3)
-            if e3.shape[1] > e2.shape[1]:
-                raise UnsupportedStructureError(
-                    f"eigenvalue {lam:.6g} of the Gram matrix carries a "
-                    "Jordan block of size > 2")
-            raise NumericalError(
-                f"inconsistent Jordan structure detected at eigenvalue "
-                f"{lam:.6g}")
+        if np.linalg.norm(block @ block, 2) > 1e-6 * scale ** 2:
+            raise UnsupportedStructureError(
+                f"eigenvalue {lam:.6g} of the Gram matrix carries a "
+                "Jordan block of size > 2")
         if n_jordan % 2:
             raise UnsupportedStructureError(
                 f"eigenvalue {lam:.6g} has odd Jordan deficiency; only "
                 "size-2 blocks in conjugate pairs are supported")
-        work2 = e2
+        work2 = q1
         for _ in range(n_jordan // 2):
             # candidate generalized directions: part of work2 outside e1
             proj = work2 - e1 @ (e1.conj().T @ work2)
@@ -448,11 +425,11 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
     dim = gram.shape[0]
     scale = max(1.0, float(np.linalg.norm(gram, 2)))
     cutoff = TOL_RANK * scale
-    evals, evecs = dense_eig(gram)
+    t, q = schur(gram, output="complex")
+    evals = t.diagonal()
     groups = _cluster(evals, TOL_CLUSTER * scale)
 
     classes = []
-    fallbacks = 0
     worst = 0.0
     for idx in groups:
         lam = complex(np.mean(evals[idx]))
@@ -468,27 +445,30 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
         elif mult % 2:
             raise NumericalError(
                 f"complex eigenvalue {lam:.6g} has odd multiplicity")
-        basis, ratio = _certified_basis(gram, lam, evecs[:, idx], mult,
-                                        cutoff)
-        if basis is None:
-            fallbacks += 1
-            basis = null_space(gram - lam * np.eye(dim), TOL_RANK,
-                               scale=scale)
+        select = np.zeros(dim, dtype=np.int32)
+        select[idx] = 1
+        ts, qs = ztrsen(select, t, q, job="N")[:2]
+        q1 = qs[:, :mult]
+        block = ts[:mult, :mult] - lam * np.eye(mult)
+        _, sv, vh = np.linalg.svd(block)
+        rank = int(np.sum(sv > cutoff))
+        if rank:
+            basis = _orthonormal_columns(q1 @ vh[rank:].conj().T)
         else:
-            worst = max(worst, ratio)
+            basis = _orthonormal_columns(q1)
+            worst = max(worst, float(sv[0]) / cutoff)
         if real:
             classes.extend(_real_cluster_classes(
-                gram, coupling, lam, mult, scale, basis))
+                gram, coupling, lam, scale, basis, q1, block))
         else:
             classes.append(_complex_cluster_class(lam, mult, basis))
 
     _order_classes(classes)
-    spec = KreinSpectrum(classes=classes, dim=dim, svd_fallbacks=fallbacks,
-                         certificate_ratio=worst)
+    spec = KreinSpectrum(classes=classes, dim=dim, certificate_ratio=worst)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("krein_spectrum %s", orjson.dumps({
             "dim": dim, "clusters": len(groups), "classes": len(classes),
-            "svd_fallbacks": fallbacks, "certificate_ratio": worst}).decode())
+            "certificate_ratio": worst}).decode())
     # each real/zero pair covers 2 dimensions (z and its swap-conjugate);
     # complex pairs and Jordan pairs cover 4 (two columns plus partners)
     total = 2 * sum(

@@ -387,10 +387,10 @@ class Realization:
     classification: dict = field(default_factory=dict)
     factorization_residual: float | None = None
     retries: int = 0           # always 0; perfbench/spans.py reads it
-    ntilde: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.ntilde = interconnect_coupling(self.kind, self.kappas_tilde)
+    @property
+    def ntilde(self) -> np.ndarray:
+        return interconnect_coupling(self.kind, self.kappas_tilde)
 
 
 def realize(model: Model, v: np.ndarray, w: np.ndarray, nhat: np.ndarray,
@@ -445,10 +445,13 @@ def close_feedback(kind: str, nhat: np.ndarray, m_conc: np.ndarray,
     Eliminating the loop adds -Ntilde^b (I/2 + (I - R)^-1 R) Ntilde to the
     drift, which (I - R)^-1 R = (X - I)/2, X = cayley(R), turns into
     -Ntilde^b X Ntilde / 2: one solve, and no sum of two terms that cancel.
+    Ntilde is diagonal and positive, so Ntilde^b = Ntilde and the term
+    scales the rows and columns of X by the diagonal of Ntilde.
     """
     nh_adj = adjoint(kind, nhat)
+    roots = ntilde.diagonal()
     a = (drift(kind, m_conc) - 0.5 * nh_adj @ nhat
-         - 0.5 * adjoint(kind, ntilde) @ cayley(r_fb) @ ntilde)
+         - 0.5 * roots[:, np.newaxis] * cayley(r_fb) * roots)
     return StateSpace(a=a, b=-nh_adj, c=nhat,
                       d=np.eye(nhat.shape[0], dtype=complex))
 
@@ -510,6 +513,8 @@ def verify_realization(model: Model, realization: Realization,
         raise ParameterError(f"num_freqs must be at least 1, not {num_freqs}")
     if seed < 0:
         raise ParameterError(f"seed must be at least 0, not {seed}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be a finite number >= 0, not {tol}")
     if model.kind != realization.kind:
         raise ParameterError(
             f"model kind {model.kind!r} does not match realization kind "
@@ -526,6 +531,14 @@ def verify_realization(model: Model, realization: Realization,
                 f"realization {name} is {_dims(np.shape(mat))}, but a model "
                 f"with {model.n_ports} ports and {model.n_modes} modes needs "
                 f"{_dims(shape)}")
+    rates = np.asarray(realization.kappas_tilde)
+    if rates.shape != (model.n_modes,):
+        raise ParameterError(
+            f"realization has {rates.size} interconnect rates, but a model "
+            f"with {model.n_modes} modes needs one per mode")
+    if not np.all(np.isfinite(rates) & (rates > 0)):
+        raise ParameterError(
+            "realization interconnect rates must be positive and finite")
     model_ss = model.statespace()
     closed = close_feedback(realization.kind, realization.nhat,
                             realization.m_conc, realization.ntilde,

@@ -513,6 +513,22 @@ class TestVerify:
         assert err["error"] == "ValidationError"
         assert "reduced.interconnect_kappas" in err["message"]
 
+    def test_interconnect_rate_count(self, passive_model_file, tmp_path,
+                                     capsys):
+        # the rates parse, so their count is checked by verification
+        out = str(tmp_path / "net.json")
+        main(["synth", "--input", passive_model_file, "--output", out])
+        data = json.load(open(out))
+        data["reduced"]["interconnect_kappas"].pop()
+        json.dump(data, open(out, "w"))
+        capsys.readouterr()
+        code = main(["verify", "--model", passive_model_file,
+                     "--netlist", out])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "interconnect rates" in err["message"]
+
     @staticmethod
     def with_feedback(tmp_path, r_feedback):
         """Paths of a 4-mode, 3-port passive model and of its netlist with

@@ -8,16 +8,17 @@ import pytest
 
 from helpers import (
     jordan_pairs,
+    multiset_distance,
     pair_counts,
     planted_coupling,
     random_general_model,
 )
 from lqss import spectral
+from lqss.dusvd import bogoliubov_svd
 from lqss.errors import NumericalError, UnsupportedStructureError
 from lqss.krein import j_inner, phi_to_doubled, swap_conj
 from lqss.spectral import (
     TOL_RANK,
-    _certified_basis,
     _cluster,
     _extract_jordan2_pair,
     check_degeneracy,
@@ -253,34 +254,6 @@ def _cluster_union_find(values, tol):
     return list(groups.values())
 
 
-def _signature(spec):
-    return [(c.kind, c.jordan_size, c.pair_count, c.value)
-            for c in spec.classes]
-
-
-def _svd_reference(monkeypatch, gram, coupling):
-    """Classification with every eigenspace taken from the SVD kernel."""
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_certified_basis",
-                      lambda *args: (None, np.inf))
-        return krein_spectrum(gram, coupling)
-
-
-def _record_certified(monkeypatch):
-    """Spy on the certificate; returns the list of accepted bases."""
-    accepted = []
-    original = spectral._certified_basis
-
-    def spy(gram, lam, vecs, mult, cutoff):
-        basis, ratio = original(gram, lam, vecs, mult, cutoff)
-        if basis is not None:
-            accepted.append((gram, lam, basis, mult))
-        return basis, ratio
-
-    monkeypatch.setattr(spectral, "_certified_basis", spy)
-    return accepted
-
-
 PLANTED_SEMISIMPLE = [
     [("pos", 2.0), ("neg", -1.5)],
     [("pair", 1.0 + 2.0j), ("pos", 0.6)],
@@ -290,97 +263,103 @@ PLANTED_SEMISIMPLE = [
 
 
 class TestEigenvectorFastPath:
-    """Eigenspaces from the eigenvectors of one eig call classify exactly
-    like the SVD kernels, and every accepted basis meets the certificate."""
+    """Every eigenspace comes from the cluster's leading Schur vectors after
+    one reordering of one complex Schur form."""
 
-    def _check(self, monkeypatch, coupling):
+    def _check(self, coupling, expected):
+        """Each semisimple vector z of eigenvalue mu has ||G z - mu z|| at
+        most the kernel cutoff times ||z||, and the classified eigenvalues,
+        with their multiplicities, are ``expected``."""
         gram = j_gram(coupling)
         scale = max(1.0, np.linalg.norm(gram, 2))
-        reference = _svd_reference(monkeypatch, gram, coupling)
-        accepted = _record_certified(monkeypatch)
         spec = krein_spectrum(gram, coupling)
-        fast, ref = _signature(spec), _signature(reference)
-        assert [s[:3] for s in fast] == [s[:3] for s in ref]
-        for (*_, a), (*_, b) in zip(fast, ref):
-            assert abs(a - b) <= 1e-10 * scale
-        assert accepted
-        for g, lam, basis, mult in accepted:
-            assert basis.shape == (g.shape[0], mult)
-            assert np.allclose(basis.conj().T @ basis, np.eye(mult),
-                               atol=1e-12)
-            resid = np.linalg.norm(g @ basis - lam * basis, 2)
-            assert resid <= TOL_RANK * scale
+        values = []
+        for cls in spec.classes:
+            lam = cls.value
+            if cls.jordan_size == 2:
+                values += [lam] * 4 * cls.pair_count
+                continue
+            if cls.kind == "complex_pair":
+                # z1 belongs to lam and z2 to its conjugate
+                eigen = [(z, mu) for pair in cls.vectors
+                         for z, mu in zip(pair, (lam, np.conj(lam)))]
+            else:
+                eigen = [(z, lam) for z in cls.vectors]
+            for z, mu in eigen:
+                resid = np.linalg.norm(gram @ z - mu * z)
+                assert resid <= TOL_RANK * scale * np.linalg.norm(z)
+                values += [mu, np.conj(mu)]
+        assert multiset_distance(expected, values) < 1e-6 * scale
         return spec
 
     @pytest.mark.parametrize("n,m", [(16, 16), (24, 16), (32, 32)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_general_models(self, monkeypatch, n, m, seed):
+    def test_general_models(self, n, m, seed):
         _, coupling = random_general_model(n, m,
                                            np.random.default_rng(seed))
-        spec = self._check(monkeypatch, coupling)
-        assert spec.svd_fallbacks == 0
+        expected = np.linalg.eigvals(j_gram(coupling))
+        spec = self._check(coupling, expected)
+        assert 0.0 < spec.certificate_ratio <= 1.0
 
     @pytest.mark.parametrize("specs", PLANTED_SEMISIMPLE)
-    def test_planted(self, monkeypatch, specs):
+    def test_planted(self, specs):
         rng = np.random.default_rng(len(specs))
-        coupling, _, _, _ = planted_coupling(specs, rng, extra_modes=1,
-                                             extra_ports=1)
-        spec = self._check(monkeypatch, coupling)
+        coupling, expected, _, _ = planted_coupling(specs, rng, extra_modes=1,
+                                                    extra_ports=1)
+        spec = self._check(coupling, expected)
         assert pair_counts(spec).r_0_kernel == 1
 
-    def test_jordan_takes_svd_fallback(self, monkeypatch):
+    def test_jordan_takes_svd_fallback(self):
         rng = np.random.default_rng(40)
-        coupling, _, _, _ = planted_coupling(
+        coupling, expected, _, _ = planted_coupling(
             [("pos", 2.0), ("jordan", 1.3)], rng)
-        spec = self._check(monkeypatch, coupling)
-        assert spec.svd_fallbacks == 1
+        spec = self._check(coupling, expected)
         (pair,) = jordan_pairs(spec)
         assert pair.jordan_size == 2
         assert abs(pair.value - 1.3) < 1e-5
 
-
-class TestCertificate:
-    GRAM = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
-
-    def test_exact_eigenvectors_accepted(self):
-        vecs = np.eye(4, dtype=complex)[:, :2] @ np.array([[1, 1], [1, -1]])
-        basis, ratio = _certified_basis(self.GRAM, 1.0, vecs, 2, 1e-8)
-        assert basis.shape == (4, 2)
-        assert ratio == 0.0
-
-    def test_residual_above_cutoff_rejected(self):
-        vecs = np.eye(4, dtype=complex)[:, :2]
-        vecs[2, 0] = 1e-6
-        basis, ratio = _certified_basis(self.GRAM, 1.0, vecs, 2, 1e-8)
-        assert basis is None
-        assert 10.0 < ratio < 1000.0
-
-    def test_parallel_columns_rejected(self):
-        vecs = np.eye(4, dtype=complex)[:, [0, 0]]
-        basis, _ = _certified_basis(self.GRAM, 1.0, vecs, 2, 1e-8)
-        assert basis is None
-
-    def test_inexact_eigenvectors_take_svd_fallback(self, monkeypatch):
-        # eigenvectors off by 1e-5 fail every certificate; the SVD kernels
-        # still give the same classification
-        _, coupling = random_general_model(6, 6, np.random.default_rng(7))
+    def test_one_schur_form_and_no_full_size_svd(self, monkeypatch):
+        # the scale ||G||_2 is one more SVD, inside np.linalg.norm, which
+        # this spy does not see
+        rng = np.random.default_rng(40)
+        coupling, _, _, _ = planted_coupling(
+            [("pos", 2.0), ("jordan", 1.3)], rng)
         gram = j_gram(coupling)
-        reference = krein_spectrum(gram, coupling)
-        exact_eig = spectral.dense_eig
+        schurs, svds = [], []
+        real_schur, real_svd = spectral.schur, np.linalg.svd
 
-        def noisy_eig(a):
-            evals, evecs = exact_eig(a)
-            noise = np.random.default_rng(8).normal(size=evecs.shape)
-            return evals, evecs + 1e-5 * noise
+        def spy_schur(a, *args, **kwargs):
+            schurs.append(a.shape)
+            return real_schur(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "dense_eig", noisy_eig)
+        def spy_svd(a, *args, **kwargs):
+            svds.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "schur", spy_schur)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
         spec = krein_spectrum(gram, coupling)
-        # one cluster per class in a generic model
-        assert reference.svd_fallbacks == 0
-        assert spec.svd_fallbacks == len(spec.classes)
-        assert spec.certificate_ratio == 0.0
-        assert [s[:3] for s in _signature(spec)] == \
-            [s[:3] for s in _signature(reference)]
+        assert len(jordan_pairs(spec)) == 1
+        assert schurs == [gram.shape]
+        assert svds and gram.shape not in svds
+
+
+MIXED = [("pos", 2.0), ("neg", -1.5), ("pair", 1 + 2j), ("jordan", 1.3),
+         ("deg", [0.7, 1.1])]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixed_structure_factors(k, seed):
+    # every planted Jordan block has size 2, however many share lam = 1.3;
+    # each "deg" block plants two zero modes outside Ker N
+    coupling, _, _, _ = planted_coupling(MIXED * k,
+                                         np.random.default_rng(seed))
+    spec = krein_spectrum(j_gram(coupling), coupling)
+    assert pair_counts(spec) == (k, k, k, 2 * k, 0)
+    (pair,) = jordan_pairs(spec)
+    assert (pair.kind, pair.pair_count) == ("real_positive", k)
+    assert bogoliubov_svd(coupling).residual < 1e-8
 
 
 class TestSpectrumDiagnostics:
@@ -388,13 +367,12 @@ class TestSpectrumDiagnostics:
         _, coupling = random_general_model(8, 8, np.random.default_rng(4))
         with caplog.at_level(logging.DEBUG, logger="lqss"):
             spec = krein_spectrum(j_gram(coupling), coupling)
-        assert spec.svd_fallbacks == 0
         assert 0.0 < spec.certificate_ratio <= 1.0
         (record,) = [r for r in caplog.records
                      if r.getMessage().startswith("krein_spectrum")]
         assert record.levelno == logging.DEBUG
         fields = json.loads(record.getMessage().split(" ", 1)[1])
-        assert fields["svd_fallbacks"] == 0
+        assert "svd_fallbacks" not in fields
         assert fields["certificate_ratio"] == spec.certificate_ratio
 
 

@@ -1,5 +1,7 @@
 """Tests for state-space models, feedback closure and verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -573,6 +575,36 @@ class TestVerifyRealization:
         assert report.worst_point == worst
         assert report.errors[report.points.index(worst)] == report.max_error
         assert f"at s = {worst.real:.6g}{worst.imag:+.6g}j" in report.summary()
+
+    @pytest.fixture
+    def general4(self):
+        m_mat, n_mat = random_general_model(4, 4, np.random.default_rng(90))
+        s_mat = np.eye(8, dtype=complex)
+        model = Model(kind="general", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        return model, synthesize_general(m_mat, n_mat, s_mat)
+
+    def test_one_rate_per_mode(self, general4):
+        model, real = general4
+        real.kappas_tilde = real.kappas_tilde[:3]
+        with pytest.raises(ParameterError,
+                           match="3 interconnect rates, but a model with 4"):
+            verify_realization(model, real)
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, np.inf, np.nan])
+    def test_rates_positive_and_finite(self, general4, rate):
+        model, real = general4
+        real.kappas_tilde = real.kappas_tilde.copy()
+        real.kappas_tilde[1] = rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any sqrt
+            with pytest.raises(ParameterError, match="positive and finite"):
+                verify_realization(model, real)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+    def test_tolerance_finite_and_nonnegative(self, general4, tol):
+        model, real = general4
+        with pytest.raises(ParameterError, match="tol must be a finite"):
+            verify_realization(model, real, tol=tol)
 
     def test_kind_mismatch(self):
         rng = np.random.default_rng(85)

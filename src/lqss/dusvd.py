@@ -375,9 +375,13 @@ def complete_j_basis(known_cols: np.ndarray, m: int) -> list:
 
     ``known_cols`` holds k first-half columns (J-norm +1, partners implied);
     returns m - k further positive vectors spanning, together with the
-    known ones and all partners, the whole space C^{2m}.
+    known ones and all partners, the whole space C^{2m}.  When k = m there
+    is nothing to complete, and no null space is computed: whether the
+    known columns are J-orthonormal is then the Bogoliubov check of V.
     """
     k = known_cols.shape[1]
+    if k == m:
+        return []
     if k == 0:
         basis = np.eye(2 * m, dtype=complex)
     else:

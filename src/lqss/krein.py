@@ -13,12 +13,17 @@ Conventions for the indefinite geometry used throughout the toolkit:
 * ``Phi = (1/sqrt(2)) [[I, I], [-iI, iI]]`` conjugates doubled-up matrices to
   real matrices, carrying J to ``i * Jsym`` where ``Jsym = [[0, I], [-I, 0]]``.
 
+``schur_form`` is the one Schur reduction of the toolkit: it reduces a
+doubled-up matrix (a general drift, a Gram matrix N^b N) in real arithmetic
+through Phi, and any other matrix by the complex Schur form.
+
 All functions are pure and operate on plain ``numpy`` arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import schur
 
 from .errors import StructureError
 
@@ -112,6 +117,43 @@ def doubled_up_residual(x: np.ndarray) -> float:
     s = _even(x.shape[1], "doubled_up_residual input cols")
     swapped = np.roll(x, (r, s), axis=(0, 1))
     return float(np.linalg.norm(swapped - np.conj(x)))
+
+
+def schur_form(a: np.ndarray) -> tuple:
+    """(T, Z) with A = Z T Z^dag, T upper triangular and Z unitary.
+
+    A doubled-up A of even dimension n, to within n eps ||A||_F, is
+    reduced in real arithmetic: Phi A Phi^dag is then real up to rounding,
+    its real part has the real Schur form Q T_r Q^T, and one unitary 2 x 2
+    rotation per 2 x 2 block of T_r (a complex-conjugate eigenvalue pair)
+    makes it triangular.  The blocks are disjoint, so all rotations are
+    applied at once; Z = Phi^dag Q G.  Any other A takes the complex Schur
+    form, which costs more than twice as much.
+    """
+    n = a.shape[0]
+    if n % 2 or not (doubled_up_residual(a)
+                     <= n * np.finfo(float).eps * np.linalg.norm(a)):
+        return schur(a, output="complex")
+    phi = phimat(n)
+    t_r, q = schur((phi @ a @ phi.conj().T).real)
+    t, z = t_r.astype(complex), phi.conj().T @ q
+    # LAPACK leaves each 2 x 2 block, at rows j and j + 1, standardized as
+    # [[a, b], [c, a]] with bc < 0.  Its eigenvalue a + i mu, mu =
+    # sqrt(-bc), has the unit eigenvector (g, h) = (b, i mu) / sqrt(b (b - c))
+    # with g real and h imaginary, so the rotation is G = [[g, h], [h, g]].
+    top = np.flatnonzero(t_r.diagonal(-1))
+    bot = top + 1
+    b, c = t_r[top, bot], t_r[bot, top]
+    scale = np.sqrt(b * (b - c))
+    g, h = b / scale, 1j * np.sqrt(-b * c) / scale
+    for mat in (t, z):  # columns: X G
+        left, right = mat[:, top], mat[:, bot]
+        mat[:, top], mat[:, bot] = left * g + right * h, left * h + right * g
+    up, down = t[top], t[bot]  # rows: G^dag T
+    g, h = g[:, np.newaxis], h[:, np.newaxis]
+    t[top], t[bot] = up * g - down * h, down * g - up * h
+    t[bot, top] = 0.0
+    return t, z
 
 
 def is_doubled_up(x: np.ndarray) -> bool:

@@ -11,11 +11,16 @@ doubled-up and J-Hermitian (G^b = G).  Its eigenvalues come in the patterns
 
 The routines here compute that classification and produce J-orthonormalized
 eigenvectors in the normalizations required by the factorization code in
-``dusvd``.  One complex Schur form G = Q T Q^dag gives every eigenvalue
-cluster: reordering it (LAPACK ``ztrsen``) to put the cluster's eigenvalues
-first makes the leading Schur vectors Q1 an orthonormal basis of the
-cluster's invariant subspace, and every structural decision is taken on the
-cluster's own block B = T11 - lam I, with G Q1 = Q1 T11.  The eigenspace is
+``dusvd``.  One Schur form G = Q T Q^dag, from ``krein.schur_form``, gives
+every eigenvalue cluster.  G is doubled-up to rounding, so in practice it
+passes that reduction's guard and is reduced in real arithmetic, through
+the real Schur form of Phi G Phi^dag: real eigenvalues come out exactly
+real, and each conjugate pair comes from one real 2 x 2 block.  A G that
+fails the guard takes the complex Schur form.  Reordering the form
+(LAPACK ``ztrsen``) to put a cluster's eigenvalues first makes the leading
+Schur vectors Q1 an orthonormal basis of the cluster's invariant subspace,
+and every structural decision is taken on the cluster's own block
+B = T11 - lam I, with G Q1 = Q1 T11.  The eigenspace is
 Q1 times the right singular vectors of B below the kernel cutoff; real
 eigenvalues carrying a 2 x 2 Jordan block are returned as
 generalized-eigenvector pairs, and larger Jordan blocks (B^2 not zero) are
@@ -34,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
-from scipy.linalg import schur
 from scipy.linalg.lapack import ztrsen
 
 from .errors import (
@@ -47,6 +51,7 @@ from .krein import (
     flat_adjoint,
     j_inner,
     jmat,
+    schur_form,
     swap_conj,
 )
 
@@ -84,8 +89,10 @@ class EigenClass:
 
 @dataclass
 class KreinSpectrum:
-    """Classified spectrum of a Gram matrix G = N^b N, read off one complex
-    Schur form that is reordered once per eigenvalue cluster."""
+    """Classified spectrum of a Gram matrix G = N^b N, read off one Schur
+    form (``krein.schur_form``: by the real route when G is doubled-up to
+    within its guard, else the complex one) that is reordered once per
+    eigenvalue cluster."""
 
     classes: list
     dim: int  # 2n
@@ -425,7 +432,8 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
     dim = gram.shape[0]
     scale = max(1.0, float(np.linalg.norm(gram, 2)))
     cutoff = TOL_RANK * scale
-    t, q = schur(gram, output="complex")
+    # Fortran order, so that no ztrsen call has to transpose T or Q
+    t, q = map(np.asfortranarray, schur_form(gram))
     evals = t.diagonal()
     groups = _cluster(evals, TOL_CLUSTER * scale)
 

@@ -31,12 +31,13 @@ solve with I - R.
 
 Verification evaluates each side's ``StateSpace`` over a frequency sweep.
 The first ``eval`` reduces A to a Schur form A = Z T Z^dag, T upper
-triangular, by one of two routes chosen from A alone.  A doubled-up A of
-even dimension n (to within n eps ||A||_F; general drifts are) is reduced in
-real arithmetic: the real Schur form of Phi A Phi^dag, made triangular by
-one rotation per 2 x 2 block.  Any other A takes the complex Schur form,
-which costs more than twice as much.  Each point is then one
-LAPACK triangular solve (``ztrtrs``) with sI - T and one product.
+triangular, with ``krein.schur_form``, the reduction that also classifies
+Gram matrices in ``spectral``.  It picks one of two routes from A alone.  A
+doubled-up A of even dimension n (to within n eps ||A||_F; general drifts
+are) is reduced in real arithmetic: the real Schur form of Phi A Phi^dag,
+made triangular by one rotation per 2 x 2 block.  Any other A takes the
+complex Schur form, which costs more than twice as much.  Each point is
+then one LAPACK triangular solve (``ztrtrs``) with sI - T and one product.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs, ztrtrs
 
 from .errors import (
@@ -59,7 +59,7 @@ from .krein import (
     check_doubled_up,
     doubled_up_residual,
     flat_adjoint,
-    phimat,
+    schur_form,
 )
 
 
@@ -150,9 +150,9 @@ def mode_values(modes: int, detunings, interconnect_kappa) -> tuple:
     """(detunings, interconnect rates) of ``modes`` cavity modes, as parsed
     from a model file or the CLI.
 
-    The detunings default to zero; the rates may be one positive number for
-    every mode or one per mode, and None leaves them to ``realize``.  A
-    malformed value raises ``ParameterError``.
+    The detunings default to zero; the rates may be one positive finite
+    number for every mode or one per mode, and None leaves them to
+    ``realize``.  A malformed value raises ``ParameterError``.
     """
     detunings = _real_numbers(np.zeros(modes) if detunings is None
                               else detunings)
@@ -162,9 +162,10 @@ def mode_values(modes: int, detunings, interconnect_kappa) -> tuple:
     rates = interconnect_kappa
     if rates is not None:
         rates = _real_numbers(rates)
-        if rates.shape not in ((), (1,), (modes,)) or not np.all(rates > 0):
+        if (rates.shape not in ((), (1,), (modes,))
+                or not np.all(np.isfinite(rates) & (rates > 0))):
             raise ParameterError("expected one positive interconnect rate "
-                                 f"or {modes}, one per mode")
+                                 f"or {modes}, one per mode, all finite")
         rates = np.broadcast_to(rates, (modes,)).copy()
     return detunings, rates
 
@@ -189,55 +190,16 @@ def interconnect_coupling(kind: str, rates) -> np.ndarray:
     return np.diag(roots).astype(complex)
 
 
-def _schur_form(a: np.ndarray) -> tuple:
-    """(T, Z) with A = Z T Z^dag, T upper triangular and Z unitary.
-
-    A doubled-up A of even dimension n, to within n eps ||A||_F, is
-    reduced in real arithmetic: Phi A Phi^dag is then real up to rounding,
-    its real part has the real Schur form Q T_r Q^T, and one unitary 2 x 2
-    rotation per 2 x 2 block of T_r (a complex-conjugate eigenvalue pair)
-    makes it triangular.  The blocks are disjoint, so all rotations are
-    applied at once; Z = Phi^dag Q G.  Any other A takes the complex Schur
-    form, which costs more than twice as much.
-    """
-    n = a.shape[0]
-    if n % 2 or not (doubled_up_residual(a)
-                     <= n * np.finfo(float).eps * np.linalg.norm(a)):
-        return schur(a, output="complex")
-    phi = phimat(n)
-    t_r, q = schur((phi @ a @ phi.conj().T).real)
-    t, z = t_r.astype(complex), phi.conj().T @ q
-    # LAPACK leaves each 2 x 2 block, at rows j and j + 1, standardized as
-    # [[a, b], [c, a]] with bc < 0.  Its eigenvalue a + i mu, mu =
-    # sqrt(-bc), has the unit eigenvector (g, h) = (b, i mu) / sqrt(b (b - c))
-    # with g real and h imaginary, so the rotation is G = [[g, h], [h, g]].
-    top = np.flatnonzero(t_r.diagonal(-1))
-    bot = top + 1
-    b, c = t_r[top, bot], t_r[bot, top]
-    scale = np.sqrt(b * (b - c))
-    g, h = b / scale, 1j * np.sqrt(-b * c) / scale
-    for mat in (t, z):  # columns: X G
-        left, right = mat[:, top], mat[:, bot]
-        mat[:, top], mat[:, bot] = left * g + right * h, left * h + right * g
-    up, down = t[top], t[bot]  # rows: G^dag T
-    g, h = g[:, np.newaxis], h[:, np.newaxis]
-    t[top], t[bot] = up * g - down * h, down * g - up * h
-    t[bot, top] = 0.0
-    return t, z
-
-
 @dataclass
 class StateSpace:
     """Minimal complex state-space wrapper: G(s) = C (sI - A)^-1 B + D.
 
     The first ``eval`` reduces A to Schur form A = Z T Z^dag, T upper
-    triangular and Z unitary, and keeps (-T, Z^dag B, C Z).  A doubled-up A
-    of even dimension n (to within n eps ||A||_F) is reduced in real
-    arithmetic, through the real matrix Phi A Phi^dag, and its 2 x 2 blocks
-    are then made triangular; any other A takes the complex Schur form.
-    Every point writes s - diag(T) into the diagonal of the kept -T and
-    costs one LAPACK triangular solve (``ztrtrs``) and one product,
-    O(n^2 p + n p q) for p inputs and q outputs, instead of a dense LU.
+    triangular and Z unitary, with ``krein.schur_form`` (in real arithmetic
+    when A is doubled-up), and keeps (-T, Z^dag B, C Z).  Every point
+    writes s - diag(T) into the diagonal of the kept -T and costs one LAPACK
+    triangular solve (``ztrtrs``) and one product, O(n^2 p + n p q) for p
+    inputs and q outputs, instead of a dense LU.
     A, B, C and D must not be modified after the first ``eval``, and since
     every ``eval`` writes into the same buffer, one instance must not be
     evaluated from two threads at once.
@@ -257,7 +219,7 @@ class StateSpace:
         if self._schur is None:
             if not np.all(np.isfinite(self.a)):
                 raise PoleError(s)
-            t, z = _schur_form(self.a)
+            t, z = schur_form(self.a)
             tiny = t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
             # Fortran order, so that LAPACK reads the buffer in place
             self._schur = (np.asfortranarray(-t), t.diagonal().copy(),

@@ -5,10 +5,10 @@ reference for feedback closure, the triangular decomposition one rotation at
 a time used as a reference for ``reck_decompose``, device lists built one
 record at a time as references for the array schedules, planted
 factorization cases, the pair counts and Jordan classes of a Krein
-spectrum, and a count of the ``Model`` objects a call builds.  A planted
-case starts from a hand-built canonical coupling Nhat (whose Gram
-eigenvalues are known exactly) and hides it behind random Bogoliubov
-factors: N = V Nhat W^b.
+spectrum, a count of the ``Model`` objects a call builds, and a record of
+the route each Schur reduction takes.  A planted case starts from a
+hand-built canonical coupling Nhat (whose Gram eigenvalues are known
+exactly) and hides it behind random Bogoliubov factors: N = V Nhat W^b.
 Recovering the factorization must then reproduce the planted eigenvalue
 multiset and reconstruct N.
 """
@@ -19,6 +19,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.linalg import expm
 
+from lqss import krein
 from lqss.dusvd import SIGMA2, jordan2_factor, pair_weights
 from lqss.errors import StructureError
 from lqss.krein import flat_adjoint, jmat
@@ -67,6 +68,21 @@ def counted_builds(monkeypatch):
 
     monkeypatch.setattr(Model, "__post_init__", counted)
     return built
+
+
+def recorded_schur_routes(monkeypatch):
+    """The list to which every Schur reduction from now on, in the test
+    that owns ``monkeypatch``, appends the form ``krein.schur_form`` asks
+    of ``scipy.linalg.schur``: "real" for the route through Phi A Phi^dag,
+    "complex" for the other."""
+    routes, original = [], krein.schur
+
+    def recorded(a, output="real"):
+        routes.append(output)
+        return original(a, output=output)
+
+    monkeypatch.setattr(krein, "schur", recorded)
+    return routes
 
 
 def sigmat(dim):

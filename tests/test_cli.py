@@ -350,6 +350,21 @@ class TestSynth:
         assert err["error"] == "ParameterError"
         assert "positive interconnect rate or 3, one" in err["message"]
 
+    @pytest.mark.parametrize("flag", ["inf", "nan"])
+    def test_non_finite_interconnect_kappa_flag(self, flag, tmp_path,
+                                                capsys):
+        # JSON has no inf: a netlist would store null, which verify refuses
+        model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
+        path = write_model(tmp_path / "model.json", model)
+        out = tmp_path / "net.json"
+        code = main(["synth", "--input", path, "--output", str(out),
+                     "--interconnect-kappa", flag])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "all finite" in err["message"]
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path):
         assert main(["synth", "--input", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path / "o.json")]) == EXIT_VALIDATION

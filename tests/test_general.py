@@ -13,7 +13,7 @@ from helpers import (
     random_passive_model,
 )
 from lqss.dusvd import bogoliubov_svd
-from lqss.errors import NumericalError, StructureError
+from lqss.errors import NumericalError, ParameterError, StructureError
 from lqss.general import synthesize, synthesize_general
 from lqss.krein import flat_adjoint, jmat
 from lqss.passive import synthesize_passive
@@ -133,6 +133,14 @@ class TestSynthesize:
         for name in ("pre", "post", "nhat", "m_conc", "r_feedback"):
             assert np.array_equal(getattr(real, name),
                                   getattr(direct, name)), name
+
+    @pytest.mark.parametrize("rates", [np.inf, [1.0, np.inf, 1.0], np.nan])
+    def test_non_finite_rates_refused(self, rates):
+        # an infinite rate has no cavity and no netlist value (JSON has no
+        # inf), so it is refused before synthesis, as verification does
+        mats = random_general_model(3, 2, np.random.default_rng(61))
+        with pytest.raises(ParameterError, match="all finite"):
+            synthesize(Model("general", *mats), interconnect_kappa=rates)
 
 
 class TestActivePortDampedForm:
@@ -363,6 +371,17 @@ def test_random_general_sweep():
                       s_mat=np.eye(2 * m, dtype=complex))
         report = verify_realization(model, real, tol=1e-7)
         assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("n, m, seed", [(8, 6, 3), (32, 32, 46)])
+def test_gram_schur_form_by_the_real_route_keeps_the_digits(n, m, seed):
+    # with the Gram matrix reduced by the complex Schur form these verified
+    # at 7.9e-7 (8 x 6) and 1.1e-8 (32 x 32); through the real Schur form
+    # of Phi G Phi^dag, at 1.2e-9 and 8.7e-10
+    m_mat, n_mat = random_general_model(n, m, np.random.default_rng(seed))
+    model = Model(kind="general", m_mat=m_mat, n_mat=n_mat)
+    report = verify_realization(model, synthesize(model))
+    assert report.passed, report.summary()
 
 
 def test_loop_closure_keeps_the_realization_digits():

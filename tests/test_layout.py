@@ -4,10 +4,11 @@ Static checks of ``src/lqss`` with the standard-library ``ast`` module: no
 module imports a name it does not use, every top-level function or class is
 exported in ``lqss.__all__`` or referenced from elsewhere in the package,
 every defaulted parameter is set by some call in the package, and no module
-imports the standard library's ``json``.  Test-only helpers belong
-in ``tests/helpers.py``, and no test seeds anything with the built-in
-``hash``.  Importing the CLI loads no third-party module beyond
-numpy, scipy.linalg and orjson.
+imports the standard library's ``json``.  ``krein`` is the one module that
+takes a Schur form from ``scipy.linalg``: its ``schur_form`` serves every
+doubled-up eigenproblem.  Test-only helpers belong in ``tests/helpers.py``,
+and no test seeds anything with the built-in ``hash``.  Importing the CLI
+loads no third-party module beyond numpy, scipy.linalg and orjson.
 """
 
 import ast
@@ -195,6 +196,20 @@ def test_orjson_is_the_only_json_codec():
             imports += [f"{module}.py:{node.lineno} {name}" for name in names
                         if name.split(".")[0] == "json"]
     assert not imports, f"standard-library json imported: {imports}"
+
+
+def test_krein_is_the_only_schur_caller():
+    # one Schur reduction, with its real route for doubled-up matrices,
+    # serves the drift of every StateSpace and every Gram matrix
+    importers = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                    a.name == "schur" for a in node.names):
+                importers.append(f"{module}:{node.module}")
+            elif isinstance(node, ast.Attribute) and node.attr == "schur":
+                importers.append(f"{module}:.schur")
+    assert importers == ["krein:scipy.linalg"], importers
 
 
 def test_cli_import_adds_only_lqss_and_stdlib():

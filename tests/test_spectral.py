@@ -12,11 +12,18 @@ from helpers import (
     pair_counts,
     planted_coupling,
     random_general_model,
+    recorded_schur_routes,
 )
-from lqss import spectral
+from lqss import krein, spectral
 from lqss.dusvd import bogoliubov_svd
 from lqss.errors import NumericalError, UnsupportedStructureError
-from lqss.krein import j_inner, phi_to_doubled, swap_conj
+from lqss.krein import (
+    doubled_up_residual,
+    j_inner,
+    jmat,
+    phi_to_doubled,
+    swap_conj,
+)
 from lqss.spectral import (
     TOL_RANK,
     _cluster,
@@ -326,7 +333,7 @@ class TestEigenvectorFastPath:
             [("pos", 2.0), ("jordan", 1.3)], rng)
         gram = j_gram(coupling)
         schurs, svds = [], []
-        real_schur, real_svd = spectral.schur, np.linalg.svd
+        real_schur, real_svd = krein.schur, np.linalg.svd
 
         def spy_schur(a, *args, **kwargs):
             schurs.append(a.shape)
@@ -336,12 +343,67 @@ class TestEigenvectorFastPath:
             svds.append(a.shape)
             return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "schur", spy_schur)
+        monkeypatch.setattr(krein, "schur", spy_schur)
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         spec = krein_spectrum(gram, coupling)
         assert len(jordan_pairs(spec)) == 1
         assert schurs == [gram.shape]
         assert svds and gram.shape not in svds
+
+
+class TestSchurRoute:
+    """The Gram matrix is reduced by ``krein.schur_form``: in real
+    arithmetic when it is doubled-up, which G = N^b N of a doubled-up N is
+    to rounding, and by the complex Schur form otherwise."""
+
+    @staticmethod
+    def _summary(spec):
+        return sorted((c.kind, c.jordan_size, c.pair_count)
+                      for c in spec.classes)
+
+    @staticmethod
+    def _values(spec):
+        return np.array([c.value for c in spec.classes])
+
+    @pytest.mark.parametrize("n, m, seed",
+                             [(8, 6, 3), (16, 16, 0), (32, 32, 46)])
+    def test_doubled_up_gram_takes_the_real_route(self, n, m, seed,
+                                                  monkeypatch):
+        _, coupling = random_general_model(n, m, np.random.default_rng(seed))
+        routes = recorded_schur_routes(monkeypatch)
+        krein_spectrum(j_gram(coupling), coupling)
+        assert routes == ["real"]
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_nearly_doubled_up_gram_takes_the_complex_route(self, planted,
+                                                            monkeypatch):
+        # the bump J H, H Hermitian, keeps G J-Hermitian but moves it about
+        # 1e-10 relative off the doubled-up structure; a semisimple
+        # spectrum moves by about as much, far inside TOL_CLUSTER.  G is
+        # then no longer N^b N, so no zero mode is planted: deciding
+        # whether one lies in Ker N takes N z below 1e-10 ||N||.
+        rng = np.random.default_rng(11)
+        if planted:
+            coupling, _, _, _ = planted_coupling(
+                [("pos", 2.0), ("neg", -1.5), ("pair", 1 + 2j)], rng,
+                extra_ports=1)
+        else:
+            _, coupling = random_general_model(16, 16, rng)
+        gram = j_gram(coupling)
+        dim = gram.shape[0]
+        herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        bump = jmat(dim) @ (herm + herm.conj().T)
+        bumped = gram + (1e-10 * np.linalg.norm(gram)
+                         / np.linalg.norm(bump)) * bump
+        assert doubled_up_residual(bumped) > 1e-11 * np.linalg.norm(gram)
+        routes = recorded_schur_routes(monkeypatch)
+        real = krein_spectrum(gram, coupling)
+        cplx = krein_spectrum(bumped, coupling)
+        assert routes == ["real", "complex"]
+        assert self._summary(cplx) == self._summary(real)
+        scale = max(1.0, np.linalg.norm(gram, 2))
+        assert (np.abs(self._values(cplx) - self._values(real)).max()
+                <= 1e-8 * scale)
 
 
 MIXED = [("pos", 2.0), ("neg", -1.5), ("pair", 1 + 2j), ("jordan", 1.3),

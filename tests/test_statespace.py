@@ -14,6 +14,7 @@ from helpers import (
     random_hermitian_doubled_up,
     random_passive_model,
     random_unitary,
+    recorded_schur_routes,
 )
 from lqss import statespace
 from lqss.errors import (
@@ -24,7 +25,7 @@ from lqss.errors import (
     UnitEigenvalueError,
 )
 from lqss.general import synthesize_general
-from lqss.krein import doubled_up_residual, phi_to_doubled
+from lqss.krein import doubled_up_residual, phi_to_doubled, schur_form
 from lqss.passive import synthesize_passive
 from lqss.statespace import (
     Model,
@@ -303,16 +304,7 @@ def nearly_doubled_up_drift(n, seed):
 
 @pytest.fixture
 def schur_routes(monkeypatch):
-    """The list to which every Schur reduction from now on, in the test,
-    appends the form it asks of ``scipy.linalg.schur``: "real" for the
-    route through Phi A Phi^dag, "complex" for the other."""
-    routes, original = [], statespace.schur
-
-    def recorded(a, output="real"):
-        routes.append(output)
-        return original(a, output=output)
-    monkeypatch.setattr(statespace, "schur", recorded)
-    return routes
+    return recorded_schur_routes(monkeypatch)
 
 
 class TestStateSpace:
@@ -337,7 +329,7 @@ class TestStateSpace:
     def test_reduction_is_triangular_and_unitary(self, route, schur_routes):
         a = (doubled_up_drift(64, 900) if route == "real"
              else nearly_doubled_up_drift(64, 900))
-        t, z = statespace._schur_form(a)
+        t, z = schur_form(a)
         assert schur_routes == [route]
         assert np.all(np.tril(t, -1) == 0)
         assert np.linalg.norm(z.conj().T @ z - np.eye(64)) <= 1e-13

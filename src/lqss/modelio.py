@@ -1,8 +1,12 @@
-"""JSON serialization of models, netlists, schedules and reports.
+"""JSON files: reading models and netlists, and writing netlists,
+schedules and reports.
 
 Complex matrices are stored as nested lists of two-element ``[re, im]``
 pairs.  Every file carries a ``schema_version`` field; loaders raise
-``ValidationError`` with the offending location on malformed input.
+``ValidationError`` with the offending location on malformed input.  A
+schedule file (the output of ``lqss decompose``, and each network's
+``schedule`` in a netlist) is never read back: its devices were multiplied
+out against their network before it was written.
 
 Files are read and written with orjson, as standard JSON (RFC 8259): a file
 holding ``NaN``, ``Infinity``, a number that overflows a double, or bytes
@@ -19,7 +23,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from .errors import LqssError, StructureError, ValidationError
+from .errors import LqssError, ValidationError
 from .netlist import DeviceSchedule
 from .statespace import Model, Realization, VerifyReport
 
@@ -140,24 +144,6 @@ def dump_json(path: str, payload) -> None:
             f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
-def model_to_dict(model: Model, detunings=None,
-                  interconnect_kappas=None) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "type": model.kind,
-        "modes": model.n_modes,
-        "ports": model.n_ports,
-        "M": encode_matrix(model.m_mat),
-        "N": encode_matrix(model.n_mat),
-        "S": encode_matrix(model.s_mat),
-    }
-    if detunings is not None:
-        out["detunings"] = [float(v) for v in detunings]
-    if interconnect_kappas is not None:
-        out["interconnect_kappas"] = [float(v) for v in interconnect_kappas]
-    return out
-
-
 def model_from_dict(data: dict, where: str = "model") -> tuple:
     """Returns (Model, options dict with detunings/interconnect kappas)."""
     _check_version(data, where)
@@ -191,25 +177,6 @@ def schedule_to_dict(schedule: DeviceSchedule) -> dict:
         "channels": schedule.channels,
         "devices": schedule.devices,
     }
-
-
-def schedule_from_dict(data: dict, where: str = "schedule") -> DeviceSchedule:
-    _check_version(data, where)
-    kind = _require(data, "kind", where)
-    if kind not in ("unitary", "bogoliubov"):
-        raise ValidationError(f"{where}.kind: unknown kind {kind!r}")
-    channels = _require(data, "channels", where)
-    if type(channels) is not int or channels < 0:  # booleans excluded
-        raise ValidationError(f"{where}.channels: expected a channel count, "
-                              f"an integer >= 0, not {channels!r}")
-    records = _require(data, "devices", where)
-    if type(records) is not list:
-        raise ValidationError(f"{where}.devices: expected a list")
-    try:
-        return DeviceSchedule.from_records(channels, kind == "bogoliubov",
-                                           records)
-    except StructureError as exc:  # names the device as devices[k]
-        raise ValidationError(f"{where}.{exc}") from None
 
 
 def _network_to_dict(matrix: np.ndarray, schedule: DeviceSchedule) -> dict:

@@ -10,9 +10,10 @@ break into at most m(m-1)/2 two-channel beamsplitters plus output phases
 squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
 embedded matrices multiply out (left to right) to the decomposed matrix.
 It is stored as arrays: a kind code per device (an index into ``KINDS``), a
-(k, 2) array of channels and a (k, 4) table of parameters.  The one
-per-device view is ``devices``, the list of records (dicts) that a schedule
-file holds, and ``from_records`` reads such a list back.
+(k, 2) array of channels and a (k, 4) table of parameters.  Schedules are
+only built here, by ``reck_decompose`` and ``schedule_static`` from computed
+arrays, and only written: the one per-device view is ``devices``, the list
+of records (dicts) that the netlist and ``lqss decompose`` write.
 
 The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
 per column: a scalar pass finds the column's rotations, and their product,
@@ -137,9 +138,9 @@ def _phase_matrix(theta) -> np.ndarray:
 
 
 #: device kinds by code: (name, block builder, channel count, parameter
-#: names, how many parameters a device always lists).  The first parameter
-#: is required and the others default to 0; a device lists the rest only
-#: when they are non-zero (a Bloch-Messiah squeezer lists just ``x``).
+#: names, how many parameters a device always lists).  A device lists the
+#: rest only when they are non-zero (a Bloch-Messiah squeezer lists just
+#: ``x``).
 KINDS = (
     ("beamsplitter", beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta"),
      4),
@@ -147,15 +148,6 @@ KINDS = (
     ("squeezer", squeezer_matrix, 1, ("x", "phi", "psi"), 1),
 )
 BEAMSPLITTER, PHASE, SQUEEZER = range(len(KINDS))
-_CODES = {kind[0]: code for code, kind in enumerate(KINDS)}
-_COUNTS = np.array([kind[2] for kind in KINDS])
-
-
-def _channel_error(k: int, name: str, count: int, m: int,
-                   channels) -> StructureError:
-    return StructureError(
-        f"devices[{k}]: a {name} needs {count} distinct channel(s) in "
-        f"0..{m - 1}, not {tuple(channels)}")
 
 
 def _layers(wires: np.ndarray, m: int) -> tuple:
@@ -223,10 +215,10 @@ class DeviceSchedule:
     ``wires[k]`` (a one-channel device names its channel twice).  Row k of
     the (k, 4) table ``params`` holds its parameters in the order of its
     kind's names, padded with zeros.  ``devices`` lists the devices as the
-    records a schedule file holds, and ``from_records`` reads such a list.
-    Construction checks that every device fits its kind; a
-    ``StructureError`` names the first that does not as devices[k].
-    ``residual`` is the product's residual that ``schedule_static`` checked.
+    records a schedule file holds.  The arrays come from a decomposition,
+    which multiplies the schedule out against its network before anything
+    is written, so construction only fixes their dtypes.  ``residual`` is
+    the product's residual that ``schedule_static`` checked.
     """
 
     channels: int
@@ -237,85 +229,9 @@ class DeviceSchedule:
     residual: float | None = field(default=None, init=False)
 
     def __post_init__(self):
-        m = self.channels
-        kinds = self.kinds = np.asarray(self.kinds, dtype=int)
-        wires = self.wires = np.asarray(self.wires, dtype=int)
+        self.kinds = np.asarray(self.kinds, dtype=int)
+        self.wires = np.asarray(self.wires, dtype=int)
         self.params = np.asarray(self.params, dtype=float)
-        count = len(kinds)
-        if (kinds.shape != (count,) or wires.shape != (count, 2)
-                or self.params.shape != (count, 4)):
-            raise StructureError(
-                "a schedule of k devices needs k kind codes, a (k, 2) "
-                "channel array and a (k, 4) parameter table")
-        bad = (kinds < 0) | (kinds >= len(KINDS))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise StructureError(f"devices[{k}]: unknown device kind code "
-                                 f"{kinds[k]}")
-        counts = _COUNTS[kinds]
-        bad = (((wires < 0) | (wires >= m)).any(axis=1)
-               | ((wires[:, 0] != wires[:, 1]) != (counts == 2)))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise _channel_error(k, KINDS[kinds[k]][0], counts[k], m,
-                                 wires[k, :counts[k]].tolist())
-        bad = np.isnan(self.params).any(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            name, _, _, names, _ = KINDS[kinds[k]]
-            raise StructureError(f"devices[{k}]: {name} with a missing or "
-                                 f"NaN parameter ({', '.join(names)})")
-        if not self.doubled and (kinds == SQUEEZER).any():
-            raise StructureError(
-                f"devices[{int(np.argmax(kinds == SQUEEZER))}]: squeezers "
-                "only exist in doubled-up schedules")
-
-    @classmethod
-    def from_records(cls, channels: int, doubled: bool,
-                     records) -> DeviceSchedule:
-        """The schedule of a list of device records, the inverse of
-        ``devices``.
-
-        Each record is a dict with a kind name, a list of channels and an
-        optional dict of numbers, the parameters; one that is missing reads
-        as 0, or as NaN for the kind's first.  A record that is not of this
-        form or does not fit its kind raises ``StructureError`` naming it as
-        devices[k].
-        """
-        kinds = np.zeros(len(records), dtype=int)
-        wires = np.zeros((len(records), 2), dtype=int)
-        params = np.zeros((len(records), 4))
-        for k, record in enumerate(records):
-            where = f"devices[{k}]"
-            if type(record) is not dict:
-                raise StructureError(f"{where}: expected an object")
-            for key in ("kind", "channels"):
-                if key not in record:
-                    raise StructureError(
-                        f"{where}: missing required field {key!r}")
-            name, ends = record["kind"], record["channels"]
-            if type(name) is not str:
-                raise StructureError(f"{where}.kind: expected a device kind "
-                                     "name")
-            if type(ends) is not list:
-                raise StructureError(f"{where}.channels: expected a list")
-            values = record.get("params", {})
-            if type(values) is not dict or not all(
-                    type(value) in (int, float) for value in values.values()):
-                raise StructureError(f"{where}.params: expected an object of "
-                                     "numbers")
-            if name not in _CODES:
-                raise StructureError(f"{where}: unknown device kind {name!r}")
-            code = kinds[k] = _CODES[name]
-            _, _, count, names, _ = KINDS[code]
-            if not (len(ends) == count and all(
-                    type(c) is int and 0 <= c < channels for c in ends)):
-                raise _channel_error(k, name, count, channels, ends)
-            wires[k] = ends[0], ends[-1]
-            # a missing first parameter reads as None, which becomes NaN
-            params[k, :len(names)] = [values.get(key, 0.0 if j else None)
-                                      for j, key in enumerate(names)]
-        return cls(channels, doubled, kinds, wires, params)
 
     @property
     def devices(self) -> list:

@@ -1,12 +1,12 @@
 """Shared builders for test cases.
 
-Random models and structured matrices, the open-loop cavity bank used as a
-reference for feedback closure, the triangular decomposition one rotation at
-a time used as a reference for ``reck_decompose``, device lists built one
-record at a time as references for the array schedules, planted
-factorization cases, the pair counts and Jordan classes of a Krein
-spectrum, a count of the ``Model`` objects a call builds, and a record of
-the route each Schur reduction takes.  A planted case starts from a
+Random models and structured matrices, the model file writer, the
+open-loop cavity bank used as a reference for feedback closure, the
+triangular decomposition one rotation at a time used as a reference for
+``reck_decompose``, device lists built one record at a time as references
+for the array schedules, planted factorization cases, the pair counts and
+Jordan classes of a Krein spectrum, a count of the ``Model`` objects a call
+builds, and a record of the route each Schur reduction takes.  A planted case starts from a
 hand-built canonical coupling Nhat (whose Gram eigenvalues are known
 exactly) and hides it behind random Bogoliubov factors: N = V Nhat W^b.
 Recovering the factorization must then reproduce the planted eigenvalue
@@ -23,9 +23,9 @@ from lqss import krein
 from lqss.dusvd import SIGMA2, jordan2_factor, pair_weights
 from lqss.errors import StructureError
 from lqss.krein import flat_adjoint, jmat
+from lqss.modelio import SCHEMA_VERSION, encode_matrix
 from lqss.netlist import (
     ANGLE_EPS,
-    DeviceSchedule,
     _angle,
     _eliminate,
     beamsplitter_params,
@@ -83,6 +83,22 @@ def recorded_schur_routes(monkeypatch):
 
     monkeypatch.setattr(krein, "schur", recorded)
     return routes
+
+
+def model_to_dict(model, detunings=None):
+    """A model file's contents, as ``modelio.load_model`` reads them."""
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "type": model.kind,
+        "modes": model.n_modes,
+        "ports": model.n_ports,
+        "M": encode_matrix(model.m_mat),
+        "N": encode_matrix(model.n_mat),
+        "S": encode_matrix(model.s_mat),
+    }
+    if detunings is not None:
+        out["detunings"] = [float(v) for v in detunings]
+    return out
 
 
 def sigmat(dim):
@@ -170,8 +186,9 @@ def random_unitary(n, rng):
 
 
 def reck_reference(u):
-    """Triangular decomposition one rotation at a time: the reference for
-    ``reck_decompose``, which builds each column's rotations in one step.
+    """The device records of a triangular decomposition one rotation at a
+    time: the reference for ``reck_decompose``, which builds each column's
+    rotations in one step.
 
     Entries below the diagonal are eliminated column by column from the
     bottom, each rotation applied to its two rows at once; the leftover
@@ -205,7 +222,7 @@ def reck_reference(u):
         if abs(theta) > ANGLE_EPS:
             devices.append({"kind": "phase", "channels": [i],
                             "params": {"theta": theta}})
-    return DeviceSchedule.from_records(m, False, devices)
+    return devices
 
 
 def reck_devices(u):

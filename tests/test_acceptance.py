@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     closed_by_hand,
+    model_to_dict,
     multiset_distance,
     planted_coupling,
     random_bogoliubov,
@@ -269,7 +270,7 @@ def test_criterion_7_diagnostics(tmp_path, capsys):
     # Jordan blocks of size 3 exit with the unsupported-structure code
     model = Model(kind="general", m_mat=np.zeros((6, 6)),
                   n_mat=phi_to_doubled(JORDAN3_WITNESS), s_mat=np.eye(6))
-    modelio.dump_json(str(tmp_path / "j3.json"), modelio.model_to_dict(model))
+    modelio.dump_json(str(tmp_path / "j3.json"), model_to_dict(model))
     code = main(["synth", "--input", str(tmp_path / "j3.json"),
                  "--output", str(tmp_path / "o1.json")])
     err = json.loads(capsys.readouterr().err)
@@ -280,7 +281,7 @@ def test_criterion_7_diagnostics(tmp_path, capsys):
     model = Model(kind="general", m_mat=np.zeros((2, 2)),
                   n_mat=nonneutral_coupling(), s_mat=np.eye(4))
     modelio.dump_json(str(tmp_path / "deg.json"),
-                      modelio.model_to_dict(model))
+                      model_to_dict(model))
     code = main(["synth", "--input", str(tmp_path / "deg.json"),
                  "--output", str(tmp_path / "o2.json")])
     capsys.readouterr()

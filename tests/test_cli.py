@@ -10,6 +10,8 @@ import pytest
 
 from helpers import (
     counted_builds,
+    model_to_dict,
+    planted_coupling,
     random_bogoliubov,
     random_passive_model,
     random_unitary,
@@ -54,7 +56,7 @@ def same_json(a, b):
 
 
 def write_model(path, model, **extra):
-    payload = modelio.model_to_dict(model)
+    payload = model_to_dict(model)
     payload.update(extra)
     modelio.dump_json(str(path), payload)
     return str(path)
@@ -146,7 +148,7 @@ class TestMatrixCodec:
 class TestModelCodec:
     def test_roundtrip(self):
         model = Model(kind="passive", m_mat=M3, n_mat=N3, s_mat=np.eye(3))
-        data = modelio.model_to_dict(model, detunings=[1.0, 2.0, 3.0])
+        data = model_to_dict(model, detunings=[1.0, 2.0, 3.0])
         back, opts = modelio.model_from_dict(data)
         assert back.kind == "passive"
         assert np.allclose(back.m_mat, M3)
@@ -400,6 +402,37 @@ class TestSynth:
         err = json.loads(capsys.readouterr().err)
         assert "neutral" in err["message"]
 
+    def test_zero_jordan_block_outside_kernel_unsupported(self, tmp_path,
+                                                          capsys):
+        # a size-2 Jordan block at eigenvalue zero whose eigenvector N does
+        # not annihilate has a singular canonical block
+        coupling, _, m, n = planted_coupling([("jordan", 0.0)],
+                                             np.random.default_rng(0))
+        model = Model(kind="general", m_mat=np.zeros((2 * n, 2 * n)),
+                      n_mat=coupling, s_mat=np.eye(2 * m))
+        path = write_model(tmp_path / "j2.json", model)
+        out = tmp_path / "o.json"
+        code = main(["synth", "--input", path, "--output", str(out)])
+        assert code == EXIT_UNSUPPORTED
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UnsupportedStructureError"
+        assert ("size-2 Jordan block at eigenvalue zero with eigenvector "
+                "outside Ker N") in err["message"]
+        assert not out.exists()
+
+    def test_detuning_object_without_detunings(self, passive_model_file,
+                                               tmp_path, capsys):
+        dpath = str(tmp_path / "d.json")
+        modelio.dump_json(dpath, {"detuning": [0.0, 0.0, 0.0]})
+        out = tmp_path / "o.json"
+        code = main(["synth", "--input", passive_model_file, "--output",
+                     str(out), "--detuning-file", dpath])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"{dpath}: missing 'detunings' field"
+        assert not out.exists()
+
 
 class TestArguments:
     @pytest.mark.parametrize("argv, flag", [
@@ -642,6 +675,22 @@ class TestVerify:
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(f"{bad}: coupling matrix is not "
                                          "doubled-up")
+
+    def test_netlist_of_unknown_type(self, passive_model_file, tmp_path,
+                                     capsys):
+        out = str(tmp_path / "net.json")
+        assert main(["synth", "--input", passive_model_file,
+                     "--output", out]) == EXIT_OK
+        data = modelio.load_json(out)
+        data["type"] = "active"
+        bad = str(tmp_path / "bad_net.json")
+        modelio.dump_json(bad, data)
+        code = main(["verify", "--model", passive_model_file,
+                     "--netlist", bad])
+        assert code == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"{bad}.type: unknown type 'active'"
 
     def test_malformed_netlist(self, passive_model_file, tmp_path, capsys):
         bad = tmp_path / "bad_net.json"
@@ -898,7 +947,8 @@ class TestDecompose:
         out = str(tmp_path / "sched.json")
         assert main(["decompose", "--input", str(path), "--kind", "unitary",
                      "--output", out]) == EXIT_OK
-        sched = modelio.schedule_from_dict(json.load(open(out)))
+        sched = schedule_static(q, kind="unitary")
+        assert same_json(json.load(open(out))["devices"], sched.devices)
         assert schedule_residual(sched, q) < 1e-8
 
     def test_bogoliubov(self, tmp_path):
@@ -908,8 +958,10 @@ class TestDecompose:
         out = str(tmp_path / "sched.json")
         assert main(["decompose", "--input", str(path),
                      "--output", out]) == EXIT_OK
-        sched = modelio.schedule_from_dict(json.load(open(out)))
-        assert sched.doubled
+        written = json.load(open(out))
+        sched = schedule_static(r)
+        assert written["kind"] == "bogoliubov" and sched.doubled
+        assert same_json(written["devices"], sched.devices)
         assert schedule_residual(sched, r) < 1e-7
 
     @pytest.mark.parametrize("kind, products", [("unitary", 1),
@@ -950,8 +1002,11 @@ class TestDecompose:
         assert main(["decompose", "--input", str(path),
                      "--output", out]) == EXIT_OK
         assert len(calls) == 1
-        sched = modelio.schedule_from_dict(json.load(open(out)))
-        assert sched.doubled == bogoliubov
+        written = json.load(open(out))
+        assert written["kind"] == ("bogoliubov" if bogoliubov
+                                   else "unitary")
+        sched = schedule_static(matrix, kind=written["kind"])
+        assert same_json(written["devices"], sched.devices)
         assert schedule_residual(sched, matrix) < 1e-7
 
     def test_missing_matrix_field(self, tmp_path, capsys):
@@ -970,74 +1025,3 @@ class TestDecompose:
         code = main(["decompose", "--input", str(path), "--kind", "unitary",
                      "--output", str(tmp_path / "o.json")])
         assert code == EXIT_VALIDATION
-
-
-class TestScheduleCodec:
-    def test_roundtrip(self, tmp_path):
-        r = random_bogoliubov(2, seed=95)
-        sched = schedule_static(r)
-        back = modelio.schedule_from_dict(modelio.schedule_to_dict(sched))
-        assert np.allclose(back.matrix(), sched.matrix(), atol=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError, match="unknown kind"):
-            modelio.schedule_from_dict(
-                {"schema_version": 1, "kind": "optical"})
-
-    @pytest.mark.parametrize("kind, device, message", [
-        ("unitary", {"kind": "phase", "channels": [5],
-                     "params": {"theta": 0.1}},
-         r"s\.json\.devices\[1\]: a phase needs 1 distinct channel\(s\) "
-         r"in 0\.\.1, not \(5,\)$"),
-        ("unitary", {"kind": "mirror", "channels": [0]},
-         r"s\.json\.devices\[1\]: unknown device kind 'mirror'$"),
-        ("unitary", {"kind": "squeezer", "channels": [0],
-                     "params": {"x": 0.1}},
-         r"s\.json\.devices\[1\]: squeezers only exist in doubled-up "
-         r"schedules$"),
-        ("bogoliubov", {"kind": "phase", "channels": [1]},
-         r"s\.json\.devices\[1\]: phase with a missing or NaN parameter "
-         r"\(theta\)$"),
-    ])
-    def test_malformed_device_names_its_location(self, kind, device,
-                                                 message):
-        good = {"kind": "phase", "channels": [0], "params": {"theta": 0.2}}
-        with pytest.raises(ValidationError, match=message):
-            modelio.schedule_from_dict(
-                {"schema_version": 1, "kind": kind, "channels": 2,
-                 "devices": [good, device]}, where="s.json")
-
-    @pytest.mark.parametrize("channels, device, location", [
-        ("two", None, r"s\.json\.channels: "),
-        (2.5, None, r"s\.json\.channels: "),
-        (-1, None, r"s\.json\.channels: "),
-        (True, None, r"s\.json\.channels: "),
-        (2, {"kind": "phase", "channels": 0},
-         r"s\.json\.devices\[1\]\.channels: "),
-        (2, {"kind": "phase", "channels": [0], "params": [1]},
-         r"s\.json\.devices\[1\]\.params: "),
-        (2, {"kind": "phase", "channels": [0], "params": {"theta": "a"}},
-         r"s\.json\.devices\[1\]\.params: "),
-        (2, 5, r"s\.json\.devices\[1\]: "),
-        (2, {"kind": ["phase"], "channels": [0]},
-         r"s\.json\.devices\[1\]\.kind: "),
-    ], ids=["channels_str", "channels_float", "channels_negative",
-            "channels_bool", "device_channels_int", "params_list",
-            "param_str", "device_number", "device_kind_list"])
-    def test_malformed_field_names_its_location(self, channels, device,
-                                                location):
-        devices = [{"kind": "phase", "channels": [0],
-                    "params": {"theta": 0.2}}]
-        if device is not None:
-            devices.append(device)
-        with pytest.raises(ValidationError, match=f"^{location}"):
-            modelio.schedule_from_dict(
-                {"schema_version": 1, "kind": "unitary",
-                 "channels": channels, "devices": devices}, where="s.json")
-
-    def test_missing_channel_count(self):
-        with pytest.raises(ValidationError) as info:
-            modelio.schedule_from_dict(
-                {"schema_version": 1, "kind": "unitary", "devices": []},
-                where="s.json")
-        assert str(info.value) == "s.json: missing required field 'channels'"

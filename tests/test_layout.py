@@ -23,16 +23,6 @@ SRC = TESTS.parent / "src" / "lqss"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
 
-#: top-level names that nothing in the package reaches, and why they stay
-UNREACHED_OK = {
-    "modelio.model_to_dict":
-        "writes the model file format that load_model reads",
-    "modelio.schedule_from_dict":
-        "reads the schedule file format that schedule_to_dict writes "
-        "(the output of lqss decompose)",
-}
-
-
 #: functions whose defaulted parameters no call in the package sets, and why
 #: they stay
 UNSET_OK = {
@@ -41,10 +31,6 @@ UNSET_OK = {
         "the benchmark's library route calls it by name",
     "general.synthesize_general":
         "the benchmark's library route calls it by name",
-    "modelio.model_to_dict":
-        "writes the model file format that load_model reads",
-    "modelio.schedule_from_dict":
-        "reads the schedule file format that schedule_to_dict writes",
 }
 
 
@@ -98,10 +84,8 @@ def test_top_level_names_are_reached():
             continue
         # references from any statement other than the definition itself
         elsewhere = counts[node.name] - (node.name in names)
-        qualified = f"{module}.{node.name}"
-        if not (elsewhere or node.name in public
-                or qualified in UNREACHED_OK):
-            unreached.append(qualified)
+        if not (elsewhere or node.name in public):
+            unreached.append(f"{module}.{node.name}")
     assert not unreached, (
         f"top-level names neither in lqss.__all__ nor used in the package "
         f"(move test-only code to tests/helpers.py): {unreached}")

@@ -7,13 +7,14 @@ Subcommands::
                     [--tol 1e-9]
     lqss verify     --model model.json --netlist netlist.json
                     [--freqs 20] [--seed 42] [--tol 1e-8] [--output r.json]
-    lqss decompose  --input matrix.json --kind unitary|bogoliubov
+    lqss decompose  --input matrix.json [--kind unitary|bogoliubov]
                     --output schedule.json
 
 A ``--detuning-file`` (a list, or an object with a ``detunings`` list) and
 ``--interconnect-kappa`` override the ``detunings`` and
 ``interconnect_kappas`` of the model file; without them the model file's
-values are used.
+values are used.  Without ``--kind``, ``decompose`` reads the matrix as
+Bogoliubov when it passes that check and as unitary otherwise.
 
 Exit codes: 0 success, 1 verification failure, 2 validation error,
 3 unsupported structure, 4 numerical failure.  Set the LQSS_LOG environment

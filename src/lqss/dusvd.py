@@ -44,6 +44,7 @@ from .krein import (
     swap_conj,
     unit_phases,
 )
+from .netlist import takagi
 from .spectral import (
     KreinSpectrum,
     j_gram,
@@ -170,7 +171,6 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
         if stop < r0 and h[stop] > (1.0 - 1e-6) * h[start]:
             continue
         if stop - start > 1:
-            from .netlist import takagi
             idx = np.arange(start, stop)
             fg = f[np.ix_(idx, idx)]
             _, q = takagi((fg + fg.T) / 2.0)

@@ -27,6 +27,12 @@ generalized-eigenvector pairs, and larger Jordan blocks (B^2 not zero) are
 rejected.  Every cutoff is a constant, so the coupling alone fixes the
 classification (``krein_spectrum(gram, coupling)``).
 
+Real clusters, Ker N and the zero modes outside it take their J-orthonormal
+vectors from ``j_positive_vectors``: with E orthonormal and E^dag J E =
+U D U^dag, one eigendecomposition, the best-conditioned basis E U+ D+^(-1/2).
+A one-pair cluster gets the vector of earlier versions, a cluster of several
+pairs another basis of the same span, so such models' netlists differ.
+
 Zero modes outside Ker N are supported only when their image under N is
 J-neutral; ``neutral_image`` is that one test, for ``check_degeneracy`` and
 for the factorization in ``dusvd``.
@@ -174,36 +180,37 @@ def _j_project_off(cols: np.ndarray, span: np.ndarray) -> np.ndarray:
     return cols - span @ coeff
 
 
-def j_positive_vectors(basis: np.ndarray, count: int) -> list:
-    """Extract ``count`` J-orthonormal vectors of J-norm +1 from a subspace.
+def j_positive_vectors(basis: np.ndarray, count: int | None) -> list:
+    """J-orthonormal vectors of J-norm +1 from one eigendecomposition.
 
-    ``basis`` must span a subspace invariant under v -> Sigma v# on which J
-    restricts nondegenerately with ``count`` positive directions.  Each
-    extracted vector z is paired with Sigma z# (J-norm -1); both are deflated
-    before the next extraction.
+    ``basis`` must span a Sigma#-invariant subspace.  With ``work`` an
+    orthonormal basis of it and work^dag J work = U D U^dag, z = work u /
+    sqrt(<z, z>_J) for the ``count`` largest eigenvalues d, largest first:
+    any ``count`` J-orthonormal vectors in the subspace have spectral norm at
+    least 1 / sqrt(min d), which these attain.  The coefficients of each
+    partner Sigma z# lie in the eigenspace of -d, so the vectors are
+    J-orthogonal to one another and to every partner.
+    ``count=None`` takes every eigenvalue above 1e-7, as the subspace may also
+    hold J-neutral directions.  Raises ``NumericalError`` when ``count``
+    exceeds half the dimension, ``DegeneracyError`` when a needed eigenvalue
+    is at or below 1e-8.
     """
     work = _orthonormal_columns(np.asarray(basis, dtype=complex))
-    j = jmat(work.shape[0])
-    out = []
-    for _ in range(count):
-        if work.shape[1] == 0:
-            raise NumericalError("subspace exhausted before extracting "
-                                 "the requested number of positive vectors")
-        gram = work.conj().T @ j @ work
-        gram = (gram + gram.conj().T) / 2
-        evals, evecs = np.linalg.eigh(gram)
-        if evals[-1] <= 1e-8:
-            raise DegeneracyError(
-                "no J-positive direction left in subspace; the restricted "
-                "inner product is degenerate")
-        z = work @ evecs[:, -1]
-        z = z / np.sqrt(j_inner(z, z).real)
-        zc = swap_conj(z)
-        pair = np.column_stack([z, zc])
-        work = _j_project_off(work, pair)
-        work = _orthonormal_columns(work)
-        out.append(z)
-    return out
+    gram = work.conj().T @ jmat(work.shape[0]) @ work
+    gram = (gram + gram.conj().T) / 2
+    evals, evecs = np.linalg.eigh(gram)
+    if count is None:
+        count = int(np.sum(evals > 1e-7))
+    if 2 * count > work.shape[1]:
+        raise NumericalError(
+            f"subspace of dimension {work.shape[1]} holds fewer than the "
+            f"{count} requested positive vectors")
+    if count and evals[-count] <= 1e-8:
+        raise DegeneracyError(
+            "too few J-positive directions in subspace; the restricted "
+            "inner product is degenerate")
+    cols = (work @ evecs[:, -k] for k in range(1, count + 1))
+    return [z / np.sqrt(j_inner(z, z).real) for z in cols]
 
 
 def _cluster(values: np.ndarray, tol: float) -> list:
@@ -324,11 +331,11 @@ def _real_cluster_classes(gram, coupling, lam, scale, e1, q1, block):
         return classes
 
     # zero eigenvalue: split by membership of the image under N
-    classes.extend(_zero_semisimple_classes(coupling, e1, jordan_pairs))
+    classes.extend(_zero_semisimple_classes(coupling, e1))
     return classes
 
 
-def _zero_semisimple_classes(coupling, e1, jordan_pairs):
+def _zero_semisimple_classes(coupling, e1):
     """Split semisimple kernel directions of the Gram matrix into modes in
     Ker N and modes outside it (the J-degenerate situation)."""
     classes = []
@@ -342,28 +349,18 @@ def _zero_semisimple_classes(coupling, e1, jordan_pairs):
     # J restricted to it, not half its dimension.
     kn = _orthonormal_columns(
         e1 @ null_space(coupling @ e1, 1e-10, scale=nnorm))
-    if kn.shape[1]:
-        kn2_coeff = null_space(coupling @ swap_conj(kn), 1e-10, scale=nnorm)
-        kn2 = _orthonormal_columns(kn @ kn2_coeff)
-    else:
-        kn2 = kn
-    if kn2.shape[1]:
-        jg = kn2.conj().T @ jmat(coupling.shape[1]) @ kn2
-        # genuine kernel pairs contribute a +/- eigenvalue pair of
-        # magnitude bounded away from zero; neutral pollution sits at
-        # machine precision
-        r_ker = int(np.sum(np.linalg.eigvalsh((jg + jg.conj().T) / 2) > 1e-7))
-    else:
-        r_ker = 0
-    r_off = semi // 2 - r_ker
+    kn2 = _orthonormal_columns(
+        kn @ null_space(coupling @ swap_conj(kn), 1e-10, scale=nnorm))
+    # genuine kernel pairs contribute a +/- eigenvalue pair of magnitude
+    # bounded away from zero; neutral pollution sits at machine precision
+    kernel_vecs = j_positive_vectors(kn2, None)
+    r_off = semi // 2 - len(kernel_vecs)
     if r_off < 0:
         raise NumericalError(
             "inconsistent rank margins while splitting the Gram kernel; "
             "the degeneracy structure is not numerically resolvable")
 
-    kernel_vecs = []
-    if r_ker > 0:
-        kernel_vecs = j_positive_vectors(kn2, r_ker)
+    if kernel_vecs:
         classes.append(EigenClass(kind="zero_in_kernel", value=0.0,
                                   vectors=kernel_vecs))
     if r_off > 0:
@@ -415,7 +412,6 @@ def _complex_cluster_class(lam, mult, e_lam):
             if nu > 1e-10:
                 new_work.append(u)
         work = new_work
-        # normalize Euclidean size of the pair for conditioning
         z1 = p
         z2 = -swap_conj(q)
         pairs.append((z1, z2))

@@ -283,8 +283,8 @@ def random_general_model(n, m, rng, scale=0.6):
 def canonical_block(spec):
     """(nbar1, nbar2) half-blocks for one planted block spec.
 
-    spec is ('pos', lam), ('neg', lam), ('pair', lam), ('jordan', lam) or
-    ('deg', h).
+    spec is ('pos', lam), ('neg', lam), ('pair', lam), ('jordan', lam),
+    ('kernel_jordan', 0.0) or ('deg', h).
     """
     kind = spec[0]
     if kind == "pos":
@@ -296,6 +296,9 @@ def canonical_block(spec):
         return alpha * np.eye(2), -beta * SIGMA2
     if kind == "jordan":
         nbar1, nbar2, _ = jordan2_factor(float(spec[1]))
+        return nbar1, nbar2
+    if kind == "kernel_jordan":
+        nbar1, nbar2, _ = jordan2_factor(float(spec[1]), in_kernel=True)
         return nbar1, nbar2
     if kind == "deg":
         h = np.atleast_1d(np.asarray(spec[1], dtype=float))

@@ -297,6 +297,23 @@ def test_jordan_synthesis_verifies(specs, seed):
     assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_jordan_synthesis_verifies(seed):
+    # a size-2 Jordan block at zero whose eigenvector N kills: one port
+    # vector is read off N W Nbar^+, the other is left to V's completion
+    rng = np.random.default_rng(seed)
+    n_mat, _, m, n = planted_coupling([("kernel_jordan", 0.0)], rng)
+    assert m == n == 2
+    fact = bogoliubov_svd(n_mat)
+    assert fact.residual < 1e-13
+    (block,) = fact.blocks
+    assert block.kind == "jordan2" and block.params["in_kernel"]
+    model = Model(kind="general", n_mat=n_mat,
+                  m_mat=random_hermitian_doubled_up(n, rng, scale=0.5))
+    report = verify_realization(model, synthesize(model))
+    assert report.passed, report.summary()
+
+
 def nhat_from_cavities(real):
     """The canonical coupling rebuilt from the cavity/port assignment."""
     m, n = (d // 2 for d in real.nhat.shape)

@@ -3,10 +3,11 @@
 Static checks of ``src/lqss`` with the standard-library ``ast`` module: no
 module imports a name it does not use, every top-level function or class is
 exported in ``lqss.__all__`` or referenced from elsewhere in the package,
-every defaulted parameter is set by some call in the package, and no module
-imports the standard library's ``json``.  ``krein`` is the one module that
-takes a Schur form from ``scipy.linalg``: its ``schur_form`` serves every
-doubled-up eigenproblem.  Test-only helpers belong in ``tests/helpers.py``,
+every defaulted parameter is set by some call in the package, no module
+imports the standard library's ``json``, and every import sits at module
+level, none inside a function.  ``krein`` is the one module that takes a
+Schur form from ``scipy.linalg``: its ``schur_form`` serves every doubled-up
+eigenproblem.  Test-only helpers belong in ``tests/helpers.py``,
 and no test seeds anything with the built-in ``hash``.  Importing the CLI
 loads no third-party module beyond numpy, scipy.linalg and orjson.
 """
@@ -180,6 +181,19 @@ def test_orjson_is_the_only_json_codec():
             imports += [f"{module}.py:{node.lineno} {name}" for name in names
                         if name.split(".")[0] == "json"]
     assert not imports, f"standard-library json imported: {imports}"
+
+
+def test_imports_sit_at_module_level():
+    # an import inside a function hides a dependency from the module's
+    # header and is paid again on every call
+    nested = []
+    for module, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{module}.py:{node.lineno} in {func.name}"
+                           for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside functions: {nested}"
 
 
 def test_krein_is_the_only_schur_caller():

@@ -11,12 +11,17 @@ from helpers import (
     multiset_distance,
     pair_counts,
     planted_coupling,
+    random_bogoliubov,
     random_general_model,
     recorded_schur_routes,
 )
 from lqss import krein, spectral
 from lqss.dusvd import bogoliubov_svd
-from lqss.errors import NumericalError, UnsupportedStructureError
+from lqss.errors import (
+    DegeneracyError,
+    NumericalError,
+    UnsupportedStructureError,
+)
 from lqss.krein import (
     doubled_up_residual,
     j_inner,
@@ -92,8 +97,47 @@ class TestJPositiveVectors:
                 assert abs(j_inner(z, swap_conj(w))) < 1e-8
 
     def test_exhaustion(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NumericalError):
             j_positive_vectors(np.eye(4, dtype=complex), 3)
+
+    def test_degenerate_subspace(self):
+        # span{e1 + e3, e2 + e4} is swap-invariant and J-neutral
+        basis = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex)
+        with pytest.raises(DegeneracyError):
+            j_positive_vectors(basis, 1)
+
+    def test_multi_pair_from_one_eigh(self, monkeypatch):
+        # three of the five pairs of a random Bogoliubov matrix span a
+        # swap-invariant subspace; hand it over in a scrambled basis
+        rng = np.random.default_rng(7)
+        k, p = 5, 3
+        t = random_bogoliubov(k, seed=8)
+        span = np.column_stack([t[:, :p], t[:, k:k + p]])
+        mix = rng.normal(size=(2 * p, 2 * p)) + 1j * rng.normal(
+            size=(2 * p, 2 * p))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        zmat = np.column_stack(j_positive_vectors(span @ mix, p))
+        monkeypatch.undo()
+        assert calls == [(2 * p, 2 * p)]
+        j = jmat(2 * k)
+        assert np.linalg.norm(zmat.conj().T @ j @ zmat - np.eye(p)) < 1e-10
+        partners = swap_conj(zmat)
+        assert np.linalg.norm(zmat.conj().T @ j @ partners) < 1e-10
+        # inside the subspace, and as short as a J-orthonormal basis of it
+        # can be: 1 / sqrt of the smallest positive eigenvalue of the
+        # subspace's J-Gram in an orthonormal basis
+        q, _ = np.linalg.qr(span)
+        assert np.linalg.norm(zmat - q @ (q.conj().T @ zmat)) < 1e-10
+        d = np.linalg.eigvalsh(q.conj().T @ j @ q)
+        assert np.linalg.norm(zmat, 2) == pytest.approx(
+            1 / np.sqrt(d[-p]), rel=1e-10)
 
 
 class TestClassification:

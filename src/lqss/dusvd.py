@@ -324,50 +324,34 @@ def _block_v_columns(coupling: np.ndarray, b: ModeBlock) -> None:
 def _degenerate_v_columns(m: int, known_cols: list, p_cols: list) -> list:
     """Resolve the V columns of J-neutral zero modes.
 
-    Each neutral image p (with Sigma p# = p) splits uniquely -- once the
-    J-orthogonality constraints against every other column are imposed --
-    as p = v + Sigma v# with <v, v>_J = 1.  The swap-antisymmetric part
-    u = v - Sigma v# lives in the J-orthogonal complement of all placed
-    columns and pairs with p: <p, u>_J = 2, <u, u>_J = 0.
+    Each neutral image p (with Sigma p# = p) splits as p = v + Sigma v#.
+    The swap-antisymmetric parts u = v - Sigma v#, the columns of U, lie in
+    the J-orthogonal complement B of all placed columns and their partners,
+    and with P = [p_1, ...] they satisfy P^dag J U = 2 I and U^dag J U = 0;
+    then V = (P + U) / 2 is J-orthonormal and J-orthogonal to every partner.
+    One null space gives B; U = 2 B pinv(P^dag J B) meets the pairing,
+    (U - Sigma U#) / 2 makes it swap-antisymmetric without changing the
+    pairing, and U - P (U^dag J U) / 4 makes it J-neutral.
     """
     jm = jmat(2 * m)
-    built: list = []
-    for k, p in enumerate(p_cols):
-        cons = []
-        for c in list(known_cols) + built:
-            cons.append(c)
-            cons.append(swap_conj(c))
-        for j in range(k + 1, len(p_cols)):
-            q = p_cols[j]
-            cons.append(q / np.linalg.norm(q))
-        if cons:
-            a = np.column_stack(cons)
-            basis = null_space(a.conj().T @ jm, 1e-10)
-        else:
-            basis = np.eye(2 * m, dtype=complex)
-        overlap = p.conj() @ jm @ basis
-        if np.linalg.norm(overlap) < 1e-8 * np.linalg.norm(p):
-            raise NumericalError(
-                "no J-partner direction left for a degenerate zero mode")
-        y = basis @ overlap.conj()
-        y /= np.linalg.norm(y)
-        # two swap-antisymmetric candidates; the pairing with p is real
-        # for either, pick the stronger one
-        cand = [y - swap_conj(y), 1j * (y + swap_conj(y))]
-        pairings = [complex(p.conj() @ jm @ u) for u in cand]
-        best = int(np.argmax([abs(ip) for ip in pairings]))
-        u, ip = cand[best], pairings[best]
-        if abs(ip) < 1e-8 or abs(ip.imag) > 1e-6 * abs(ip):
-            raise NumericalError(
-                "pairing between a degenerate zero mode and its partner "
-                "direction is numerically degenerate")
-        u = u * (2.0 / ip.real)
-        v = (p + u) / 2.0
-        if abs(j_inner(v, v).real - 1.0) > 1e-6:
-            raise NumericalError(
-                "resolved degenerate port vector is not J-normalized")
-        built.append(v)
-    return built
+    p = np.column_stack(p_cols)
+    placed = np.column_stack([np.zeros((2 * m, 0)), *known_cols])
+    placed = np.column_stack([placed, swap_conj(placed)])
+    basis = null_space(placed.conj().T @ jm, 1e-10)
+    pairing = p.conj().T @ jm @ basis
+    left, sv, right = np.linalg.svd(pairing, full_matrices=False)
+    if sv.size < p.shape[1] or sv[-1] < 1e-8 * np.linalg.norm(p, 2):
+        raise NumericalError(
+            "pairing between the degenerate zero modes and their partner "
+            "directions is numerically singular")
+    u = 2.0 * basis @ (right.conj().T / sv) @ left.conj().T
+    u = (u - swap_conj(u)) / 2.0
+    u = u - p @ (u.conj().T @ jm @ u) / 4.0
+    v = (p + u) / 2.0
+    if np.linalg.norm(v.conj().T @ jm @ v - np.eye(v.shape[1])) > 1e-6:
+        raise NumericalError(
+            "resolved degenerate port vectors are not J-orthonormal")
+    return list(v.T)
 
 
 def complete_j_basis(known_cols: np.ndarray, m: int) -> list:

@@ -21,11 +21,13 @@ fails the guard takes the complex Schur form.  Reordering the form
 Schur vectors Q1 an orthonormal basis of the cluster's invariant subspace,
 and every structural decision is taken on the cluster's own block
 B = T11 - lam I, with G Q1 = Q1 T11.  The eigenspace is
-Q1 times the right singular vectors of B below the kernel cutoff; real
-eigenvalues carrying a 2 x 2 Jordan block are returned as
-generalized-eigenvector pairs, and larger Jordan blocks (B^2 not zero) are
-rejected.  Every cutoff is a constant, so the coupling alone fixes the
-classification (``krein_spectrum(gram, coupling)``).
+Q1 times the right singular vectors of B below the kernel cutoff, and the
+right singular vectors above it span the generalized directions.  Real
+eigenvalues carrying 2 x 2 Jordan blocks are returned as
+generalized-eigenvector pairs, all of a cluster's pairs from one
+eigendecomposition (``_jordan_pairs``), and larger Jordan blocks (B^2 not
+zero) are rejected.  Every cutoff is a constant, so the coupling alone
+fixes the classification (``krein_spectrum(gram, coupling)``).
 
 Real clusters, Ker N and the zero modes outside it take their J-orthonormal
 vectors from ``j_positive_vectors``: with E orthonormal and E^dag J E =
@@ -239,48 +241,53 @@ def _cluster(values: np.ndarray, tol: float) -> list:
     return [g.tolist() for g in np.split(order, starts)]
 
 
-def _extract_jordan2_pair(gram: np.ndarray, lam: float,
-                          cand: np.ndarray) -> tuple:
-    """Pick a normalized generalized pair (z1, z2) with <z1,z2> = 1,
-    <z2,z2> = 0 from candidate generalized directions ``cand``.
+def _jordan_pairs(shifted: np.ndarray, cand: np.ndarray) -> tuple:
+    """All size-2 Jordan pairs of a real cluster from one eigendecomposition.
 
-    For z2 = cand c the normalization constant <(G - lam) z2, z2> is the
+    ``shifted`` is G - lam I and ``cand`` an orthonormal basis of the
+    complement of the eigenspace in the cluster's invariant subspace.  For
+    z2 = cand c the normalization constant <z2, (G - lam) z2>_J is the
     Hermitian form c^dag H c with H = cand^dag J (G - lam) cand (Hermitian
-    because G is J-Hermitian); z2 is taken along the eigenvector of H with
-    the largest |eigenvalue|.
+    because G is J-Hermitian).  Its eigenvectors c for the largest half of
+    its eigenvalues g give z2 = cand c / sqrt(g) and z1 = (G - lam) z2, so
+    <z1_i, z2_j>_J = delta_ij; a partner's coefficients lie in the
+    eigenspace of -g, so each z2 is J-orthogonal to the partners Sigma z1#.
+    Subtracting Z1 (Z2^dag J Z2) / 2 + Sigma Z1# conj(Z2^dag J Sigma Z2#) / 2
+    from Z2 then makes the z2 J-neutral to one another and to every partner
+    Sigma z2#.  Returns (Z1, Z2), one column per pair.
     """
-    shifted = gram - lam * np.eye(gram.shape[0])
-    form = cand.conj().T @ jmat(gram.shape[0]) @ shifted @ cand
+    jm = jmat(shifted.shape[0])
+    form = cand.conj().T @ jm @ shifted @ cand
     skew = np.linalg.norm(form - form.conj().T) / 2
     if skew > 1e-6 * max(1.0, np.linalg.norm(form)):
         raise NumericalError(
             "generalized eigenvector pairing produced a non-real "
             "normalization constant")
     evals, evecs = np.linalg.eigh((form + form.conj().T) / 2)
-    k = int(np.argmax(np.abs(evals)))
-    g = evals[k]
-    if abs(g) < 1e-8:
+    count = cand.shape[1] // 2
+    g = evals[::-1][:count]
+    if g[-1] < 1e-8:
         raise NumericalError(
             "Jordan pair normalization constant is numerically zero")
-    z2 = cand @ evecs[:, k]
+    z2 = cand @ evecs[:, ::-1][:, :count] / np.sqrt(g)
     z1 = shifted @ z2
-    if g < 0:
-        z1, z2 = swap_conj(z1), swap_conj(z2)
-        g = -g
-    z2 = z2 / np.sqrt(g)
-    z1 = shifted @ z2
-    c2 = j_inner(z2, z2).real
-    z2 = z2 - (c2 / 2) * z1
+    z2 = (z2 - z1 @ (z2.conj().T @ jm @ z2) / 2
+          - swap_conj(z1) @ np.conj(z2.conj().T @ jm @ swap_conj(z2)) / 2)
     return z1, z2
 
 
-def _real_cluster_classes(gram, coupling, lam, scale, e1, q1, block):
+def _real_cluster_classes(gram, coupling, lam, scale, e1, cand, block):
     """Classify one real (possibly zero) eigenvalue cluster with eigenspace
-    basis ``e1`` inside its invariant subspace ``q1``, on which G - lam I
-    acts as ``block``."""
+    basis ``e1``, on whose invariant subspace G - lam I acts as ``block``.
+
+    ``cand``, the orthonormal complement of ``e1`` in that subspace, holds
+    one generalized direction per Jordan pair and partner.  Every pair comes
+    from one ``_jordan_pairs`` call, and one J-projection takes the pairs
+    and their partners off the eigenspace, leaving its semisimple part.
+    """
     classes = []
-    n_jordan = q1.shape[1] - e1.shape[1]
-    jordan_pairs = []
+    n_jordan = cand.shape[1]
+    zero = abs(lam) < TOL_CLUSTER * scale
     if n_jordan > 0:
         if np.linalg.norm(block @ block, 2) > 1e-6 * scale ** 2:
             raise UnsupportedStructureError(
@@ -290,30 +297,21 @@ def _real_cluster_classes(gram, coupling, lam, scale, e1, q1, block):
             raise UnsupportedStructureError(
                 f"eigenvalue {lam:.6g} has odd Jordan deficiency; only "
                 "size-2 blocks in conjugate pairs are supported")
-        work2 = q1
-        for _ in range(n_jordan // 2):
-            # candidate generalized directions: part of work2 outside e1
-            proj = work2 - e1 @ (e1.conj().T @ work2)
-            cand = _orthonormal_columns(proj)
-            z1, z2 = _extract_jordan2_pair(gram, lam, cand)
-            jordan_pairs.append((z1, z2))
-            span = np.column_stack([z1, z2, swap_conj(z1), swap_conj(z2)])
-            work2 = _orthonormal_columns(_j_project_off(work2, span))
-            e1 = _orthonormal_columns(_j_project_off(e1, span))
-
-    zero = abs(lam) < TOL_CLUSTER * scale
-    if jordan_pairs:
+        z1, z2 = _jordan_pairs(gram - lam * np.eye(gram.shape[0]), cand)
+        span = np.column_stack([z1, z2, swap_conj(z1), swap_conj(z2)])
+        e1 = _orthonormal_columns(_j_project_off(e1, span))
+        pairs = list(zip(z1.T, z2.T))
         if zero:
-            for z1, z2 in jordan_pairs:
-                in_ker = (np.linalg.norm(coupling @ z1)
-                          <= 1e-7 * max(1.0, np.linalg.norm(coupling)))
+            nnorm = max(1.0, np.linalg.norm(coupling))
+            for pair in pairs:
+                in_ker = np.linalg.norm(coupling @ pair[0]) <= 1e-7 * nnorm
                 classes.append(EigenClass(
                     kind="zero_in_kernel" if in_ker else "zero_off_kernel",
-                    value=0.0, vectors=[(z1, z2)], jordan_size=2))
+                    value=0.0, vectors=[pair], jordan_size=2))
         else:
             kind = "real_positive" if lam > 0 else "real_negative"
             classes.append(EigenClass(kind=kind, value=lam,
-                                      vectors=jordan_pairs, jordan_size=2))
+                                      vectors=pairs, jordan_size=2))
 
     # remaining semisimple part of the eigenspace
     semi = e1.shape[1]
@@ -463,7 +461,8 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
             worst = max(worst, float(sv[0]) / cutoff)
         if real:
             classes.extend(_real_cluster_classes(
-                gram, coupling, lam, scale, basis, q1, block))
+                gram, coupling, lam, scale, basis,
+                q1 @ vh[:rank].conj().T, block))
         else:
             classes.append(_complex_cluster_class(lam, mult, basis))
 

@@ -6,14 +6,18 @@ triangular decomposition one rotation at a time used as a reference for
 ``reck_decompose``, device lists built one record at a time as references
 for the array schedules, planted factorization cases, the pair counts and
 Jordan classes of a Krein spectrum, a count of the ``Model`` objects a call
-builds, and a record of the route each Schur reduction takes.  A planted case starts from a
-hand-built canonical coupling Nhat (whose Gram eigenvalues are known
-exactly) and hides it behind random Bogoliubov factors: N = V Nhat W^b.
+builds, a record of the route each Schur reduction takes, a record of
+the functions that call a given one, and JSON file reads and writes that
+close their files.  A planted case starts from a hand-built canonical
+coupling Nhat (whose Gram eigenvalues are known exactly) and hides it
+behind random Bogoliubov factors: N = V Nhat W^b.
 Recovering the factorization must then reproduce the planted eigenvalue
 multiset and reconstruct N.
 """
 
+import json
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -83,6 +87,32 @@ def recorded_schur_routes(monkeypatch):
 
     monkeypatch.setattr(krein, "schur", recorded)
     return routes
+
+
+def recorded_callers(monkeypatch, owner, name):
+    """The list to which every call of ``owner.name`` from now on, in the
+    test that owns ``monkeypatch``, appends the name of the calling
+    function."""
+    callers, original = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return callers
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, data):
+    """Write ``data`` as JSON to the file at ``path``, closed on return."""
+    with open(path, "w") as fh:
+        json.dump(data, fh)
 
 
 def model_to_dict(model, detunings=None):

@@ -15,7 +15,9 @@ from helpers import (
     random_bogoliubov,
     random_passive_model,
     random_unitary,
+    read_json,
     schedule_residual,
+    write_json,
 )
 from lqss import (
     cli,
@@ -173,7 +175,7 @@ class TestSynth:
         out = str(tmp_path / "net.json")
         assert main(["synth", "--input", passive_model_file,
                      "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["type"] == "passive"
         assert data["classification"]["rank"] == 2
         assert data["factorization_residual"] < 1e-10
@@ -185,7 +187,7 @@ class TestSynth:
         out = str(tmp_path / "gnet.json")
         assert main(["synth", "--input", general_model_file,
                      "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["type"] == "general"
         assert data["cavities"]
         assert main(["verify", "--model", general_model_file,
@@ -236,7 +238,7 @@ class TestSynth:
         path = write_model(tmp_path / "zero.json", model)
         out = str(tmp_path / "zero_net.json")
         assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert np.linalg.norm(
             modelio.decode_matrix(data["reduced"]["N_hat"], "N_hat")) == 0.0
         assert data["classification"]["rank"] == 0
@@ -252,7 +254,7 @@ class TestSynth:
         path = write_model(tmp_path / "real.json", model)
         out = str(tmp_path / "real_net.json")
         assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         for network in ("pre_network", "post_network"):
             schedule = data[network]["schedule"]
             assert (schedule["kind"], schedule["channels"]) == ("unitary", 2)
@@ -264,7 +266,7 @@ class TestSynth:
                            detunings=[0.5, -0.5, 1.0])
         out = str(tmp_path / "det_net.json")
         assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["reduced"]["detunings"] == [0.5, -0.5, 1.0]
         assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
 
@@ -281,7 +283,7 @@ class TestSynth:
         out = str(tmp_path / "det_net.json")
         assert main(["synth", "--input", path, "--output", out,
                      "--detuning-file", dpath]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["reduced"]["detunings"] == detunings
         assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
 
@@ -319,7 +321,7 @@ class TestSynth:
         if flag is not None:
             argv += ["--interconnect-kappa", flag]
         assert main(argv) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["reduced"]["interconnect_kappas"] == stored
 
     @pytest.mark.parametrize("kappas, stored", [
@@ -331,7 +333,7 @@ class TestSynth:
                            interconnect_kappas=kappas)
         out = str(tmp_path / "rates_net.json")
         assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["reduced"]["interconnect_kappas"] == stored
         assert main(["verify", "--model", path, "--netlist", out]) == EXIT_OK
 
@@ -504,11 +506,11 @@ class TestVerify:
     def test_perturbed_netlist_fails(self, passive_model_file, tmp_path):
         out = str(tmp_path / "net.json")
         main(["synth", "--input", passive_model_file, "--output", out])
-        data = json.load(open(out))
+        data = read_json(out)
         r = modelio.decode_matrix(data["feedback"]["matrix"], "r")
         data["feedback"]["matrix"] = modelio.encode_matrix(
             r * np.exp(0.03j))
-        json.dump(data, open(out, "w"))
+        write_json(out, data)
         assert main(["verify", "--model", passive_model_file,
                      "--netlist", out]) == EXIT_VERIFY_FAILED
 
@@ -519,7 +521,7 @@ class TestVerify:
         assert main(["verify", "--model", passive_model_file,
                      "--netlist", out, "--freqs", "1",
                      "--output", rep]) == EXIT_OK
-        report = json.load(open(rep))
+        report = read_json(rep)
         assert report["passed"] is True
         assert len(report["errors"]) == 2  # one frequency, two contours
         worst = int(np.argmax(report["errors"]))
@@ -550,9 +552,9 @@ class TestVerify:
                                             tmp_path, capsys):
         out = str(tmp_path / "net.json")
         main(["synth", "--input", passive_model_file, "--output", out])
-        data = json.load(open(out))
+        data = read_json(out)
         data["reduced"]["interconnect_kappas"] = kappas
-        json.dump(data, open(out, "w"))
+        write_json(out, data)
         capsys.readouterr()
         code = main(["verify", "--model", passive_model_file,
                      "--netlist", out])
@@ -566,9 +568,9 @@ class TestVerify:
         # the rates parse, so their count is checked by verification
         out = str(tmp_path / "net.json")
         main(["synth", "--input", passive_model_file, "--output", out])
-        data = json.load(open(out))
+        data = read_json(out)
         data["reduced"]["interconnect_kappas"].pop()
-        json.dump(data, open(out, "w"))
+        write_json(out, data)
         capsys.readouterr()
         code = main(["verify", "--model", passive_model_file,
                      "--netlist", out])
@@ -587,9 +589,9 @@ class TestVerify:
             kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat))
         out = str(tmp_path / "net.json")
         assert main(["synth", "--input", model, "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         data["feedback"]["matrix"] = modelio.encode_matrix(r_feedback)
-        json.dump(data, open(out, "w"))
+        write_json(out, data)
         return model, out
 
     @pytest.mark.parametrize("diagonal", [[1, 1, 1, 1], [1, -1, -1, -1]])
@@ -620,7 +622,7 @@ class TestVerify:
         out = str(tmp_path / "net.json")
         assert main(["synth", "--input", passive_model_file,
                      "--output", out]) == EXIT_OK
-        data = json.load(open(passive_model_file))
+        data = read_json(passive_model_file)
         data["M"][0][1] = [5.0, 0.0]  # M no longer Hermitian
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(data))
@@ -642,13 +644,13 @@ class TestVerify:
         out = str(tmp_path / "net.json")
         assert main(["synth", "--input", passive_model_file,
                      "--output", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         part, key = location.split(".")
         if key == "interconnect_kappas":
             data[part][key][0] = value
         else:
             data[part][key][0][0][0] = value
-        json.dump(data, open(out, "w"))
+        write_json(out, data)
         capsys.readouterr()
         code = main(["verify", "--model", passive_model_file,
                      "--netlist", out])
@@ -664,7 +666,7 @@ class TestVerify:
         out = str(tmp_path / "net.json")
         assert main(["synth", "--input", general_model_file,
                      "--output", out]) == EXIT_OK
-        data = json.load(open(general_model_file))
+        data = read_json(general_model_file)
         data["N"][0][0][0] += 0.5
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(data))
@@ -948,7 +950,7 @@ class TestDecompose:
         assert main(["decompose", "--input", str(path), "--kind", "unitary",
                      "--output", out]) == EXIT_OK
         sched = schedule_static(q, kind="unitary")
-        assert same_json(json.load(open(out))["devices"], sched.devices)
+        assert same_json(read_json(out)["devices"], sched.devices)
         assert schedule_residual(sched, q) < 1e-8
 
     def test_bogoliubov(self, tmp_path):
@@ -958,7 +960,7 @@ class TestDecompose:
         out = str(tmp_path / "sched.json")
         assert main(["decompose", "--input", str(path),
                      "--output", out]) == EXIT_OK
-        written = json.load(open(out))
+        written = read_json(out)
         sched = schedule_static(r)
         assert written["kind"] == "bogoliubov" and sched.doubled
         assert same_json(written["devices"], sched.devices)
@@ -983,7 +985,7 @@ class TestDecompose:
         assert main(["decompose", "--input", str(path), "--kind", kind,
                      "--output", out]) == EXIT_OK
         assert len(calls) == products
-        assert json.load(open(out))["residual"] == expected
+        assert read_json(out)["residual"] == expected
 
     @pytest.mark.parametrize("bogoliubov", [True, False])
     def test_detected_kind_is_checked_once(self, bogoliubov, tmp_path,
@@ -1002,7 +1004,7 @@ class TestDecompose:
         assert main(["decompose", "--input", str(path),
                      "--output", out]) == EXIT_OK
         assert len(calls) == 1
-        written = json.load(open(out))
+        written = read_json(out)
         assert written["kind"] == ("bogoliubov" if bogoliubov
                                    else "unitary")
         sched = schedule_static(matrix, kind=written["kind"])

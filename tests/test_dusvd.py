@@ -5,9 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import multiset_distance, planted_coupling
+from helpers import multiset_distance, planted_coupling, recorded_callers
+from lqss import dusvd
 from lqss.dusvd import (
     SIGMA2,
+    _degenerate_v_columns,
     bogoliubov_svd,
     degenerate_factor,
     jordan2_factor,
@@ -16,6 +18,7 @@ from lqss.dusvd import (
 )
 from lqss.errors import (
     DegeneracyError,
+    NumericalError,
     StructureError,
     UnsupportedStructureError,
 )
@@ -26,7 +29,7 @@ from lqss.krein import (
     phi_to_doubled,
     sharp_adjoint,
 )
-from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
+from test_spectral import JORDAN3_WITNESS, MIXED, nonneutral_coupling
 
 
 def gram_of(nbar1, nbar2):
@@ -205,6 +208,42 @@ class TestBogoliubovSvd:
         lhs = flat_adjoint(res.w) @ gram @ res.w
         rhs = flat_adjoint(res.nhat) @ res.nhat
         assert np.linalg.norm(lhs - rhs) < 1e-8
+
+
+DEGENERATE_CASES = {f"deg{len(h)}": [("deg", h)] for h in (
+    [0.7], [0.7, 1.1], [0.5, 0.9, 1.3], [0.4, 0.8, 1.2, 1.6])}
+DEGENERATE_CASES["tied"] = [("deg", [1.0, 1.0])]
+DEGENERATE_CASES.update({f"mixed-x{k}": MIXED * k for k in (1, 2, 3)})
+
+
+class TestDegenerateVColumns:
+    @pytest.mark.parametrize("specs", DEGENERATE_CASES.values(),
+                             ids=DEGENERATE_CASES.keys())
+    def test_one_null_space(self, specs, monkeypatch):
+        # all port vectors of the degenerate block come from one null space
+        # and are J-orthonormal to every column of V and every partner
+        coupling, _, m, _ = planted_coupling(specs,
+                                             np.random.default_rng(0))
+        spaces = recorded_callers(monkeypatch, dusvd, "null_space")
+        res = bogoliubov_svd(coupling)
+        assert spaces.count("_degenerate_v_columns") == 1
+        # V's first-half columns follow the non-kernel blocks in order
+        kinds = np.array([b.kind for b in res.blocks if b.kind != "kernel"
+                          for _ in range(b.size)])
+        deg = np.flatnonzero(kinds == "degenerate_zero")
+        assert deg.size == sum(len(s[1]) for s in specs if s[0] == "deg")
+        idx = np.r_[deg, m + deg]
+        jm = jmat(2 * m)
+        forms = res.v.conj().T @ jm @ res.v
+        assert np.abs(forms[idx] - jm[idx]).max() < 1e-10
+
+    def test_singular_pairing_raises(self):
+        # the neutral image p = e0 + e2 lies in the span of the placed
+        # column e0 and its partner e2, so no free direction pairs with it
+        placed = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        p = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
+        with pytest.raises(NumericalError, match="singular"):
+            _degenerate_v_columns(2, [placed], [p])
 
 
 class TestSymplecticSvd:

@@ -13,6 +13,7 @@ from helpers import (
     planted_coupling,
     random_bogoliubov,
     random_general_model,
+    recorded_callers,
     recorded_schur_routes,
 )
 from lqss import krein, spectral
@@ -32,7 +33,7 @@ from lqss.krein import (
 from lqss.spectral import (
     TOL_RANK,
     _cluster,
-    _extract_jordan2_pair,
+    _jordan_pairs,
     check_degeneracy,
     j_gram,
     j_positive_vectors,
@@ -468,6 +469,39 @@ def test_mixed_structure_factors(k, seed):
     assert bogoliubov_svd(coupling).residual < 1e-8
 
 
+JORDAN_CASES = {f"mixed-x{k}": MIXED * k for k in (2, 3, 4)}
+JORDAN_CASES.update({f"jordan{lam}-x3": [("jordan", lam)] * 3
+                     for lam in (1.3, -0.8)})
+
+
+@pytest.mark.parametrize("specs", JORDAN_CASES.values(),
+                         ids=JORDAN_CASES.keys())
+def test_jordan_pairs_from_one_eigh(specs, monkeypatch):
+    # every pair of the cluster comes from one eigh of the pairing form,
+    # and one J-projection takes all pairs off the eigenspace
+    coupling, _, _, _ = planted_coupling(specs, np.random.default_rng(0))
+    eighs = recorded_callers(monkeypatch, np.linalg, "eigh")
+    projections = recorded_callers(monkeypatch, spectral, "_j_project_off")
+    spec = krein_spectrum(j_gram(coupling), coupling)
+    (cls,) = jordan_pairs(spec)
+    assert len([c for c in eighs if c != "j_positive_vectors"]) == 1
+    assert len(projections) == 1
+    k = cls.pair_count
+    assert k == sum(s[0] == "jordan" for s in specs)
+    z1, z2 = (np.column_stack(z) for z in zip(*cls.vectors))
+    cols = np.column_stack([z1, z2, swap_conj(z1), swap_conj(z2)])
+    one, nil = np.eye(k), np.zeros((k, k))
+    # <z1_i, z2_j> = delta_ij, partners carry the opposite sign, and every
+    # other J-product among the pairs and their partners vanishes, each to
+    # 1e-10 of the product of the two vectors' norms (the Gram of MIXED * 4
+    # has norm ~500, and rounding in it leaves ~1e-9 absolute)
+    expected = np.block([[nil, one, nil, nil], [one, nil, nil, nil],
+                         [nil, nil, nil, -one], [nil, nil, -one, nil]])
+    forms = cols.conj().T @ jmat(cols.shape[0]) @ cols
+    norms = np.linalg.norm(cols, axis=0)
+    assert (np.abs(forms - expected) / np.outer(norms, norms)).max() < 1e-10
+
+
 class TestSpectrumDiagnostics:
     def test_fields_and_debug_line(self, caplog):
         _, coupling = random_general_model(8, 8, np.random.default_rng(4))
@@ -487,4 +521,4 @@ def test_jordan_pairing_rejects_non_hermitian_form():
     # cand^dag J G cand has an anti-Hermitian part
     gram = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NumericalError, match="non-real"):
-        _extract_jordan2_pair(gram, 0.0, np.eye(2, dtype=complex))
+        _jordan_pairs(gram, np.eye(2, dtype=complex))

@@ -5,8 +5,9 @@ A Bogoliubov matrix R factors as (Bloch-Messiah)
     R = diag(U2, U2#) [[cosh X, sinh X], [sinh X, cosh X]] diag(U1, U1#)
 
 with U1, U2 unitary and X = diag(x_1..x_m) >= 0; the unitary factors then
-break into at most m(m-1)/2 two-channel beamsplitters plus output phases
-(triangular elimination), and the middle factor into m single-mode
+break into at most m(m-1)/2 two-channel beamsplitters, each with a mixing
+angle theta and a phase psi, plus at most m output phases (triangular
+elimination, m^2 real parameters), and the middle factor into m single-mode
 squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
 embedded matrices multiply out (left to right) to the decomposed matrix.
 It is stored as arrays: a kind code per device (an index into ``KINDS``), a
@@ -16,7 +17,8 @@ arrays, and only written: the one per-device view is ``devices``, the list
 of records (dicts) that the netlist and ``lqss decompose`` write.
 
 The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
-per column: a scalar pass finds the column's rotations, and their product,
+per column: a scalar pass over the column's magnitudes and angles finds
+(theta, psi) of each rotation in closed form, and the rotations' product,
 a unitary upper Hessenberg matrix in closed form, is applied as one matrix
 product.  A schedule is multiplied out by layers: walking the list from the
 end, each device joins the first layer after the last one that touched its
@@ -40,6 +42,9 @@ from .errors import NumericalError, StructureError
 from .krein import check_bogoliubov
 
 ANGLE_EPS = 1e-12
+#: the upper end of the branch (-pi/2, pi/2] of a beamsplitter's psi, moved
+#: up by ANGLE_EPS / 2 like the cut of ``_angle``
+HALF_TURN = 0.5 * (math.pi + ANGLE_EPS)
 
 
 def takagi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,14 +143,13 @@ def _phase_matrix(theta) -> np.ndarray:
 
 
 #: device kinds by code: (name, block builder, channel count, parameter
-#: names, how many parameters a device always lists).  A device lists the
-#: rest only when they are non-zero (a Bloch-Messiah squeezer lists just
-#: ``x``).
+#: names).  A device always lists its first parameter and the others only
+#: when they are non-zero: a Reck beamsplitter lists ``theta`` and ``psi``,
+#: a Bloch-Messiah squeezer just ``x``.
 KINDS = (
-    ("beamsplitter", beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta"),
-     4),
-    ("phase", _phase_matrix, 1, ("theta",), 1),
-    ("squeezer", squeezer_matrix, 1, ("x", "phi", "psi"), 1),
+    ("beamsplitter", beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta")),
+    ("phase", _phase_matrix, 1, ("theta",)),
+    ("squeezer", squeezer_matrix, 1, ("x", "phi", "psi")),
 )
 BEAMSPLITTER, PHASE, SQUEEZER = range(len(KINDS))
 
@@ -173,24 +177,6 @@ def _angle(z):
     rounding error of its imaginary part has."""
     ang = np.angle(z)
     return np.where(ang < ANGLE_EPS - np.pi, ang + 2.0 * np.pi, ang)
-
-
-def beamsplitter_params(g: np.ndarray) -> dict:
-    """Recover (theta, phi, psi, zeta) from a 2 x 2 unitary, or from each
-    matrix of a (..., 2, 2) stack (the parameters are then arrays)."""
-    g = np.asarray(g, dtype=complex)
-    zeta = _angle(np.linalg.det(g)) / 2.0
-    gs = g * np.exp(-1j * zeta)[..., None, None]
-    a, b = gs[..., 0, 0], gs[..., 0, 1]
-    theta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
-    half_sum = np.where(np.abs(a) > ANGLE_EPS, _angle(a), 0.0)
-    half_diff = np.where(np.abs(b) > ANGLE_EPS, _angle(b), 0.0)
-    params = {"theta": theta, "phi": half_sum - half_diff,
-              "psi": half_sum + half_diff, "zeta": zeta}
-    miss = np.linalg.norm(beamsplitter_matrix(**params) - g, axis=(-2, -1))
-    if np.any(miss > 1e-8):
-        raise NumericalError("beamsplitter parameter extraction failed")
-    return params
 
 
 def _table(*columns) -> np.ndarray:
@@ -243,18 +229,24 @@ class DeviceSchedule:
         ``modelio`` writes a schedule.
         """
         out = [None] * len(self.kinds)
-        for code, (name, _, count, names, listed) in enumerate(KINDS):
+        for code, (name, _, count, names) in enumerate(KINDS):
             index = np.flatnonzero(self.kinds == code)
-            shown, extra = names[:listed], names[listed:]
-            for at, channels, values in zip(
-                    index.tolist(), self.wires[index, :count].tolist(),
-                    self.params[index, :len(names)].tolist()):
-                params = dict(zip(shown, values))
-                if extra:
-                    params.update((key, value) for key, value
-                                  in zip(extra, values[listed:]) if value)
-                out[at] = {"kind": name, "channels": channels,
-                           "params": params}
+            values = self.params[index, :len(names)]
+            listed = values != 0.0
+            listed[:, 0] = True
+            # grouped by the parameters they list, each record is one dict
+            # of a zip, which keeps the work per device in C
+            patterns = listed @ (1 << np.arange(len(names)))
+            for pattern in np.unique(patterns).tolist():
+                group = np.flatnonzero(patterns == pattern)
+                shown = listed[group[0]]
+                keys = [key for key, on in zip(names, shown) if on]
+                for at, channels, row in zip(
+                        index[group].tolist(),
+                        self.wires[index[group], :count].tolist(),
+                        values[group][:, shown].tolist()):
+                    out[at] = {"kind": name, "channels": channels,
+                               "params": dict(zip(keys, row))}
         return out
 
     def matrix(self) -> np.ndarray:
@@ -273,7 +265,7 @@ class DeviceSchedule:
         m, doubled = self.channels, self.doubled
         layer, depth = _layers(self.wires, m)
         stacks = {}  # block width -> [(rows, blocks, layers)] per kind
-        for code, (_, build, count, names, _) in enumerate(KINDS):
+        for code, (_, build, count, names) in enumerate(KINDS):
             index = np.flatnonzero(self.kinds == code)
             if not index.size:
                 continue
@@ -305,39 +297,57 @@ class DeviceSchedule:
 
 def _eliminate(u: np.ndarray) -> tuple:
     """Column-step triangular elimination of a unitary (see
-    ``reck_decompose``): (rows, rotations, diagonal), the top row of each
-    rotation's channel pair, the (k, 2, 2) stack of rotations in the order
-    applied, and the diagonal left over."""
+    ``reck_decompose``): (rows, theta, psi, diagonal), the top row of each
+    rotation's channel pair and the parameters of its beamsplitter, in the
+    order applied, and the diagonal left over."""
     m = u.shape[0]
     work = u.copy()
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
-    rows, rotations = [], []
+    rows, thetas, psis = [], [], []
     for col in range(m - 1):
-        x = work[col:, col].tolist()
+        x = work[col:, col]
         k = len(x)
-        # (a, b, |(a, b)|) of the pair (j, j + 1) of work[col:]; a skipped
-        # pair keeps (1, 0, 1), whose rotation is the identity
-        top, bottom, norm = [1.0] * (k - 1), [0.0] * (k - 1), [1.0] * (k - 1)
-        turned = []
-        carry = x[-1]
+        magnitudes = np.abs(x)
+        sizes = magnitudes.tolist()
+        # a numerically zero entry has angle 0, so rounding errors in an
+        # exact zero give the same parameters
+        angles = np.where(magnitudes > ANGLE_EPS, np.angle(x), 0.0).tolist()
+        # (|a|, the signed |b|, psi) of each rotated pair (j, j + 1) of
+        # work[col:], from the bottom; the carry b is |b| e^{i phase}
+        turned, tops, belows, turns = [], [], [], []
+        below, phase = sizes[-1], angles[-1]
         for j in range(k - 2, -1, -1):
-            a, b = x[j], carry
-            size, below = abs(a), abs(b)
+            size = sizes[j]
             if below <= ANGLE_EPS * (size if size > 1.0 else 1.0):
-                carry = a
+                below, phase = size, angles[j]
                 continue
-            carry = math.sqrt(size * size + below * below)
-            top[j], bottom[j], norm[j] = a, b, carry
+            # psi = arg(a) - arg(b) - n pi in (-pi/2, pi/2] makes
+            # e^{i psi} b / a = (-1)^n |b| / |a|, which the signed theta
+            # nulls; ties go to +pi/2 as in _angle
+            turn, signed = angles[j] - phase, below
+            while turn > HALF_TURN:
+                turn, signed = turn - math.pi, -signed
+            while turn <= HALF_TURN - math.pi:
+                turn, signed = turn + math.pi, -signed
             turned.append(j)
+            tops.append(size)
+            belows.append(signed)
+            turns.append(turn)
+            below = math.sqrt(size * size + below * below)
+            phase = angles[j] - 0.5 * turn
         if not turned:
             continue
-        a, b, norm = np.array([top, bottom, norm])
-        # rotation j has top row (alpha_j, beta_j), bottom row (gamma_j,
-        # delta_j)
-        coef = np.stack([a.conj(), b.conj(), -b, a]) / norm.real
-        alpha, beta, gamma, delta = coef
         rows += [col + j for j in turned]
-        rotations.append(coef.T[turned])
+        thetas += (-2.0 * np.arctan2(belows, tops)).tolist()
+        psis += turns
+        theta, psi = np.zeros(k - 1), np.zeros(k - 1)  # 0: the identity
+        theta[turned], psi[turned] = thetas[-len(turned):], turns
+        # rotation j is t_j = R(theta_j)^T diag(e^{-i psi_j/2}, e^{i psi_j/2})
+        # with top row (alpha_j, beta_j) and bottom row (gamma_j, delta_j)
+        cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        half = np.exp(0.5j * psi)
+        alpha, beta = cos * half.conj(), -sin * half
+        gamma, delta = sin * half.conj(), cos * half
         # their product t_0 t_1 .. t_{k-2}: row r is delta_{r-1} c[r] plus
         # gamma_{r-1} at column r - 1, where c[r, j] = alpha_j beta_r ..
         # beta_{j-1} for j >= r (and alpha_{k-1} = 1)
@@ -348,28 +358,36 @@ def _eliminate(u: np.ndarray) -> tuple:
         q[1:] *= delta[:, None]
         q.reshape(-1)[k::k + 1] = gamma
         work[col:, col:] = q @ work[col:, col:]
-    rotations = (np.concatenate(rotations).reshape(-1, 2, 2) if rotations
-                 else np.zeros((0, 2, 2), dtype=complex))
-    return rows, rotations, np.diag(work)
+    return rows, thetas, psis, np.diag(work)
 
 
 def reck_decompose(u: np.ndarray, with_product: bool = False):
     """Factor a unitary into adjacent-channel beamsplitters plus phases.
 
     Entries below the diagonal are eliminated column by column from the
-    bottom with two-channel rotations; the leftover diagonal becomes output
-    phase shifters.  At most m(m-1)/2 beamsplitters are produced.
+    bottom with two-channel rotations; the leftover diagonal becomes at most
+    m output phase shifters.  At most m(m-1)/2 beamsplitters are produced,
+    each with a mixing angle theta and a phase psi: at most m^2 real
+    parameters, as in Reck et al.
 
-    Each column is one step.  A scalar pass up the column x finds all its
-    rotations: at the pair of rows (r - 1, r), a = x[r - 1] meets the carry
-    b from below; the pair is skipped when |b| <= ANGLE_EPS max(1, |a|) and
-    is otherwise rotated by t = [[a*, b*], [-b, a]] / |(a, b)|, whose norm is
-    the new carry.  The product of the column's rotations over its trailing
-    k = m - col rows is a unitary upper Hessenberg matrix; it is built in
-    closed form from one cumulative product of a k x k array, with no
-    division, and applied as one matrix product.  So the elimination takes
-    O(m) numpy calls and O(m^4) BLAS work, where rotating one pair at a time
-    takes O(m^2) numpy calls.
+    Each column is one step.  A scalar pass up the column x, over its
+    magnitudes and angles, finds all its rotations: at the pair of rows
+    (r - 1, r), a = x[r - 1] meets the carry b from below; the pair is
+    skipped when |b| <= ANGLE_EPS max(1, |a|) and is otherwise rotated by
+    t = R(theta)^T diag(e^{-i psi/2}, e^{i psi/2}), R(theta) = [[cos, sin],
+    [-sin, cos]](theta / 2), whose device is t^dag =
+    ``beamsplitter_matrix(theta, 0, psi, 0)``.  psi = arg a - arg b - n pi
+    in (-pi/2, pi/2] (ties moved like ``_angle``'s cut, and arg a = 0 when
+    |a| <= ANGLE_EPS) makes e^{i psi} b / a = (-1)^n |b| / |a|, which theta
+    = -(-1)^n 2 atan2(|b|, |a|) nulls.  The new carry |(a, b)| e^{i (arg a
+    - psi / 2)} keeps its phase, which ends on the diagonal, and has the
+    magnitude of an elimination that makes every carry real, so the skip
+    rule picks the same pairs.  The product of the column's rotations over
+    its trailing k = m - col rows is a unitary upper Hessenberg matrix; it
+    is built in closed form from one cumulative product of a k x k array,
+    with no division, and applied as one matrix product.  So the
+    elimination takes O(m) numpy calls and O(m^4) BLAS work, where rotating
+    one pair at a time takes O(m^2) numpy calls.
 
     The schedule is multiplied out once and must reproduce u to 1e-8; with
     ``with_product`` the result is (schedule, that product).
@@ -378,9 +396,8 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
     m = u.shape[0]
     if not np.linalg.norm(u @ u.conj().T - np.eye(m)) <= 1e-8 * m:
         raise StructureError("static network is not unitary")  # NaN too
-    rows, rotations, diagonal = _eliminate(u)
+    rows, theta, psi, diagonal = _eliminate(u)
     # the eliminated u is diagonal, so u = t_1^dag .. t_K^dag diag
-    turns = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
     phases = _angle(diagonal)
     shifted = np.flatnonzero(np.abs(phases) > ANGLE_EPS)
     rows = np.array(rows, dtype=int)
@@ -389,9 +406,8 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
         kinds=np.repeat([BEAMSPLITTER, PHASE], [len(rows), len(shifted)]),
         wires=np.concatenate([np.stack([rows, rows + 1], axis=1),
                               np.stack([shifted, shifted], axis=1)]),
-        params=np.concatenate([
-            _table(*(turns[key] for key in ("theta", "phi", "psi", "zeta"))),
-            _table(phases[shifted])]))
+        params=np.concatenate([_table(theta, [0.0] * len(theta), psi),
+                               _table(phases[shifted])]))
     product = schedule.matrix()
     schedule.residual = _miss(product, u)
     if schedule.residual > 1e-8:

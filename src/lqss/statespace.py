@@ -221,9 +221,10 @@ class StateSpace:
                 raise PoleError(s)
             t, z = schur_form(self.a)
             tiny = t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
-            # Fortran order, so that LAPACK reads the buffer in place
+            # Fortran order, so that LAPACK reads both buffers in place
             self._schur = (np.asfortranarray(-t), t.diagonal().copy(),
-                           z.conj().T @ self.b, self.c @ z, tiny)
+                           np.asfortranarray(z.conj().T @ self.b),
+                           self.c @ z, tiny)
         shifted, diag, zb, cz, tiny = self._schur
         pivots = s - diag
         if np.any(np.abs(pivots) <= tiny):

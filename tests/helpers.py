@@ -1,20 +1,22 @@
 """Shared builders for test cases.
 
 Random models and structured matrices, the model file writer, the
-open-loop cavity bank used as a reference for feedback closure, the
-triangular decomposition one rotation at a time used as a reference for
-``reck_decompose``, device lists built one record at a time as references
-for the array schedules, planted factorization cases, the pair counts and
-Jordan classes of a Krein spectrum, a count of the ``Model`` objects a call
-builds, a record of the route each Schur reduction takes, a record of
-the functions that call a given one, and JSON file reads and writes that
-close their files.  A planted case starts from a hand-built canonical
-coupling Nhat (whose Gram eigenvalues are known exactly) and hides it
-behind random Bogoliubov factors: N = V Nhat W^b.
-Recovering the factorization must then reproduce the planted eigenvalue
-multiset and reconstruct N.
+open-loop cavity bank used as a reference for feedback closure, written
+device records multiplied out one device at a time, the triangular
+decomposition one rotation at a time used as a reference for
+``reck_decompose`` and ``schedule_static``, planted factorization cases,
+the pair counts and Jordan classes of a Krein spectrum, a count of the
+``Model`` objects a call builds, a record of the route each Schur
+reduction takes, a record of the functions that call a given one, and
+JSON file reads and writes that close their files.
+
+A planted case starts from a hand-built canonical coupling Nhat (whose Gram
+eigenvalues are known exactly) and hides it behind random Bogoliubov
+factors: N = V Nhat W^b.  Recovering the factorization must then reproduce
+the planted eigenvalue multiset and reconstruct N.
 """
 
+import cmath
 import json
 import math
 import sys
@@ -31,9 +33,9 @@ from lqss.modelio import SCHEMA_VERSION, encode_matrix
 from lqss.netlist import (
     ANGLE_EPS,
     _angle,
-    _eliminate,
-    beamsplitter_params,
+    beamsplitter_matrix,
     bloch_messiah,
+    squeezer_matrix,
 )
 from lqss.statespace import Model, StateSpace, adjoint, drift
 
@@ -203,9 +205,39 @@ def closed_by_hand(kind, real, s):
         np.eye(len(r)) - g[m:, m:] @ r, g[m:, :m])
 
 
+def records_matrix(channels, doubled, devices):
+    """Product of written device records, first device leftmost, applied
+    one device at a time as a 2 x 2 (or 1 x 1) update of the rows it
+    touches.  A parameter that a record leaves out is 0, as the benchmark's
+    checks read a schedule."""
+    out = np.eye(2 * channels if doubled else channels, dtype=complex)
+    for dev in reversed(devices):
+        kind, ch, p = dev["kind"], list(dev["channels"]), dev["params"]
+        if kind == "squeezer":
+            updates = [([ch[0], ch[0] + channels], squeezer_matrix(**p))]
+        else:
+            g = (beamsplitter_matrix(**p) if kind == "beamsplitter"
+                 else np.array([[np.exp(1j * p["theta"])]]))
+            updates = [(ch, g)]
+            if doubled:
+                updates.append(([c + channels for c in ch], g.conj()))
+        for rows, g in updates:
+            out[rows] = g @ out[rows]
+    return out
+
+
 def schedule_residual(schedule, target):
-    """Relative residual of a schedule's product against its network."""
-    return float(np.linalg.norm(schedule.matrix() - target)
+    """Relative residual of a schedule's device records, multiplied out by
+    ``records_matrix``, against its network.  ``schedule`` is a
+    ``DeviceSchedule`` or a schedule as a file holds it."""
+    if isinstance(schedule, dict):
+        product = records_matrix(schedule["channels"],
+                                 schedule["kind"] == "bogoliubov",
+                                 schedule["devices"])
+    else:
+        product = records_matrix(schedule.channels, schedule.doubled,
+                                 schedule.devices)
+    return float(np.linalg.norm(product - target)
                  / max(1.0, np.linalg.norm(target)))
 
 
@@ -217,36 +249,38 @@ def random_unitary(n, rng):
 
 def reck_reference(u):
     """The device records of a triangular decomposition one rotation at a
-    time: the reference for ``reck_decompose``, which builds each column's
-    rotations in one step.
+    time: the reference for ``reck_decompose``, which finds each column's
+    rotations in one scalar pass over magnitudes and angles and applies
+    them as one product.
 
     Entries below the diagonal are eliminated column by column from the
-    bottom, each rotation applied to its two rows at once; the leftover
-    diagonal becomes output phases.
+    bottom.  The pair (a, b) of rows (r - 1, r) is skipped when |b| <=
+    ANGLE_EPS max(1, |a|); otherwise psi in (-pi/2, pi/2] (a tie at -pi/2
+    goes to +pi/2) makes e^{i psi} b / a real, taking arg a = 0 when |a| <=
+    ANGLE_EPS, the sign of theta nulls it, and t =
+    beamsplitter_matrix(theta, 0, psi, 0)^dag is applied to the two rows.  The leftover diagonal becomes output phases.
+    A zero psi is left out of the record, as in a written schedule.
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
     work = u.copy()
-    rows, rotations = [], []
+    devices = []
     for col in range(m - 1):
         for row in range(m - 1, col, -1):
             pair = work[row - 1:row + 1, col:]
             a, b = pair[:, 0].tolist()
             if abs(b) <= ANGLE_EPS * max(1.0, abs(a)):
                 continue
-            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            t = np.array([[a.conjugate(), b.conjugate()], [-b, a]]) / nrm
+            turn = ((cmath.phase(a) if abs(a) > ANGLE_EPS else 0.0)
+                    - cmath.phase(b))
+            psi = float(_angle(cmath.exp(2j * turn))) / 2
+            sign = math.copysign(1.0, cmath.exp(1j * (psi - turn)).real)
+            theta = -2 * math.atan2(sign * abs(b), abs(a))
+            t = beamsplitter_matrix(theta, 0.0, psi, 0.0).conj().T
             pair[...] = t @ pair
-            rows.append(row - 1)
-            rotations.append(t)
-    devices = []
-    if rotations:
-        params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
-        for j, row in enumerate(rows):
-            devices.append({
-                "kind": "beamsplitter", "channels": [row, row + 1],
-                "params": {key: float(value[j])
-                           for key, value in params.items()}})
+            params = {"theta": theta, "psi": psi} if psi else {"theta": theta}
+            devices.append({"kind": "beamsplitter",
+                            "channels": [row - 1, row], "params": params})
     for i in range(m):
         theta = float(_angle(work[i, i]))
         if abs(theta) > ANGLE_EPS:
@@ -255,37 +289,15 @@ def reck_reference(u):
     return devices
 
 
-def reck_devices(u):
-    """The device records of ``reck_decompose(u)`` built one at a time
-    from the same column-step elimination: the reference for the array
-    bookkeeping of the schedule."""
-    rows, rotations, diagonal = _eliminate(np.asarray(u, dtype=complex))
-    devices = []
-    if rows:
-        params = beamsplitter_params(np.conj(np.swapaxes(rotations, 1, 2)))
-        values = [params[key].tolist() for key in ("theta", "phi", "psi",
-                                                    "zeta")]
-        for row, theta, phi, psi, zeta in zip(rows, *values):
-            devices.append({"kind": "beamsplitter",
-                            "channels": [row, row + 1], "params": {
-                                "theta": theta, "phi": phi, "psi": psi,
-                                "zeta": zeta}})
-    for i, theta in enumerate(_angle(diagonal).tolist()):
-        if abs(theta) > ANGLE_EPS:
-            devices.append({"kind": "phase", "channels": [i],
-                            "params": {"theta": theta}})
-    return devices
-
-
-def bogoliubov_devices(r):
-    """The device list of ``schedule_static(r)`` for a Bogoliubov r, built
-    like ``reck_devices``: U2's devices, a squeezer per non-zero
+def bogoliubov_reference(r):
+    """The device records of ``schedule_static(r)`` for a Bogoliubov r,
+    built like ``reck_reference``: U2's devices, a squeezer per non-zero
     squeezing parameter, then U1's devices."""
     u2, x, u1 = bloch_messiah(r)
     squeezers = [{"kind": "squeezer", "channels": [i],
                   "params": {"x": float(x[i])}}
                  for i in range(len(x)) if abs(x[i]) > ANGLE_EPS]
-    return reck_devices(u2) + squeezers + reck_devices(u1)
+    return reck_reference(u2) + squeezers + reck_reference(u1)
 
 
 def random_passive_model(n, m, rng):

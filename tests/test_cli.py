@@ -13,6 +13,7 @@ from helpers import (
     model_to_dict,
     planted_coupling,
     random_bogoliubov,
+    random_general_model,
     random_passive_model,
     random_unitary,
     read_json,
@@ -936,6 +937,61 @@ class TestInterop:
         line = capsys.readouterr().err
         assert line.endswith("\n") and line.count("\n") == 1
         assert same_json(json.loads(line), orjson.loads(line))
+
+
+class TestWrittenSchedules:
+    """Every schedule that lqss writes lists each device's first parameter,
+    and phi, psi and zeta only when they are not zero; its records, with a
+    parameter they leave out read as 0, multiply out to its network."""
+
+    @staticmethod
+    def assert_written(schedule, matrix, tol):
+        first = {"beamsplitter": "theta", "phase": "theta", "squeezer": "x"}
+        for dev in schedule["devices"]:
+            params = dict(dev["params"])
+            assert isinstance(params.pop(first[dev["kind"]]), float)
+            assert params.keys() <= {"phi", "psi", "zeta"}
+            assert all(value != 0.0 for value in params.values())
+        assert schedule_residual(schedule, matrix) < tol
+        # m^2 real parameters per m-channel unitary, and m squeezers
+        m = schedule["channels"]
+        count = sum(len(dev["params"]) for dev in schedule["devices"])
+        assert count <= (m * m if schedule["kind"] == "unitary"
+                         else 2 * m * m + m)
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_synth(self, kind, tmp_path):
+        rng = np.random.default_rng(95)
+        if kind == "passive":
+            m_mat, n_mat, s_mat = random_passive_model(6, 4, rng)
+        else:
+            (m_mat, n_mat), s_mat = random_general_model(4, 3, rng), None
+        path = write_model(tmp_path / "model.json", Model(
+            kind=kind, m_mat=m_mat, n_mat=n_mat, s_mat=s_mat))
+        out = str(tmp_path / "net.json")
+        assert main(["synth", "--input", path, "--output", out]) == EXIT_OK
+        data = read_json(out)
+        for key in ("pre_network", "post_network", "feedback"):
+            schedule = data[key]["schedule"]
+            assert schedule["kind"] == ("unitary" if kind == "passive"
+                                        else "bogoliubov")
+            self.assert_written(
+                schedule, modelio.decode_matrix(data[key]["matrix"], key),
+                1e-7)
+
+    @pytest.mark.parametrize("kind", ["unitary", "bogoliubov"])
+    def test_decompose(self, kind, tmp_path):
+        matrix = (random_unitary(7, np.random.default_rng(96))
+                  if kind == "unitary" else random_bogoliubov(4, seed=96))
+        path = tmp_path / "m.json"
+        write_json(path, {"matrix": modelio.encode_matrix(matrix)})
+        out = str(tmp_path / "sched.json")
+        assert main(["decompose", "--input", str(path), "--kind", kind,
+                     "--output", out]) == EXIT_OK
+        schedule = read_json(out)
+        assert schedule["kind"] == kind
+        self.assert_written(schedule, matrix, 1e-8 if kind == "unitary"
+                            else 1e-7)
 
 
 class TestDecompose:

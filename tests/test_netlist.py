@@ -8,10 +8,9 @@ import pytest
 from scipy.linalg import block_diag
 
 from helpers import (
-    bogoliubov_devices,
+    bogoliubov_reference,
     random_bogoliubov,
     random_unitary,
-    reck_devices,
     reck_reference,
     schedule_residual,
 )
@@ -24,7 +23,6 @@ from lqss.netlist import (
     SQUEEZER,
     DeviceSchedule,
     beamsplitter_matrix,
-    beamsplitter_params,
     bloch_messiah,
     reck_decompose,
     schedule_static,
@@ -92,44 +90,31 @@ class TestBeamsplitter:
         g = beamsplitter_matrix(0.7, 0.3, -0.2, 0.9)
         assert np.linalg.norm(g @ g.conj().T - np.eye(2)) < 1e-12
 
-    def test_params_roundtrip(self):
-        rng = np.random.default_rng(65)
-        for _ in range(20):
-            g = random_unitary(2, rng)
-            params = beamsplitter_params(g)
-            assert np.linalg.norm(beamsplitter_matrix(**params) - g) < 1e-8
-
-    def test_stacked_params_match_single(self):
-        rng = np.random.default_rng(66)
-        stack = np.array([random_unitary(2, rng) for _ in range(12)])
-        stacked = beamsplitter_params(stack)
-        for j, g in enumerate(stack):
-            single = beamsplitter_params(g)
-            for key, value in single.items():
-                assert stacked[key][j] == pytest.approx(value, abs=1e-15)
-        assert np.allclose(beamsplitter_matrix(**stacked), stack, atol=1e-12)
-
-    @pytest.mark.parametrize("g", [
-        np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]),
-        np.array([[np.cos(0.4), np.sin(0.4)], [np.sin(0.4), -np.cos(0.4)]]),
-    ], ids=["rotation", "reflection"])
-    def test_rounding_on_the_branch_cut(self, g):
-        # the rotation's off-diagonal entry and the reflection's determinant
-        # are real and negative; a rounding-level change of sign in their
-        # imaginary parts must not move phi, psi or zeta by 2 pi or pi
+    @pytest.mark.parametrize("g, entry", [
+        (np.array([[np.cos(0.4), -np.sin(0.4)],
+                   [np.sin(0.4), np.cos(0.4)]]), (0, 1)),
+        (np.array([[np.cos(0.4), np.sin(0.4)],
+                   [np.sin(0.4), -np.cos(0.4)]]), (0, 1)),
+        (np.array([[1j * np.cos(1e-3), np.sin(1e-3)],
+                   [np.sin(1e-3), 1j * np.cos(1e-3)]]), (1, 0)),
+        (np.eye(3)[[1, 2, 0]], (0, 0)),
+    ], ids=["rotation", "reflection", "quarter-turn", "swap"])
+    def test_rounding_on_the_branch_cut(self, g, entry):
+        # the reflection's output phase is pi, the quarter turn's pair has
+        # arg(a) - arg(b) = pi/2 -+ 1e-14, on both sides of the cut of psi,
+        # and the swap's a = +-1e-17j has the angle of a zero; a
+        # rounding-level change of sign in an imaginary part must not move
+        # a parameter by pi or 2 pi, nor add or drop a device
         plus, minus = g.astype(complex), g.astype(complex)
-        plus[0, 1] += 1e-17j
-        minus[0, 1] -= 1e-17j
-        p_plus, p_minus = beamsplitter_params(plus), beamsplitter_params(minus)
-        for key in p_plus:
-            assert p_plus[key] == pytest.approx(p_minus[key], abs=1e-12), key
-
-    def test_stack_with_nonunitary_member_rejected(self):
-        rng = np.random.default_rng(67)
-        stack = np.array([random_unitary(2, rng) for _ in range(5)])
-        stack[3, 0, 1] += 1e-3
-        with pytest.raises(NumericalError):
-            beamsplitter_params(stack)
+        plus[entry] += 1e-17j
+        minus[entry] -= 1e-17j
+        lists = [reck_decompose(h).devices for h in (plus, minus)]
+        assert ([(d["kind"], d["channels"]) for d in lists[0]]
+                == [(d["kind"], d["channels"]) for d in lists[1]])
+        for one, other in zip(*lists):
+            for key in one["params"].keys() | other["params"].keys():
+                assert one["params"].get(key, 0.0) == pytest.approx(
+                    other["params"].get(key, 0.0), abs=1e-12), key
 
 
 class TestReck:
@@ -139,8 +124,23 @@ class TestReck:
         u = random_unitary(m, rng)
         schedule = reck_decompose(u)
         assert schedule_residual(schedule, u) < 1e-8
-        n_bs = sum(1 for d in schedule.devices if d["kind"] == "beamsplitter")
-        assert n_bs <= m * (m - 1) // 2
+        kinds = [d["kind"] for d in schedule.devices]
+        assert kinds.count("beamsplitter") <= m * (m - 1) // 2
+        assert kinds.count("phase") <= m
+        # Reck's count: theta and psi per beamsplitter, one output phase
+        # per channel
+        assert sum(len(d["params"]) for d in schedule.devices) <= m * m
+
+    def test_real_orthogonal_network_writes_no_psi(self):
+        rng = np.random.default_rng(104)
+        q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        for u in (q, q @ np.diag([1, -1, 1, 1, -1, 1, 1]), np.eye(7)[::-1]):
+            schedule = reck_decompose(u)
+            devices = schedule.devices
+            assert all(d["params"].keys() == {"theta"} for d in devices)
+            assert all(d["params"]["theta"] == np.pi for d in devices
+                       if d["kind"] == "phase")
+            assert schedule_residual(schedule, u) < 1e-12
 
     def test_diagonal_input_gives_phases_only(self):
         u = np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0])))
@@ -163,14 +163,17 @@ class TestReckReference:
     rotates one pair at a time.  Both give the same device list."""
 
     @staticmethod
-    def assert_same_devices(u):
-        got, ref = reck_decompose(u).devices, reck_reference(u)
+    def assert_close(got, ref):
         assert ([(d["kind"], d["channels"]) for d in got]
                 == [(d["kind"], d["channels"]) for d in ref])
         for dev, want in zip(got, ref):
             assert dev["params"].keys() == want["params"].keys()
             for key, value in want["params"].items():
                 assert dev["params"][key] == pytest.approx(value, abs=1e-12)
+
+    @classmethod
+    def assert_same_devices(cls, u):
+        cls.assert_close(reck_decompose(u).devices, reck_reference(u))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9, 33, 96])
     def test_haar_unitary(self, m):
@@ -303,6 +306,26 @@ def _bits(devices) -> list:
             for d in devices]
 
 
+def _records(schedule) -> list:
+    """The device records of a schedule built one device at a time from its
+    arrays: each lists its first parameter, and the others only when they
+    are not zero."""
+    names = {BEAMSPLITTER: ("beamsplitter", 2, ("theta", "phi", "psi",
+                                                "zeta")),
+             PHASE: ("phase", 1, ("theta",)),
+             SQUEEZER: ("squeezer", 1, ("x", "phi", "psi"))}
+    out = []
+    for code, wires, row in zip(schedule.kinds.tolist(),
+                                schedule.wires.tolist(),
+                                schedule.params.tolist()):
+        name, count, keys = names[code]
+        params = {key: value for i, (key, value) in enumerate(zip(keys, row))
+                  if i == 0 or value}
+        out.append({"kind": name, "channels": wires[:count],
+                    "params": params})
+    return out
+
+
 def _written(schedule, devices) -> bytes:
     """A schedule file as written from a list of device records."""
     return orjson.dumps({
@@ -315,23 +338,25 @@ def _written(schedule, devices) -> bytes:
 
 
 class TestArraySchedules:
-    """Schedules are arrays; their device lists and files are those of the
-    same decomposition built one record at a time, to the bit."""
+    """Schedules are arrays.  Their device lists are those of the reference
+    decomposition one rotation at a time, and their device lists and files
+    are, to the bit, those built from the arrays one record at a time."""
 
     @pytest.mark.parametrize("m", [16, 48, 96])
     @pytest.mark.parametrize("kind", ["unitary", "bogoliubov"])
     def test_same_devices_and_file(self, kind, m):
         if kind == "unitary":
             target = random_unitary(m, np.random.default_rng(300 + m))
-            reference = reck_devices(target)
+            reference = reck_reference(target)
         else:
             target = random_bogoliubov(m, seed=300 + m)
-            reference = bogoliubov_devices(target)
+            reference = bogoliubov_reference(target)
         schedule = schedule_static(target, kind=kind)
-        assert len(schedule.devices) == len(reference)
-        assert _bits(schedule.devices) == _bits(reference)
+        TestReckReference.assert_close(schedule.devices, reference)
+        records = _records(schedule)
+        assert _bits(schedule.devices) == _bits(records)
         assert (orjson.dumps(modelio.schedule_to_dict(schedule))
-                == _written(schedule, reference))
+                == _written(schedule, records))
 
     @pytest.mark.parametrize("m", [16, 48])
     @pytest.mark.parametrize("kind", ["unitary", "bogoliubov"])
@@ -359,16 +384,16 @@ class TestArraySchedules:
 
     def test_perturbed_u2_splitter_trips_factor_gate(self, monkeypatch):
         calls = []
-        params = netlist.beamsplitter_params
+        eliminate = netlist._eliminate
 
-        def perturbed(g):
-            out = params(g)
+        def perturbed(u):
+            rows, theta, psi, diagonal = eliminate(u)
             if not calls:  # the first factor scheduled is U2
-                out["theta"][0] += 1e-6
-            calls.append(len(g))
-            return out
+                theta[0] += 1e-6
+            calls.append(len(u))
+            return rows, theta, psi, diagonal
 
-        monkeypatch.setattr(netlist, "beamsplitter_params", perturbed)
+        monkeypatch.setattr(netlist, "_eliminate", perturbed)
         with pytest.raises(NumericalError, match="triangular unitary "
                            "decomposition residual too large"):
             schedule_static(random_bogoliubov(6, seed=311))

@@ -135,7 +135,7 @@ def cmd_synth(args) -> int:
              model.kind, model.n_modes, model.n_ports)
     real = synthesize(model, detunings, kappa)
     resid = real.factorization_residual
-    if resid > args.tol:
+    if not resid <= args.tol:  # NaN too
         raise NumericalError(
             f"coupling factorization residual {resid:.3e} exceeds the "
             f"requested tolerance {args.tol:.1e}")

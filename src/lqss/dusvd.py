@@ -18,13 +18,19 @@ matrix N^b N:
   active weights per port,
 * kernel modes -> zero columns.
 
+Each block is built once, whole (``mode_block``; ``degenerate_factor`` for
+the degenerate zero modes): its W columns, its half-blocks of Nhat and the
+V columns that N W = V Nhat fixes.  One null space completes V: it holds
+the degenerate zero modes' columns and, J-projected off them, the
+positive vectors of the ports that no block fixes.
+
 ``symplectic_svd`` is the same factorization conjugated to real matrices by
 the unitary Phi: X = Vs Xhat Ws^s with Vs, Ws symplectic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from .spectral import (
     KreinSpectrum,
     j_gram,
     j_positive_vectors,
+    j_project_off,
     krein_spectrum,
     neutral_image,
     null_space,
@@ -62,22 +69,25 @@ COND_LIMIT = 1e12
 
 @dataclass
 class ModeBlock:
-    """One block of the canonical coupling, covering ``size`` cavity modes."""
+    """One block of the canonical coupling, covering ``size`` cavity modes.
+
+    Each block fixes its W columns, its rows of Nhat (one per port it
+    occupies, none for a kernel mode) and the V columns of those ports that
+    N W = V Nhat determines: N W Nbar^-1 for an invertible block, the first
+    column of N W Nbar^+ for a Jordan block whose eigenvector N annihilates
+    (its second port is free).  Degenerate zero modes fix only the neutral
+    images p = v + Sigma v# of their columns, held in ``v_cols`` until
+    ``bogoliubov_svd`` splits them.
+    """
 
     kind: str  # real_positive | real_negative | complex_pair | jordan2 |
     #            degenerate_zero | kernel
     value: complex
     size: int
-    nbar1: np.ndarray  # size x size upper-left (passive) half-block
-    nbar2: np.ndarray  # size x size upper-right (active) half-block
+    nbar1: np.ndarray  # ports x size upper-left (passive) half-block
+    nbar2: np.ndarray  # ports x size upper-right (active) half-block
     w_cols: np.ndarray  # 2n x size first-half columns of W
-    v_cols: list = field(default_factory=list)  # length size; None = free
-    # jordan2: branch and in_kernel; degenerate_zero: p_cols
-    params: dict = field(default_factory=dict)
-
-    def nbar_doubled(self) -> np.ndarray:
-        return np.block([[self.nbar1, self.nbar2],
-                         [np.conj(self.nbar2), np.conj(self.nbar1)]])
+    v_cols: np.ndarray  # 2m x (fixed ports) first-half columns of V
 
 
 @dataclass
@@ -107,50 +117,92 @@ def pair_weights(lam: complex) -> tuple[float, float]:
 
 
 def jordan2_factor(lam: float, in_kernel: bool = False) -> tuple:
-    """Canonical 2x2 half-blocks (nbar1, nbar2, params) for a size-2 Jordan
+    """Canonical 2x2 half-blocks (nbar1, nbar2, s) for a size-2 Jordan
     block at real eigenvalue lam.
 
     Two hyperbolic parametrizations cover the real line; the kernel variant
-    (lam = 0 with eigenvector annihilated by N) is rank-deficient.
+    (lam = 0 with eigenvector annihilated by N) is rank-deficient, its second
+    port row zero.  The lam < 0 parametrization realizes the action
+    conjugated by diag(1, -1), so there the sign s of W's second column is
+    -1, which restores N W = V Nbar; otherwise s = 1.
     """
     if in_kernel:
         if abs(lam) > 1e-8:
             raise StructureError(
                 "kernel Jordan blocks only occur at eigenvalue zero")
-        s = 1.0 / np.sqrt(2.0)
-        nbar1 = np.array([[s, 0.0], [0.0, 0.0]])
-        nbar2 = np.array([[0.0, -s], [0.0, 0.0]])
-        return nbar1, nbar2, {"branch": 0}
+        a = 1.0 / np.sqrt(2.0)
+        nbar1 = np.array([[a, 0.0], [0.0, 0.0]])
+        nbar2 = np.array([[0.0, -a], [0.0, 0.0]])
+        return nbar1, nbar2, 1.0
     if lam >= 0:
         c = np.sqrt(lam + 0.5)
         x = np.arcsinh(1.0 / (2.0 * c * c)) / 2.0
         sh, ch = np.sinh(x), np.cosh(x)
         nbar1 = np.array([[c * ch, sh], [0.0, c * ch]])
         nbar2 = np.array([[0.0, -c * sh], [c * sh, ch]])
-        branch = 1
-    else:
-        c = np.sqrt(0.5 - lam)
-        x = np.arcsinh(-1.0 / (2.0 * c * c)) / 2.0
-        sh, ch = np.sinh(x), np.cosh(x)
-        nbar1 = np.array([[ch, c * sh], [-c * sh, 0.0]])
-        nbar2 = np.array([[c * ch, 0.0], [sh, c * ch]])
-        branch = 2
-    return nbar1, nbar2, {"branch": branch}
+        return nbar1, nbar2, 1.0
+    c = np.sqrt(0.5 - lam)
+    x = np.arcsinh(-1.0 / (2.0 * c * c)) / 2.0
+    sh, ch = np.sinh(x), np.cosh(x)
+    nbar1 = np.array([[ch, c * sh], [-c * sh, 0.0]])
+    nbar2 = np.array([[c * ch, 0.0], [sh, c * ch]])
+    return nbar1, nbar2, -1.0
 
 
-def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
-    """Factor the image of J-neutral zero modes.
+def mode_block(coupling: np.ndarray, kind: str, value: complex,
+               w_cols: np.ndarray, nbar1: np.ndarray,
+               nbar2: np.ndarray) -> ModeBlock:
+    """The block of ``kind`` on first-half W columns ``w_cols``, whole.
+
+    The leading W column's free unit phase is fixed by ``unit_phases``; a
+    two-column block's second column, the swap-conjugate partner of a
+    mixed direction, takes the conjugate phase.  N W = V Nbar then fixes the
+    V columns of the ports whose rows of Nbar are nonzero: all of them,
+    N W Nbar^-1, for an invertible block; the first, read off N W Nbar^+,
+    for a Jordan block whose eigenvector N annihilates (its last row is
+    zero).
+    """
+    phase = unit_phases(w_cols[:, :1])[0]
+    w_cols = w_cols * (phase if w_cols.shape[1] == 1
+                       else np.array([phase, np.conj(phase)]))
+    ports = nbar1.shape[0]
+    v_cols = np.zeros((coupling.shape[0], 0), dtype=complex)
+    if ports:
+        w_doubled = np.column_stack([w_cols, swap_conj(w_cols)])
+        nbar = np.block([[nbar1, nbar2], [np.conj(nbar2), np.conj(nbar1)]])
+        if not (nbar1[-1].any() or nbar2[-1].any()):
+            v_cols = (coupling @ w_doubled @ np.linalg.pinv(nbar))[:, :1]
+            if abs(j_inner(v_cols[:, 0], v_cols[:, 0]).real - 1.0) > 1e-6:
+                raise NumericalError(
+                    "determined port vector of a kernel Jordan block is not "
+                    "J-normalized")
+        else:
+            cond = np.linalg.cond(nbar)
+            if not np.isfinite(cond) or cond > COND_LIMIT:
+                if kind == "jordan2" and abs(value) < 1e-6:
+                    raise UnsupportedStructureError(
+                        "size-2 Jordan block at eigenvalue zero with "
+                        "eigenvector outside Ker N has a singular canonical "
+                        "block and is not supported")
+                raise NumericalError(
+                    f"canonical block for eigenvalue {value:.6g} is too "
+                    f"badly conditioned to invert (cond = {cond:.3e})")
+            v_cols = (coupling @ w_doubled @ np.linalg.inv(nbar))[:, :ports]
+    return ModeBlock(kind, value, w_cols.shape[1], nbar1, nbar2, w_cols,
+                     v_cols)
+
+
+def degenerate_factor(coupling: np.ndarray, z_off: list) -> ModeBlock:
+    """The block of the J-neutral zero modes.
 
     Given the off-kernel zero-eigenvalue vectors z (J-norm +1), takes their
     J-neutral image P = N [Z, Sigma Z#] (``neutral_image``) and rotates the
     zero-mode basis so each mode maps to a single J-neutral image direction:
-    N z_i = h_i p_i with Sigma p_i# = p_i.  The mode basis comes from the
-    SVD of the annihilation half of P; a residual phase per mode makes the
-    neutral vectors swap-conjugation invariant.
-
-    Returns (w_cols, p_cols, nbar1, nbar2).  The V columns hiding
-    inside the p_i are only determined up to the rest of the factorization
-    and are resolved later (see ``_degenerate_v_columns``).
+    N z_i = h_i p_i with Sigma p_i# = p_i, and Nbar = [diag(h), diag(h)].
+    The mode basis comes from the SVD of the annihilation half of P; a
+    residual phase per mode makes the neutral vectors swap-conjugation
+    invariant, and fixes the W columns' phases.  The block's ``v_cols`` are
+    the images p_i, whose V columns the rest of V determines.
     """
     r0 = len(z_off)
     m = coupling.shape[0] // 2
@@ -189,83 +241,58 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> tuple:
             "its image is not J-neutral to working precision")
     # rotate each mode so the neutral image satisfies Sigma p# = p exactly
     phases = np.exp(1j * np.angle(d) / 2.0)
-    y1 = y * phases[np.newaxis, :]
-    w_cols = np.column_stack(z_off) @ y1
-    p_cols = []
-    for i in range(r0):
-        pi = coupling @ w_cols[:, i] / h[i]
-        if np.linalg.norm(swap_conj(pi) - pi) > 1e-6 * np.linalg.norm(pi):
-            raise NumericalError(
-                "neutral image of a degenerate zero mode failed the "
-                "swap-conjugation symmetry check")
-        p_cols.append((pi + swap_conj(pi)) / 2.0)
-    return w_cols, p_cols, np.diag(h), np.diag(h)
+    w_cols = np.column_stack(z_off) @ (y * phases[np.newaxis, :])
+    images = coupling @ w_cols / h
+    if np.any(np.linalg.norm(swap_conj(images) - images, axis=0)
+              > 1e-6 * np.linalg.norm(images, axis=0)):
+        raise NumericalError(
+            "neutral image of a degenerate zero mode failed the "
+            "swap-conjugation symmetry check")
+    return ModeBlock("degenerate_zero", 0.0, r0, np.diag(h), np.diag(h),
+                     w_cols, (images + swap_conj(images)) / 2.0)
 
 
-def _build_blocks(coupling: np.ndarray,
-                  spectrum: KreinSpectrum) -> list:
-    blocks = []
-    z_off_semisimple = []
+def _build_blocks(coupling: np.ndarray, spectrum: KreinSpectrum) -> list:
+    """Every block of the classified spectrum, in canonical order: nonzero
+    classes first, then the degenerate zero modes, kernel modes last.
+
+    A complex pair or Jordan pair (z1, z2) takes the W columns
+    [z1 + z2, s Sigma (z1 - z2)#] / sqrt(2), with s = 1 for a complex pair
+    and the sign ``jordan2_factor`` returns for a Jordan pair.
+    """
+    blocks, z_off = [], []
     for cls in spectrum.classes:
-        if cls.jordan_size == 2:
+        lam = cls.value
+        if cls.jordan_size == 2 or cls.kind == "complex_pair":
+            if cls.jordan_size == 2:
+                kind = "jordan2"
+                nbar1, nbar2, s = jordan2_factor(
+                    float(np.real(lam)),
+                    in_kernel=cls.kind == "zero_in_kernel")
+            else:
+                kind = "complex_pair"
+                alpha, beta = pair_weights(lam)
+                nbar1, nbar2, s = alpha * np.eye(2), -beta * SIGMA2, 1.0
             for z1, z2 in cls.vectors:
-                in_ker = cls.kind == "zero_in_kernel"
-                nbar1, nbar2, params = jordan2_factor(
-                    float(np.real(cls.value)), in_kernel=in_ker)
-                zb1 = (z1 + z2) / np.sqrt(2.0)
-                zb2 = (z1 - z2) / np.sqrt(2.0)
-                # the lam < 0 parametrization realizes the action conjugated
-                # by diag(1, -1); absorbing the sign into the second column
-                # restores N W = V Nbar
-                sign = -1.0 if params["branch"] == 2 else 1.0
-                w_cols = np.column_stack([zb1, sign * swap_conj(zb2)])
-                params = dict(params, in_kernel=in_ker)
-                blocks.append(ModeBlock(
-                    kind="jordan2", value=cls.value, size=2,
-                    nbar1=nbar1, nbar2=nbar2, w_cols=w_cols, params=params))
-            continue
-        if cls.kind == "real_positive":
-            s = np.sqrt(float(np.real(cls.value)))
-            for z in cls.vectors:
-                blocks.append(ModeBlock(
-                    kind="real_positive", value=cls.value, size=1,
-                    nbar1=np.array([[s]]), nbar2=np.zeros((1, 1)),
-                    w_cols=z.reshape(-1, 1)))
-        elif cls.kind == "real_negative":
-            s = np.sqrt(abs(float(np.real(cls.value))))
-            for z in cls.vectors:
-                blocks.append(ModeBlock(
-                    kind="real_negative", value=cls.value, size=1,
-                    nbar1=np.zeros((1, 1)), nbar2=np.array([[s]]),
-                    w_cols=z.reshape(-1, 1)))
-        elif cls.kind == "complex_pair":
-            alpha, beta = pair_weights(cls.value)
-            for z1, z2 in cls.vectors:
-                zt1 = (z1 + z2) / np.sqrt(2.0)
-                zt2 = (z1 - z2) / np.sqrt(2.0)
-                w_cols = np.column_stack([zt1, swap_conj(zt2)])
-                blocks.append(ModeBlock(
-                    kind="complex_pair", value=cls.value, size=2,
-                    nbar1=alpha * np.eye(2), nbar2=-beta * SIGMA2,
-                    w_cols=w_cols))
+                w_cols = np.column_stack(
+                    [z1 + z2, s * swap_conj(z1 - z2)]) / np.sqrt(2.0)
+                blocks.append(mode_block(coupling, kind, lam, w_cols,
+                                         nbar1, nbar2))
         elif cls.kind == "zero_off_kernel":
-            z_off_semisimple.extend(cls.vectors)
-        elif cls.kind == "zero_in_kernel":
+            z_off.extend(cls.vectors)
+        else:
+            root = np.sqrt(abs(float(np.real(lam))))
+            kind, nbar1, nbar2 = {
+                "real_positive": ("real_positive", [[root]], [[0.0]]),
+                "real_negative": ("real_negative", [[0.0]], [[root]]),
+                "zero_in_kernel": ("kernel", np.zeros((0, 1)),
+                                   np.zeros((0, 1)))}[cls.kind]
             for z in cls.vectors:
-                blocks.append(ModeBlock(
-                    kind="kernel", value=0.0, size=1,
-                    nbar1=np.zeros((1, 1)), nbar2=np.zeros((1, 1)),
-                    w_cols=z.reshape(-1, 1)))
-    if z_off_semisimple:
-        w_cols, p_cols, nbar1, nbar2 = degenerate_factor(
-            coupling, z_off_semisimple)
-        blocks.append(ModeBlock(
-            kind="degenerate_zero", value=0.0, size=len(z_off_semisimple),
-            nbar1=nbar1, nbar2=nbar2, w_cols=w_cols,
-            v_cols=[None] * len(z_off_semisimple),
-            params={"p_cols": p_cols}))
-    # canonical block order: nonzero classes first, then degenerate-zero,
-    # kernel modes last
+                blocks.append(mode_block(
+                    coupling, kind, lam, z.reshape(-1, 1),
+                    np.array(nbar1), np.array(nbar2)))
+    if z_off:
+        blocks.append(degenerate_factor(coupling, z_off))
     order = {"real_positive": 0, "real_negative": 1, "complex_pair": 2,
              "jordan2": 3, "degenerate_zero": 4, "kernel": 5}
     blocks.sort(key=lambda b: (order[b.kind], -abs(b.value),
@@ -273,71 +300,19 @@ def _build_blocks(coupling: np.ndarray,
     return blocks
 
 
-def _apply_phase_convention(blocks: list) -> None:
-    """Fix the free unit phase of each block's leading W column."""
-    # degenerate-zero phases are already fixed by the sign normalization
-    free = [b for b in blocks if b.kind != "degenerate_zero"]
-    if not free:
-        return
-    phases = unit_phases(np.column_stack([b.w_cols[:, 0] for b in free]))
-    for b, phase in zip(free, phases):
-        if b.size == 1:
-            b.w_cols = b.w_cols * phase
-        else:
-            # one shared phase per pair: leading column gets phase, its
-            # swap-conjugate partner column the conjugate phase
-            b.w_cols = b.w_cols * np.array([phase, np.conj(phase)])
-
-
-def _block_v_columns(coupling: np.ndarray, b: ModeBlock) -> None:
-    """Fill in the V columns of one block from N W = V Nhat."""
-    if b.kind == "kernel":
-        b.v_cols = []
-        return
-    if b.kind == "degenerate_zero":
-        return  # resolved by _degenerate_v_columns once the rest is known
-    w_doubled = np.column_stack([b.w_cols, swap_conj(b.w_cols)])
-    nbar = b.nbar_doubled()
-    if b.kind == "jordan2" and b.params.get("in_kernel"):
-        v_doubled = coupling @ w_doubled @ np.linalg.pinv(nbar)
-        v1 = v_doubled[:, 0]
-        if abs(j_inner(v1, v1).real - 1.0) > 1e-6:
-            raise NumericalError(
-                "determined port vector of a kernel Jordan block is not "
-                "J-normalized")
-        b.v_cols = [v1, None]
-        return
-    cond = np.linalg.cond(nbar)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        if b.kind == "jordan2" and abs(b.value) < 1e-6:
-            raise UnsupportedStructureError(
-                "size-2 Jordan block at eigenvalue zero with eigenvector "
-                "outside Ker N has a singular canonical block and is not "
-                "supported")
-        raise NumericalError(
-            f"canonical block for eigenvalue {b.value:.6g} is too badly "
-            f"conditioned to invert (cond = {cond:.3e})")
-    v_doubled = coupling @ w_doubled @ np.linalg.inv(nbar)
-    b.v_cols = [v_doubled[:, i] for i in range(b.size)]
-
-
-def _degenerate_v_columns(m: int, known_cols: list, p_cols: list) -> list:
+def _degenerate_v_columns(basis: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Resolve the V columns of J-neutral zero modes.
 
     Each neutral image p (with Sigma p# = p) splits as p = v + Sigma v#.
     The swap-antisymmetric parts u = v - Sigma v#, the columns of U, lie in
-    the J-orthogonal complement B of all placed columns and their partners,
-    and with P = [p_1, ...] they satisfy P^dag J U = 2 I and U^dag J U = 0;
-    then V = (P + U) / 2 is J-orthonormal and J-orthogonal to every partner.
-    One null space gives B; U = 2 B pinv(P^dag J B) meets the pairing,
+    ``basis``, the J-orthogonal complement B of all fixed columns and their
+    partners, and with P = [p_1, ...] they satisfy P^dag J U = 2 I and
+    U^dag J U = 0; then V = (P + U) / 2 is J-orthonormal and J-orthogonal to
+    every partner.  U = 2 B pinv(P^dag J B) meets the pairing,
     (U - Sigma U#) / 2 makes it swap-antisymmetric without changing the
     pairing, and U - P (U^dag J U) / 4 makes it J-neutral.
     """
-    jm = jmat(2 * m)
-    p = np.column_stack(p_cols)
-    placed = np.column_stack([np.zeros((2 * m, 0)), *known_cols])
-    placed = np.column_stack([placed, swap_conj(placed)])
-    basis = null_space(placed.conj().T @ jm, 1e-10)
+    jm = jmat(p.shape[0])
     pairing = p.conj().T @ jm @ basis
     left, sv, right = np.linalg.svd(pairing, full_matrices=False)
     if sv.size < p.shape[1] or sv[-1] < 1e-8 * np.linalg.norm(p, 2):
@@ -351,31 +326,46 @@ def _degenerate_v_columns(m: int, known_cols: list, p_cols: list) -> list:
     if np.linalg.norm(v.conj().T @ jm @ v - np.eye(v.shape[1])) > 1e-6:
         raise NumericalError(
             "resolved degenerate port vectors are not J-orthonormal")
-    return list(v.T)
+    return v
 
 
-def complete_j_basis(known_cols: np.ndarray, m: int) -> list:
-    """J-orthonormal positive vectors completing known doubled-up columns.
+def _v_columns(m: int, blocks: list) -> np.ndarray:
+    """V's first-half columns, in port order, from one null space.
 
-    ``known_cols`` holds k first-half columns (J-norm +1, partners implied);
-    returns m - k further positive vectors spanning, together with the
-    known ones and all partners, the whole space C^{2m}.  When k = m there
-    is nothing to complete, and no null space is computed: whether the
-    known columns are J-orthonormal is then the Bogoliubov check of V.
+    The J-orthogonal complement of the fixed columns and their partners
+    holds the degenerate zero modes' columns and, J-projected off them and
+    their partners, the positive vectors of the free ports.  When the blocks
+    fix every column there is no null space: whether they are J-orthonormal
+    is then the Bogoliubov check of V.
     """
-    k = known_cols.shape[1]
-    if k == m:
-        return []
-    if k == 0:
-        basis = np.eye(2 * m, dtype=complex)
-    else:
-        doubled = np.column_stack([known_cols, swap_conj(known_cols)])
-        basis = null_space(doubled.conj().T @ jmat(2 * m), 1e-10)
-        if basis.shape[1] != 2 * (m - k):
-            raise NumericalError(
-                "J-orthogonal complement has unexpected dimension "
-                f"{basis.shape[1]}; existing columns are not J-orthonormal")
-    return j_positive_vectors(basis, m - k)
+    v_first = np.zeros((2 * m, m), dtype=complex)
+    fixed = np.zeros(m, dtype=bool)
+    degenerate = np.zeros(m, dtype=bool)
+    pos = 0
+    for b in blocks:
+        k = b.v_cols.shape[1]
+        v_first[:, pos:pos + k] = b.v_cols
+        (degenerate if b.kind == "degenerate_zero" else fixed)[
+            pos:pos + k] = True
+        pos += b.nbar1.shape[0]
+    if fixed.all():
+        return v_first
+    known = v_first[:, fixed]
+    doubled = np.column_stack([known, swap_conj(known)])
+    basis = null_space(doubled.conj().T @ jmat(2 * m), 1e-10)
+    if basis.shape[1] != 2 * (m - known.shape[1]):
+        raise NumericalError(
+            "J-orthogonal complement has unexpected dimension "
+            f"{basis.shape[1]}; existing columns are not J-orthonormal")
+    if degenerate.any():
+        deg = _degenerate_v_columns(basis, v_first[:, degenerate])
+        v_first[:, degenerate] = deg
+        basis = j_project_off(basis, np.column_stack([deg, swap_conj(deg)]))
+    free = ~(fixed | degenerate)
+    if free.any():
+        v_first[:, free] = np.column_stack(
+            j_positive_vectors(basis, int(free.sum())))
+    return v_first
 
 
 def bogoliubov_svd(coupling: np.ndarray) -> DuSvdResult:
@@ -391,53 +381,26 @@ def bogoliubov_svd(coupling: np.ndarray) -> DuSvdResult:
     m = coupling.shape[0] // 2
     n = coupling.shape[1] // 2
     spectrum = krein_spectrum(j_gram(coupling), coupling)
-
     blocks = _build_blocks(coupling, spectrum)
-    _apply_phase_convention(blocks)
-
-    r = sum(b.size for b in blocks if b.kind != "kernel")
+    r = sum(b.nbar1.shape[0] for b in blocks)
     if r > m:
         raise NumericalError(
             f"canonical coupling needs {r} ports but only {m} outputs exist")
 
-    for b in blocks:
-        _block_v_columns(coupling, b)
-    for b in blocks:
-        if b.kind == "degenerate_zero":
-            determined = [c for blk in blocks for c in (blk.v_cols or [])
-                          if c is not None]
-            b.v_cols = _degenerate_v_columns(m, determined,
-                                             b.params["p_cols"])
-
-    # assemble W
-    w_first = np.column_stack([b.w_cols for b in blocks]) \
-        if blocks else np.zeros((2 * n, 0), dtype=complex)
+    w_first = np.column_stack([np.zeros((2 * n, 0)),
+                               *(b.w_cols for b in blocks)])
     w = np.column_stack([w_first, swap_conj(w_first)])
-
-    # assemble Nhat with each block on the diagonal of the active corner
-    nhat1 = np.zeros((m, n), dtype=complex)
-    nhat2 = np.zeros((m, n), dtype=complex)
-    pos = 0
-    v_first_cols: list = []
-    for b in blocks:
-        if b.kind == "kernel":
-            continue
-        s = b.size
-        nhat1[pos:pos + s, pos:pos + s] = b.nbar1
-        nhat2[pos:pos + s, pos:pos + s] = b.nbar2
-        v_first_cols.extend(b.v_cols)
-        pos += s
-    nhat = np.block([[nhat1, nhat2], [np.conj(nhat2), np.conj(nhat1)]])
-
-    known = [c for c in v_first_cols if c is not None]
-    known_mat = (np.column_stack(known) if known
-                 else np.zeros((2 * m, 0), dtype=complex))
-    fill = complete_j_basis(known_mat, m)
-    fill_iter = iter(fill)
-    v_first = np.column_stack(
-        [c if c is not None else next(fill_iter) for c in v_first_cols]
-        + list(fill_iter)) if (v_first_cols or m > 0) else known_mat
+    v_first = _v_columns(m, blocks)
     v = np.column_stack([v_first, swap_conj(v_first)])
+    # each block on the diagonal; the free ports' rows stay zero
+    nhat1, nhat2 = np.zeros((2, m, n), dtype=complex)
+    row = col = 0
+    for b in blocks:
+        ports, size = b.nbar1.shape
+        nhat1[row:row + ports, col:col + size] = b.nbar1
+        nhat2[row:row + ports, col:col + size] = b.nbar2
+        row, col = row + ports, col + size
+    nhat = np.block([[nhat1, nhat2], [np.conj(nhat2), np.conj(nhat1)]])
 
     recon = v @ nhat @ flat_adjoint(w)
     residual = float(np.linalg.norm(recon - coupling)

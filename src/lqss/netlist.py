@@ -394,7 +394,9 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
-    if not np.linalg.norm(u @ u.conj().T - np.eye(m)) <= 1e-8 * m:
+    # a wide u with orthonormal rows passes the product check alone
+    if u.shape != (m, m) or not (
+            np.linalg.norm(u @ u.conj().T - np.eye(m)) <= 1e-8 * m):
         raise StructureError("static network is not unitary")  # NaN too
     rows, theta, psi, diagonal = _eliminate(u)
     # the eliminated u is diagonal, so u = t_1^dag .. t_K^dag diag

@@ -169,7 +169,7 @@ def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
     return u[:, s > 1e-8]
 
 
-def _j_project_off(cols: np.ndarray, span: np.ndarray) -> np.ndarray:
+def j_project_off(cols: np.ndarray, span: np.ndarray) -> np.ndarray:
     """Remove from each column its J-orthogonal projection onto span(span).
 
     Requires the J-Gram of ``span`` to be invertible.
@@ -299,7 +299,7 @@ def _real_cluster_classes(gram, coupling, lam, scale, e1, cand, block):
                 "size-2 blocks in conjugate pairs are supported")
         z1, z2 = _jordan_pairs(gram - lam * np.eye(gram.shape[0]), cand)
         span = np.column_stack([z1, z2, swap_conj(z1), swap_conj(z2)])
-        e1 = _orthonormal_columns(_j_project_off(e1, span))
+        e1 = _orthonormal_columns(j_project_off(e1, span))
         pairs = list(zip(z1.T, z2.T))
         if zero:
             nnorm = max(1.0, np.linalg.norm(coupling))
@@ -366,7 +366,7 @@ def _zero_semisimple_classes(coupling, e1):
         if kernel_vecs:
             span = np.column_stack(
                 [np.column_stack([z, swap_conj(z)]) for z in kernel_vecs])
-            work = _orthonormal_columns(_j_project_off(e1, span))
+            work = _orthonormal_columns(j_project_off(e1, span))
         off_vecs = j_positive_vectors(work, r_off)
         classes.append(EigenClass(kind="zero_off_kernel", value=0.0,
                                   vectors=off_vecs))
@@ -423,6 +423,9 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
     NumericalError when the classification is not numerically resolvable.
     """
     gram = np.asarray(gram, dtype=complex)
+    if not np.isfinite(gram).all():
+        raise NumericalError("Gram matrix N^b N is not finite: the coupling "
+                             "is too large to square")
     dim = gram.shape[0]
     scale = max(1.0, float(np.linalg.norm(gram, 2)))
     cutoff = TOL_RANK * scale

@@ -385,6 +385,32 @@ class TestSynth:
                      "--output", str(tmp_path / "o.json"), "--tol", "0"])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("kind, message", [
+        ("general", "Gram matrix N^b N is not finite"),
+        ("passive", "coupling factorization residual nan exceeds")],
+        ids=["general", "passive"])
+    def test_overflowing_coupling(self, kind, message, tmp_path, capsys):
+        # N^b N overflows: the general classification refuses the Gram
+        # matrix, and the passive factorization residual is NaN, which the
+        # tolerance gate refuses; neither writes a netlist
+        if kind == "general":
+            m_mat, n_mat = random_general_model(3, 2,
+                                                np.random.default_rng(0))
+            m_mat, n_mat, s_mat = m_mat, n_mat * 1e160, np.eye(4)
+        else:
+            m_mat, n_mat, s_mat = M3, N3 * 1e200, np.eye(3)
+        out = tmp_path / "o.json"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = write_model(tmp_path / "big.json", Model(
+                kind=kind, m_mat=m_mat, n_mat=n_mat, s_mat=s_mat))
+            code = main(["synth", "--input", path, "--output", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericalError"
+        assert message in err["message"]
+        assert not out.exists()
+
     def test_jordan3_unsupported(self, tmp_path):
         n_mat = phi_to_doubled(JORDAN3_WITNESS)
         model = Model(kind="general", m_mat=np.zeros((6, 6)),
@@ -1076,10 +1102,21 @@ class TestDecompose:
         err = json.loads(capsys.readouterr().err)
         assert "matrix" in err["message"]
 
-    def test_nonunitary_matrix(self, tmp_path):
+    @pytest.mark.parametrize("matrix, kind", [
+        (np.ones((2, 2)), "unitary"),
+        # a wide matrix with orthonormal rows passes U U^dag = I; the unitary
+        # check refuses its shape, whether or not the kind is given
+        (np.eye(2, 3), None), (np.eye(2, 3), "unitary")],
+        ids=["ones-unitary", "wide", "wide-unitary"])
+    def test_nonunitary_matrix(self, matrix, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(
-            {"matrix": modelio.encode_matrix(np.ones((2, 2)))}))
-        code = main(["decompose", "--input", str(path), "--kind", "unitary",
-                     "--output", str(tmp_path / "o.json")])
-        assert code == EXIT_VALIDATION
+        path.write_text(json.dumps({"matrix": modelio.encode_matrix(matrix)}))
+        out = tmp_path / "o.json"
+        argv = ["decompose", "--input", str(path), "--output", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--kind", kind] * (kind is not None)) == (
+            EXIT_VALIDATION)
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "StructureError",
+                       "message": "static network is not unitary"}
+        assert not out.exists()

@@ -70,15 +70,17 @@ class TestPairWeights:
 class TestJordan2Factor:
     @pytest.mark.parametrize("lam", [1.3, 0.4, 0.0, -0.7, -2.0])
     def test_gram_is_jordan(self, lam):
-        nbar1, nbar2, params = jordan2_factor(lam)
+        nbar1, nbar2, _ = jordan2_factor(lam)
         g = gram_of(nbar1, nbar2)
         shifted = g - lam * np.eye(4)
         assert np.linalg.norm(shifted @ shifted) < 1e-12
         assert np.linalg.norm(shifted) > 0.1  # genuinely defective
 
     def test_branches(self):
-        assert jordan2_factor(0.5)[2]["branch"] == 1
-        assert jordan2_factor(-0.5)[2]["branch"] == 2
+        # the lam < 0 parametrization flips the sign of W's second column
+        assert jordan2_factor(0.5)[2] == 1.0
+        assert jordan2_factor(-0.5)[2] == -1.0
+        assert jordan2_factor(0.0, in_kernel=True)[2] == 1.0
 
     def test_kernel_variant_rank_one(self):
         nbar1, nbar2, _ = jordan2_factor(0.0, in_kernel=True)
@@ -220,13 +222,14 @@ class TestDegenerateVColumns:
     @pytest.mark.parametrize("specs", DEGENERATE_CASES.values(),
                              ids=DEGENERATE_CASES.keys())
     def test_one_null_space(self, specs, monkeypatch):
-        # all port vectors of the degenerate block come from one null space
-        # and are J-orthonormal to every column of V and every partner
+        # one null space completes V: it holds the port vectors of the
+        # degenerate block, which are J-orthonormal to every column of V and
+        # every partner
         coupling, _, m, _ = planted_coupling(specs,
                                              np.random.default_rng(0))
         spaces = recorded_callers(monkeypatch, dusvd, "null_space")
         res = bogoliubov_svd(coupling)
-        assert spaces.count("_degenerate_v_columns") == 1
+        assert spaces == ["_v_columns"]
         # V's first-half columns follow the non-kernel blocks in order
         kinds = np.array([b.kind for b in res.blocks if b.kind != "kernel"
                           for _ in range(b.size)])
@@ -239,11 +242,12 @@ class TestDegenerateVColumns:
 
     def test_singular_pairing_raises(self):
         # the neutral image p = e0 + e2 lies in the span of the placed
-        # column e0 and its partner e2, so no free direction pairs with it
-        placed = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        p = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
+        # column e0 and its partner e2, so no direction of their
+        # J-orthogonal complement, spanned by e1 and e3, pairs with it
+        basis = np.eye(4, dtype=complex)[:, [1, 3]]
+        p = np.array([[1.0], [0.0], [1.0], [0.0]], dtype=complex)
         with pytest.raises(NumericalError, match="singular"):
-            _degenerate_v_columns(2, [placed], [p])
+            _degenerate_v_columns(basis, p)
 
 
 class TestSymplecticSvd:

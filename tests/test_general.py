@@ -11,11 +11,13 @@ from helpers import (
     random_general_model,
     random_hermitian_doubled_up,
     random_passive_model,
+    recorded_callers,
 )
+from lqss import dusvd
 from lqss.dusvd import bogoliubov_svd
 from lqss.errors import NumericalError, ParameterError, StructureError
 from lqss.general import synthesize, synthesize_general
-from lqss.krein import flat_adjoint, jmat
+from lqss.krein import bogoliubov_residual, flat_adjoint, jmat
 from lqss.passive import synthesize_passive
 from lqss.spectral import j_gram
 from lqss.statespace import (
@@ -297,17 +299,33 @@ def test_jordan_synthesis_verifies(specs, seed):
     assert report.passed, report.summary()
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_kernel_jordan_synthesis_verifies(seed):
+KERNEL_JORDAN_CASES = [
+    pytest.param([("kernel_jordan", 0.0)], 0, seed, id=str(seed))
+    for seed in range(3)] + [
+    pytest.param(specs, extra, seed, id=f"{name}-extra{extra}-{seed}")
+    for name, specs in {
+        "pos-deg": [("pos", 2.0), ("kernel_jordan", 0.0), ("deg", 0.5)],
+        "pair-deg": [("pair", 1 + 2j), ("kernel_jordan", 0.0), ("deg", 1.0)],
+    }.items() for extra in (0, 1, 2) for seed in range(3)]
+
+
+@pytest.mark.parametrize("specs, extra, seed", KERNEL_JORDAN_CASES)
+def test_kernel_jordan_synthesis_verifies(specs, extra, seed, monkeypatch):
     # a size-2 Jordan block at zero whose eigenvector N kills: one port
-    # vector is read off N W Nbar^+, the other is left to V's completion
+    # vector is read off N W Nbar^+, the other is left to V's completion,
+    # whose one null space also holds the degenerate zero modes' port
+    # vectors and the extra ports
     rng = np.random.default_rng(seed)
-    n_mat, _, m, n = planted_coupling([("kernel_jordan", 0.0)], rng)
-    assert m == n == 2
+    n_mat, _, _, n = planted_coupling(specs, rng, extra_ports=extra,
+                                      extra_modes=extra)
+    spaces = recorded_callers(monkeypatch, dusvd, "null_space")
     fact = bogoliubov_svd(n_mat)
+    assert spaces == ["_v_columns"]
     assert fact.residual < 1e-13
-    (block,) = fact.blocks
-    assert block.kind == "jordan2" and block.params["in_kernel"]
+    (block,) = [b for b in fact.blocks if b.kind == "jordan2"]
+    assert block.v_cols.shape[1] == 1
+    assert bogoliubov_residual(fact.v) < 1e-10
+    assert bogoliubov_residual(fact.w) < 1e-10
     model = Model(kind="general", n_mat=n_mat,
                   m_mat=random_hermitian_doubled_up(n, rng, scale=0.5))
     report = verify_realization(model, synthesize(model))

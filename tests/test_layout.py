@@ -4,12 +4,14 @@ Static checks of ``src/lqss`` with the standard-library ``ast`` module: no
 module imports a name it does not use, every top-level function or class is
 exported in ``lqss.__all__`` or referenced from elsewhere in the package,
 every defaulted parameter is set by some call in the package, no module
-imports the standard library's ``json``, and every import sits at module
-level, none inside a function.  ``krein`` is the one module that takes a
-Schur form from ``scipy.linalg``: its ``schur_form`` serves every doubled-up
-eigenproblem.  Test-only helpers belong in ``tests/helpers.py``,
-and no test seeds anything with the built-in ``hash``.  Importing the CLI
-loads no third-party module beyond numpy, scipy.linalg and orjson.
+imports the standard library's ``json``, every import sits at module
+level, none inside a function, and no module reaches an underscore name
+of another: a helper shared across modules has a public name.  ``krein``
+is the one module that takes a Schur form from ``scipy.linalg``: its
+``schur_form`` serves every doubled-up eigenproblem.  Test-only helpers
+belong in ``tests/helpers.py``, and no test seeds anything with the
+built-in ``hash``.  Importing the CLI loads no third-party module beyond
+numpy, scipy.linalg and orjson.
 """
 
 import ast
@@ -194,6 +196,34 @@ def test_imports_sit_at_module_level():
                            for node in ast.walk(func)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside functions: {nested}"
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_names_across_modules():
+    # an underscore name is its module's own; a helper that another module
+    # needs gets a public name
+    reached = []
+    for module, tree in MODULES.items():
+        modules = set()  # lqss modules bound by ``from . import name``
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or (
+                    node.level == 0
+                    and (node.module or "").split(".")[0] != "lqss"):
+                continue
+            for alias in node.names:
+                if node.module in (None, "lqss") and alias.name in MODULES:
+                    modules.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    reached.append(f"{module}.py:{node.lineno} {alias.name}")
+        reached += [f"{module}.py:{node.lineno} {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and private(node.attr)]
+    assert not reached, f"underscore names of other modules: {reached}"
 
 
 def test_krein_is_the_only_schur_caller():

@@ -481,7 +481,7 @@ def test_jordan_pairs_from_one_eigh(specs, monkeypatch):
     # and one J-projection takes all pairs off the eigenspace
     coupling, _, _, _ = planted_coupling(specs, np.random.default_rng(0))
     eighs = recorded_callers(monkeypatch, np.linalg, "eigh")
-    projections = recorded_callers(monkeypatch, spectral, "_j_project_off")
+    projections = recorded_callers(monkeypatch, spectral, "j_project_off")
     spec = krein_spectrum(j_gram(coupling), coupling)
     (cls,) = jordan_pairs(spec)
     assert len([c for c in eighs if c != "j_positive_vectors"]) == 1

@@ -156,11 +156,20 @@ def schur_form(a: np.ndarray) -> tuple:
     return t, z
 
 
+def _scale(x: np.ndarray) -> float:
+    """max(1, ||x||_F), the scale of a structure check's tolerance: inf,
+    with no overflow warning, when the norm overflows.  An infinite bound
+    would pass every residual, so the predicates then answer False."""
+    with np.errstate(over="ignore"):
+        return max(1.0, float(np.linalg.norm(x)))
+
+
 def is_doubled_up(x: np.ndarray) -> bool:
     if x.shape[0] % 2 or x.shape[1] % 2:
         return False
-    return (doubled_up_residual(x)
-            <= DEFAULT_STRUCTURE_TOL * max(1.0, np.linalg.norm(x)))
+    scale = _scale(x)
+    return scale < np.inf and (
+        doubled_up_residual(x) <= DEFAULT_STRUCTURE_TOL * scale)
 
 
 def check_doubled_up(x: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -183,7 +192,8 @@ def bogoliubov_residual(r: np.ndarray) -> float:
 def is_bogoliubov(r: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL) -> bool:
     if r.shape[0] != r.shape[1] or r.shape[0] % 2:
         return False
-    return bogoliubov_residual(r) <= tol * max(1.0, np.linalg.norm(r))
+    scale = _scale(r)
+    return scale < np.inf and bogoliubov_residual(r) <= tol * scale
 
 
 def check_bogoliubov(r: np.ndarray, tol: float = DEFAULT_STRUCTURE_TOL,

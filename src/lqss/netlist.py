@@ -8,26 +8,28 @@ with U1, U2 unitary and X = diag(x_1..x_m) >= 0; the unitary factors then
 break into at most m(m-1)/2 two-channel beamsplitters, each with a mixing
 angle theta and a phase psi, plus at most m output phases (triangular
 elimination, m^2 real parameters), and the middle factor into m single-mode
-squeezers.  A ``DeviceSchedule`` is an ordered list of such devices whose
-embedded matrices multiply out (left to right) to the decomposed matrix.
-It is stored as arrays: a kind code per device (an index into ``KINDS``), a
-(k, 2) array of channels and a (k, 4) table of parameters.  Schedules are
-only built here, by ``reck_decompose`` and ``schedule_static`` from computed
-arrays, and only written: the one per-device view is ``devices``, the list
-of records (dicts) that the netlist and ``lqss decompose`` write.
+squeezers, each with its squeezing x.  A ``DeviceSchedule`` is an ordered
+list of such devices whose embedded matrices multiply out (left to right)
+to the decomposed matrix.  It is stored as arrays: a kind code per device
+(an index into ``KINDS``), a (k, 2) array of channels and a (k, 2) table of
+parameters.  Schedules are only built here, by ``reck_decompose`` and
+``schedule_static`` from computed arrays, and only written: the one
+per-device view is ``devices``, the list of records (dicts) that the
+netlist and ``lqss decompose`` write.
 
 The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
 per column: a scalar pass over the column's magnitudes and angles finds
 (theta, psi) of each rotation in closed form, and the rotations' product,
 a unitary upper Hessenberg matrix in closed form, is applied as one matrix
-product.  A schedule is multiplied out by layers: walking the list from the
-end, each device joins the first layer after the last one that touched its
-channels, so the devices of one layer commute and are applied as one stacked
-row update.  An m-channel Reck schedule has depth 2m - 3, so either job
-takes O(m) numpy calls.  The residual check of every schedule uses the
-device parameters as they are serialized.  Each schedule is multiplied out
-once: a Bogoliubov network's check reuses the products P2, P1 of its two
-unitary factor schedules and forms diag(P2, P2#) S(x) diag(P1, P1#).
+product.  A unitary schedule is multiplied out by layers: walking the list
+from the end, each device joins the first layer after the last one that
+touched its channels, so the devices of one layer commute and are applied
+as one stacked row update.  An m-channel Reck schedule has depth 2m - 3, so
+either job takes O(m) numpy calls.  The residual check of every schedule
+uses the device parameters as they are serialized.  Only unitary schedules
+are multiplied out, each once: a Bogoliubov network's check reuses the
+products P2, P1 of its two unitary factor schedules and forms
+diag(P2, P2#) S(x) diag(P1, P1#).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, sqrtm
+from scipy.linalg import sqrtm
 
 from .errors import NumericalError, StructureError
 from .krein import check_bogoliubov
@@ -61,21 +63,18 @@ def takagi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v, s, wh = np.linalg.svd(a)
     w = wh.conj().T
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    groups, start = [], 0
+    # block diagonal, one block per group of equal singular values, built
+    # in place: the identity on a zero group
+    q, start = np.eye(len(s), dtype=complex), 0
     for i in range(1, len(s) + 1):
         if i == len(s) or abs(s[i] - s[start]) > 1e-9 * scale:
-            groups.append((start, i))
+            if s[start] > 1e-12 * scale:
+                # v_g^T w_g is unitary symmetric on the group; its principal
+                # square root q_g satisfies v_g conj(q_g) diag(s) (v_g
+                # conj(q_g))^T = a on it
+                q[start:i, start:i] = sqrtm(v[:, start:i].T @ w[:, start:i])
             start = i
-    qs = []
-    for lo, hi in groups:
-        if s[lo] <= 1e-12 * scale:
-            qs.append(np.eye(hi - lo))
-            continue
-        # v_g^T w_g is unitary symmetric on the group; its principal square
-        # root q satisfies v_g conj(q) diag(s) (v_g conj(q))^T = a on it
-        q = sqrtm(v[:, lo:hi].T @ w[:, lo:hi])
-        qs.append(q)
-    u = v @ np.conj(block_diag(*qs))
+    u = v @ np.conj(q)
     if np.linalg.norm(u @ np.diag(s) @ u.T - a) > 1e-7 * max(1.0, scale):
         raise NumericalError("symmetric factorization failed to converge")
     return s, u
@@ -108,48 +107,24 @@ def bloch_messiah(r_mat: np.ndarray) -> tuple:
     return u2, x, u1
 
 
-def beamsplitter_matrix(theta, phi=0.0, psi=0.0, zeta=0.0) -> np.ndarray:
-    """Two-channel unitary with transmission cos(theta/2) and three phases.
+def beamsplitter_matrix(theta, psi) -> np.ndarray:
+    """Two-channel unitary with transmission cos(theta/2) and phase psi.
 
-    Array parameters broadcast and give a stack of shape (..., 2, 2).
+    Arrays of one shape give a stack of shape (..., 2, 2).
     """
-    theta, phi, psi, zeta = np.broadcast_arrays(theta, phi, psi, zeta)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    out = np.stack([
-        np.stack([np.exp(1j * (phi + psi) / 2) * c,
-                  np.exp(1j * (psi - phi) / 2) * s], axis=-1),
-        np.stack([-np.exp(1j * (phi - psi) / 2) * s,
-                  np.exp(-1j * (phi + psi) / 2) * c], axis=-1),
-    ], axis=-2)
-    return np.exp(1j * zeta)[..., None, None] * out
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    plus, minus = np.exp(1j * psi / 2), np.exp(-1j * psi / 2)
+    return np.stack([np.stack([plus * c, plus * s], axis=-1),
+                     np.stack([-minus * s, minus * c], axis=-1)], axis=-2)
 
 
-def squeezer_matrix(x, phi=0.0, psi=0.0) -> np.ndarray:
-    """Doubled-up 2 x 2 single-mode squeezer block (stacked like
-    ``beamsplitter_matrix`` for array parameters)."""
-    x, phi, psi = np.broadcast_arrays(x, phi, psi)
-    ch, sh = np.cosh(x), np.sinh(x)
-    return np.stack([
-        np.stack([np.exp(1j * (phi + psi)) * ch,
-                  np.exp(1j * (psi - phi)) * sh], axis=-1),
-        np.stack([np.exp(1j * (phi - psi)) * sh,
-                  np.exp(-1j * (phi + psi)) * ch], axis=-1),
-    ], axis=-2)
-
-
-def _phase_matrix(theta) -> np.ndarray:
-    return np.exp(1j * np.asarray(theta))[..., None, None]
-
-
-#: device kinds by code: (name, block builder, channel count, parameter
-#: names).  A device always lists its first parameter and the others only
-#: when they are non-zero: a Reck beamsplitter lists ``theta`` and ``psi``,
-#: a Bloch-Messiah squeezer just ``x``.
+#: device kinds by code: (name, channel count, parameter names).  A device
+#: always lists its first parameter and a beamsplitter its ``psi`` only when
+#: it is non-zero.
 KINDS = (
-    ("beamsplitter", beamsplitter_matrix, 2, ("theta", "phi", "psi", "zeta")),
-    ("phase", _phase_matrix, 1, ("theta",)),
-    ("squeezer", squeezer_matrix, 1, ("x", "phi", "psi")),
+    ("beamsplitter", 2, ("theta", "psi")),
+    ("phase", 1, ("theta",)),
+    ("squeezer", 1, ("x",)),
 )
 BEAMSPLITTER, PHASE, SQUEEZER = range(len(KINDS))
 
@@ -180,8 +155,8 @@ def _angle(z):
 
 
 def _table(*columns) -> np.ndarray:
-    """(k, 4) parameter table of up to four length-k columns, zero-padded."""
-    table = np.zeros((len(columns[0]), 4))
+    """(k, 2) parameter table of one or two length-k columns, zero-padded."""
+    table = np.zeros((len(columns[0]), 2))
     table[:, :len(columns)] = np.transpose(columns)
     return table
 
@@ -194,24 +169,24 @@ def _miss(product: np.ndarray, target: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class DeviceSchedule:
-    """Ordered device list stored as arrays; ``matrix()`` multiplies the
-    embeddings out.
+    """Ordered device list stored as arrays; ``matrix()`` multiplies out the
+    embeddings of a unitary one.
 
     Device k is of kind ``KINDS[kinds[k]]`` and acts on the channels
     ``wires[k]`` (a one-channel device names its channel twice).  Row k of
-    the (k, 4) table ``params`` holds its parameters in the order of its
-    kind's names, padded with zeros.  ``devices`` lists the devices as the
+    the (k, 2) table ``params`` holds its parameters in the order of its
+    kind's names, padded with a zero.  ``devices`` lists the devices as the
     records a schedule file holds.  The arrays come from a decomposition,
     which multiplies the schedule out against its network before anything
     is written, so construction only fixes their dtypes.  ``residual`` is
-    the product's residual that ``schedule_static`` checked.
+    the product's residual that the decomposition checked.
     """
 
     channels: int
     doubled: bool
-    kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
-    wires: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), int))
-    params: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    kinds: np.ndarray
+    wires: np.ndarray
+    params: np.ndarray
     residual: float | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -229,7 +204,7 @@ class DeviceSchedule:
         ``modelio`` writes a schedule.
         """
         out = [None] * len(self.kinds)
-        for code, (name, _, count, names) in enumerate(KINDS):
+        for code, (name, count, names) in enumerate(KINDS):
             index = np.flatnonzero(self.kinds == code)
             values = self.params[index, :len(names)]
             listed = values != 0.0
@@ -250,42 +225,36 @@ class DeviceSchedule:
         return out
 
     def matrix(self) -> np.ndarray:
-        """Product of the embedded devices, first device leftmost.
+        """Product of the embedded devices of a unitary schedule, first
+        device leftmost.
 
         The devices of a layer (see ``_layers``) act on disjoint channels,
         so the layers are applied in turn to the identity, each as one
-        stacked update of its rows per block width: a beamsplitter updates
-        rows (i, j), a phase row i, and on doubled-up channels they also
-        update rows (i + m, j + m) and i + m with the conjugate block, while
-        a squeezer updates rows (i, i + m).  An m-channel Reck schedule has
-        depth 2m - 3, so its product takes O(m) numpy calls and O(m^3)
-        arithmetic.  Blocks are built from the parameter table, one stacked
-        call per device kind.
+        stacked update of the rows (i, j) of its beamsplitters and one of
+        the rows i of its phases.  An m-channel Reck schedule has depth
+        2m - 3, so its product takes O(m) numpy calls and O(m^3)
+        arithmetic.  A doubled-up schedule is not multiplied out:
+        ``schedule_static`` forms its product from those of its unitary
+        factors.
         """
-        m, doubled = self.channels, self.doubled
-        layer, depth = _layers(self.wires, m)
-        stacks = {}  # block width -> [(rows, blocks, layers)] per kind
-        for code, (_, build, count, names) in enumerate(KINDS):
-            index = np.flatnonzero(self.kinds == code)
-            if not index.size:
-                continue
-            blocks = build(*self.params[index, :len(names)].T)
-            rows, layers = self.wires[index, :count], layer[index]
-            if code == SQUEEZER:
-                rows = np.hstack([rows, rows + m])
-            elif doubled:
-                rows = np.vstack([rows, rows + m])
-                blocks = np.concatenate([blocks, blocks.conj()])
-                layers = np.concatenate([layers, layers])
-            stacks.setdefault(rows.shape[1], []).append(
-                (rows, blocks, layers))
+        if self.doubled:
+            raise StructureError("only a unitary device schedule is "
+                                 "multiplied out")
+        layer, depth = _layers(self.wires, self.channels)
+        splitters = self.kinds == BEAMSPLITTER
+        phases = ~splitters
         groups = []
-        for parts in stacks.values():
-            rows, blocks, layers = map(np.concatenate, zip(*parts))
+        for rows, blocks, layers in (
+                (self.wires[splitters],
+                 beamsplitter_matrix(*self.params[splitters].T),
+                 layer[splitters]),
+                (self.wires[phases, :1],
+                 np.exp(1j * self.params[phases, 0])[:, None, None],
+                 layer[phases])):
             order = np.argsort(layers, kind="stable")
             bounds = np.searchsorted(layers[order], np.arange(depth + 1))
             groups.append((rows[order], blocks[order], bounds.tolist()))
-        out = np.eye(2 * m if doubled else m, dtype=complex)
+        out = np.eye(self.channels, dtype=complex)
         for k in range(depth):
             for rows, blocks, bounds in groups:
                 lo, hi = bounds[k], bounds[k + 1]
@@ -376,8 +345,8 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
     skipped when |b| <= ANGLE_EPS max(1, |a|) and is otherwise rotated by
     t = R(theta)^T diag(e^{-i psi/2}, e^{i psi/2}), R(theta) = [[cos, sin],
     [-sin, cos]](theta / 2), whose device is t^dag =
-    ``beamsplitter_matrix(theta, 0, psi, 0)``.  psi = arg a - arg b - n pi
-    in (-pi/2, pi/2] (ties moved like ``_angle``'s cut, and arg a = 0 when
+    ``beamsplitter_matrix(theta, psi)``.  psi = arg a - arg b - n pi in
+    (-pi/2, pi/2] (ties moved like ``_angle``'s cut, and arg a = 0 when
     |a| <= ANGLE_EPS) makes e^{i psi} b / a = (-1)^n |b| / |a|, which theta
     = -(-1)^n 2 atan2(|b|, |a|) nulls.  The new carry |(a, b)| e^{i (arg a
     - psi / 2)} keeps its phase, which ends on the diagonal, and has the
@@ -408,7 +377,7 @@ def reck_decompose(u: np.ndarray, with_product: bool = False):
         kinds=np.repeat([BEAMSPLITTER, PHASE], [len(rows), len(shifted)]),
         wires=np.concatenate([np.stack([rows, rows + 1], axis=1),
                               np.stack([shifted, shifted], axis=1)]),
-        params=np.concatenate([_table(theta, [0.0] * len(theta), psi),
+        params=np.concatenate([_table(theta, psi),
                                _table(phases[shifted])]))
     product = schedule.matrix()
     schedule.residual = _miss(product, u)

@@ -246,10 +246,10 @@ class Model:
     Construction is the one input check of synthesis and verification.  M,
     N and S become complex arrays, S defaulting to the identity: M square,
     N with one column per row of M, S square with one row per row of N, and
-    all three finite (``ParameterError`` otherwise, naming the matrix).  M
-    must be Hermitian; a general model needs a doubled-up M and N and a
-    Bogoliubov S, a passive one a unitary S.  Every other violation raises
-    ``StructureError``.
+    all three finite, with a finite Frobenius norm (``ParameterError``
+    otherwise, naming the matrix).  M must be Hermitian; a general model
+    needs a doubled-up M and N and a Bogoliubov S, a passive one a unitary
+    S.  Every other violation raises ``StructureError``.
     """
 
     kind: str  # "passive" | "general"
@@ -286,6 +286,11 @@ class Model:
                           ("scattering matrix S", s_mat)):
             if not np.all(np.isfinite(mat)):
                 raise ParameterError(f"{name} has a non-finite entry")
+            # the structure checks below scale their tolerances by this norm
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.linalg.norm(mat)):
+                    raise ParameterError(f"{name} is too large: its "
+                                         "Frobenius norm overflows")
         if general:
             check_doubled_up(m_mat, what="Hamiltonian matrix")
             check_doubled_up(n_mat, what="coupling matrix")

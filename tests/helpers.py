@@ -30,13 +30,7 @@ from lqss.dusvd import SIGMA2, jordan2_factor, pair_weights
 from lqss.errors import StructureError
 from lqss.krein import flat_adjoint, jmat
 from lqss.modelio import SCHEMA_VERSION, encode_matrix
-from lqss.netlist import (
-    ANGLE_EPS,
-    _angle,
-    beamsplitter_matrix,
-    bloch_messiah,
-    squeezer_matrix,
-)
+from lqss.netlist import ANGLE_EPS, _angle, beamsplitter_matrix, bloch_messiah
 from lqss.statespace import Model, StateSpace, adjoint, drift
 
 #: eigenvector pairs of a Krein spectrum by class: semisimple real positive
@@ -205,18 +199,26 @@ def closed_by_hand(kind, real, s):
         np.eye(len(r)) - g[m:, m:] @ r, g[m:, :m])
 
 
+def squeezer_matrix(x):
+    """Doubled-up 2 x 2 block of a single-mode squeezer with squeezing x,
+    on the rows (i, i + m) of its channel i."""
+    return np.array([[np.cosh(x), np.sinh(x)], [np.sinh(x), np.cosh(x)]],
+                    dtype=complex)
+
+
 def records_matrix(channels, doubled, devices):
     """Product of written device records, first device leftmost, applied
     one device at a time as a 2 x 2 (or 1 x 1) update of the rows it
-    touches.  A parameter that a record leaves out is 0, as the benchmark's
-    checks read a schedule."""
+    touches.  A beamsplitter's ``psi`` that a record leaves out is 0, as
+    the benchmark's checks read a schedule."""
     out = np.eye(2 * channels if doubled else channels, dtype=complex)
     for dev in reversed(devices):
         kind, ch, p = dev["kind"], list(dev["channels"]), dev["params"]
         if kind == "squeezer":
-            updates = [([ch[0], ch[0] + channels], squeezer_matrix(**p))]
+            updates = [([ch[0], ch[0] + channels], squeezer_matrix(p["x"]))]
         else:
-            g = (beamsplitter_matrix(**p) if kind == "beamsplitter"
+            g = (beamsplitter_matrix(p["theta"], p.get("psi", 0.0))
+                 if kind == "beamsplitter"
                  else np.array([[np.exp(1j * p["theta"])]]))
             updates = [(ch, g)]
             if doubled:
@@ -258,8 +260,9 @@ def reck_reference(u):
     ANGLE_EPS max(1, |a|); otherwise psi in (-pi/2, pi/2] (a tie at -pi/2
     goes to +pi/2) makes e^{i psi} b / a real, taking arg a = 0 when |a| <=
     ANGLE_EPS, the sign of theta nulls it, and t =
-    beamsplitter_matrix(theta, 0, psi, 0)^dag is applied to the two rows.  The leftover diagonal becomes output phases.
-    A zero psi is left out of the record, as in a written schedule.
+    beamsplitter_matrix(theta, psi)^dag is applied to the two rows.  The
+    leftover diagonal becomes output phases.  A zero psi is left out of the
+    record, as in a written schedule.
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
@@ -276,7 +279,7 @@ def reck_reference(u):
             psi = float(_angle(cmath.exp(2j * turn))) / 2
             sign = math.copysign(1.0, cmath.exp(1j * (psi - turn)).real)
             theta = -2 * math.atan2(sign * abs(b), abs(a))
-            t = beamsplitter_matrix(theta, 0.0, psi, 0.0).conj().T
+            t = beamsplitter_matrix(theta, psi).conj().T
             pair[...] = t @ pair
             params = {"theta": theta, "psi": psi} if psi else {"theta": theta}
             devices.append({"kind": "beamsplitter",

@@ -2,7 +2,11 @@
 
 import gc
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -43,6 +47,8 @@ from lqss.statespace import Model, verify_realization
 from test_passive import M3, N3
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def same_json(a, b):
     """Equal JSON values of equal types, floats compared bit for bit."""
@@ -56,6 +62,21 @@ def same_json(a, b):
         return type(b) is float and struct.pack("<d", a) == struct.pack(
             "<d", b)
     return type(a) is type(b) and a == b
+
+
+def overflowing_model(kind):
+    """A model file, as a dict, whose coupling has finite entries and a
+    Frobenius norm that overflows: ``random_general_model(3, 2)``'s N
+    times 1e160, or the passive N3 times 1e200."""
+    if kind == "general":
+        m_mat, n_mat = random_general_model(3, 2, np.random.default_rng(0))
+        n_mat, s_mat = n_mat * 1e160, np.eye(4)
+    else:
+        m_mat, n_mat, s_mat = M3, N3 * 1e200, np.eye(3)
+    return {"schema_version": modelio.SCHEMA_VERSION, "type": kind,
+            "M": modelio.encode_matrix(m_mat),
+            "N": modelio.encode_matrix(n_mat),
+            "S": modelio.encode_matrix(s_mat)}
 
 
 def write_model(path, model, **extra):
@@ -385,30 +406,38 @@ class TestSynth:
                      "--output", str(tmp_path / "o.json"), "--tol", "0"])
         assert code == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("kind, message", [
-        ("general", "Gram matrix N^b N is not finite"),
-        ("passive", "coupling factorization residual nan exceeds")],
-        ids=["general", "passive"])
-    def test_overflowing_coupling(self, kind, message, tmp_path, capsys):
-        # N^b N overflows: the general classification refuses the Gram
-        # matrix, and the passive factorization residual is NaN, which the
-        # tolerance gate refuses; neither writes a netlist
-        if kind == "general":
-            m_mat, n_mat = random_general_model(3, 2,
-                                                np.random.default_rng(0))
-            m_mat, n_mat, s_mat = m_mat, n_mat * 1e160, np.eye(4)
-        else:
-            m_mat, n_mat, s_mat = M3, N3 * 1e200, np.eye(3)
+    @pytest.mark.parametrize("kind", ["general", "passive"])
+    def test_overflowing_coupling(self, kind, tmp_path, capsys):
+        # ||N||_F overflows, and every structure check scales its tolerance
+        # by it: the model check refuses N first, naming it, and no netlist
+        # is written
+        path = tmp_path / "big.json"
+        write_json(path, overflowing_model(kind))
         out = tmp_path / "o.json"
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            path = write_model(tmp_path / "big.json", Model(
-                kind=kind, m_mat=m_mat, n_mat=n_mat, s_mat=s_mat))
-            code = main(["synth", "--input", path, "--output", str(out)])
-        assert code == EXIT_NUMERICAL
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "NumericalError"
-        assert message in err["message"]
+        code = main(["synth", "--input", str(path), "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError",
+            "message": f"{path}: coupling matrix N is too large: its "
+                       "Frobenius norm overflows"}
+        assert not out.exists()
+
+    def test_overflowing_coupling_warns_nothing(self, tmp_path):
+        # numpy's warnings are errors in this run, so a product or norm
+        # that overflows ahead of the refusal would end it with exit 1
+        path = tmp_path / "big.json"
+        write_json(path, overflowing_model("general"))
+        out = tmp_path / "o.json"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lqss.cli",
+             "synth", "--input", str(path), "--output", str(out)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_VALIDATION, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "ValidationError"
         assert not out.exists()
 
     def test_jordan3_unsupported(self, tmp_path):
@@ -967,17 +996,20 @@ class TestInterop:
 
 class TestWrittenSchedules:
     """Every schedule that lqss writes lists each device's first parameter,
-    and phi, psi and zeta only when they are not zero; its records, with a
-    parameter they leave out read as 0, multiply out to its network."""
+    and a beamsplitter's psi only when it is not zero, as floats; its
+    records, with a psi they leave out read as 0, multiply out to its
+    network."""
 
-    @staticmethod
-    def assert_written(schedule, matrix, tol):
-        first = {"beamsplitter": "theta", "phase": "theta", "squeezer": "x"}
+    KEYS = {"beamsplitter": [{"theta"}, {"theta", "psi"}],
+            "phase": [{"theta"}], "squeezer": [{"x"}]}
+
+    @classmethod
+    def assert_written(cls, schedule, matrix, tol):
         for dev in schedule["devices"]:
-            params = dict(dev["params"])
-            assert isinstance(params.pop(first[dev["kind"]]), float)
-            assert params.keys() <= {"phi", "psi", "zeta"}
-            assert all(value != 0.0 for value in params.values())
+            params = dev["params"]
+            assert set(params) in cls.KEYS[dev["kind"]], dev
+            assert all(isinstance(value, float) for value in params.values())
+            assert params.get("psi") != 0.0
         assert schedule_residual(schedule, matrix) < tol
         # m^2 real parameters per m-channel unitary, and m squeezers
         m = schedule["channels"]

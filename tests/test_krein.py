@@ -1,5 +1,7 @@
 """Tests for the Krein-space matrix algebra primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,15 @@ class TestDoubledUp:
         assert not is_doubled_up(bad)
         with pytest.raises(StructureError):
             check_doubled_up(bad)
+
+    def test_overflowing_norm_fails(self):
+        # an infinite ||x||_F would make the bound infinite and pass any
+        # residual; the check answers without an overflow warning
+        bad = np.arange(16.0).reshape(4, 4) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_doubled_up(bad)
+            assert not is_bogoliubov(np.eye(4) * 1e160)
 
 
 class TestBogoliubov:

@@ -11,13 +11,17 @@ is the one module that takes a Schur form from ``scipy.linalg``: its
 ``schur_form`` serves every doubled-up eigenproblem.  Test-only helpers
 belong in ``tests/helpers.py``, and no test seeds anything with the
 built-in ``hash``.  Importing the CLI loads no third-party module beyond
-numpy, scipy.linalg and orjson.
+numpy, scipy.linalg and orjson.  Every name that the benchmark's tracer
+(``perfbench/spans.py``) wraps or reads exists.
 """
 
 import ast
+import builtins
+import importlib.util
 import os
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -283,3 +287,36 @@ def test_tests_do_not_call_hash():
                     and node.func.id == "hash"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"built-in hash called at {calls}"
+
+
+def test_traced_names_exist():
+    # the tracer skips a function that no lqss module holds, so its span
+    # would read 0; a missing method or result attribute crashes the run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", TESTS.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = spans._lqss_modules()
+
+    def find(name):
+        return next((vars(m)[name] for m in modules if name in vars(m)), None)
+
+    missing = [f"{span}: {name}" for span, names in spans.FUNCTIONS.items()
+               for name in names if find(name) is None]
+    missing += [f"{span}: {cls.__name__}.{attr}"
+                for span, (cls, attr) in spans.METHODS.items()
+                if attr not in vars(cls)]
+    for metric, (name, count) in spans.RESULT_COUNTS.items():
+        function = find(name)
+        if function is None:
+            missing.append(f"{metric}: {name}")
+            continue
+        returned = typing.get_type_hints(function)["return"]
+        if returned is type(None):  # the count reads the call's arguments
+            continue
+        known = set(dir(returned)) | set(
+            getattr(returned, "__dataclass_fields__", ()))
+        missing += [f"{metric}: {returned.__name__}.{attr}"
+                    for attr in count.__code__.co_names
+                    if attr not in vars(builtins) and attr not in known]
+    assert not missing, f"names the tracer wraps or reads are gone: {missing}"

@@ -12,7 +12,9 @@ from helpers import (
     random_bogoliubov,
     random_unitary,
     reck_reference,
+    records_matrix,
     schedule_residual,
+    squeezer_matrix,
 )
 from lqss import modelio, netlist
 from lqss.errors import NumericalError, StructureError
@@ -26,7 +28,6 @@ from lqss.netlist import (
     bloch_messiah,
     reck_decompose,
     schedule_static,
-    squeezer_matrix,
     takagi,
 )
 
@@ -87,7 +88,7 @@ class TestBlochMessiah:
 
 class TestBeamsplitter:
     def test_matrix_is_unitary(self):
-        g = beamsplitter_matrix(0.7, 0.3, -0.2, 0.9)
+        g = beamsplitter_matrix(0.7, -0.2)
         assert np.linalg.norm(g @ g.conj().T - np.eye(2)) < 1e-12
 
     @pytest.mark.parametrize("g, entry", [
@@ -192,39 +193,74 @@ class TestReckReference:
         self.assert_same_devices(u)
 
 
-def embed(code, channels, params, m, doubled):
-    """Matrix of one device on m channels (2m x 2m when doubled): a kind
-    code, its channels and its parameters in the order of its kind."""
-    table = np.zeros((1, 4))
+def embed(code, channels, params, m):
+    """Matrix of one beamsplitter or phase on m channels: a kind code, its
+    channels and its parameters in the order of its kind."""
+    table = np.zeros((1, 2))
     table[0, :len(params)] = params
-    return DeviceSchedule(m, doubled, [code], [[channels[0], channels[-1]]],
+    return DeviceSchedule(m, False, [code], [[channels[0], channels[-1]]],
                           table).matrix()
+
+
+def _embedded(code, channels, params, m, doubled):
+    """Matrix of one device on m channels, 2m x 2m when doubled: a unitary
+    device's ``embed`` and its conjugate on the doubled channels, or a
+    squeezer's block on the rows (i, i + m)."""
+    if code == SQUEEZER:
+        out = np.eye(2 * m, dtype=complex)
+        rows = [channels[0], channels[0] + m]
+        out[np.ix_(rows, rows)] = squeezer_matrix(params[0])
+        return out
+    unitary = embed(code, channels, params, m)
+    return block_diag(unitary, unitary.conj()) if doubled else unitary
 
 
 class TestDevices:
     def test_phase_embed(self):
-        mat = embed(PHASE, [1], [np.pi / 2], 3, doubled=False)
+        mat = embed(PHASE, [1], [np.pi / 2], 3)
         assert mat[1, 1] == pytest.approx(1j, abs=1e-12)
 
     def test_squeezer_embed(self):
-        mat = embed(SQUEEZER, [0], [0.5], 2, doubled=True)
+        mat = records_matrix(2, True, [{"kind": "squeezer", "channels": [0],
+                                        "params": {"x": 0.5}}])
         blk = mat[np.ix_([0, 2], [0, 2])]
-        assert np.allclose(blk, squeezer_matrix(0.5), atol=1e-12)
+        assert np.allclose(blk, [[np.cosh(0.5), np.sinh(0.5)],
+                                 [np.sinh(0.5), np.cosh(0.5)]], atol=1e-12)
+        rest = [1, 3]
+        assert np.allclose(mat[np.ix_(rest, rest)], np.eye(2))
+        assert not mat[np.ix_([0, 2], rest)].any()
 
     def test_empty_schedule_is_identity(self):
-        sched = DeviceSchedule(channels=2, doubled=False)
+        sched = DeviceSchedule(2, False, np.zeros(0), np.zeros((0, 2)),
+                               np.zeros((0, 2)))
         assert np.allclose(sched.matrix(), np.eye(2))
+
+    def test_doubled_schedule_is_not_multiplied_out(self):
+        # a Bogoliubov network's product is formed from its unitary factors
+        schedule = schedule_static(random_bogoliubov(2, seed=69))
+        assert schedule.doubled
+        with pytest.raises(StructureError, match="only a unitary device "
+                           "schedule is multiplied out"):
+            schedule.matrix()
 
 
 def _embedded_product(schedule):
-    """Reference for ``matrix()``: the dense product of the embeddings."""
+    """Reference for ``matrix()`` and ``records_matrix``: the dense product
+    of the embeddings."""
     dim = 2 * schedule.channels if schedule.doubled else schedule.channels
     return reduce(np.matmul,
-                  [embed(code, wires, params, schedule.channels,
-                         schedule.doubled)
+                  [_embedded(code, wires, params, schedule.channels,
+                             schedule.doubled)
                    for code, wires, params in zip(
                        schedule.kinds, schedule.wires, schedule.params)],
                   np.eye(dim, dtype=complex))
+
+
+def _unitary_part(schedule, picked):
+    """The unitary schedule of the devices ``picked`` (a slice) of a
+    doubled one."""
+    return DeviceSchedule(schedule.channels, False, schedule.kinds[picked],
+                          schedule.wires[picked], schedule.params[picked])
 
 
 class TestScheduleMatrix:
@@ -236,53 +272,81 @@ class TestScheduleMatrix:
                       - _embedded_product(schedule)).max() < 1e-12
 
     def test_bogoliubov_schedule_matches_embedded_product(self):
+        # the records multiply out to diag(P2, P2#) S(x) diag(P1, P1#), with
+        # P2 and P1 the products of the unitary schedules on either side of
+        # the squeezers
         r = random_bogoliubov(4, seed=69)
         schedule = schedule_static(r)
         assert {d["kind"] for d in schedule.devices} == {
             "beamsplitter", "phase", "squeezer"}
-        assert np.abs(schedule.matrix()
-                      - _embedded_product(schedule)).max() < 1e-12
+        squeezed = np.flatnonzero(schedule.kinds == SQUEEZER)
+        lo, hi = squeezed[0], squeezed[-1] + 1
+        assert (schedule.kinds[lo:hi] == SQUEEZER).all()
+        p2 = _unitary_part(schedule, slice(lo)).matrix()
+        p1 = _unitary_part(schedule, slice(hi, None)).matrix()
+        x = np.zeros(4)
+        x[schedule.wires[lo:hi, 0]] = schedule.params[lo:hi, 0]
+        cosh, sinh = np.diag(np.cosh(x)), np.diag(np.sinh(x))
+        want = (block_diag(p2, p2.conj()) @ np.block([[cosh, sinh],
+                                                      [sinh, cosh]])
+                @ block_diag(p1, p1.conj()))
+        assert np.abs(records_matrix(4, True, schedule.devices)
+                      - want).max() < 1e-12
+        assert np.abs(_embedded_product(schedule) - want).max() < 1e-12
 
     def test_descending_channels(self):
-        params = [0.4, 0.3, -1.1, 0.2]
-        down = DeviceSchedule(3, True, [BEAMSPLITTER], [[2, 0]], [params])
+        theta, psi = 0.4, -1.1
+        g = beamsplitter_matrix(theta, psi)
+        down = DeviceSchedule(3, False, [BEAMSPLITTER], [[2, 0]],
+                              [[theta, psi]])
         assert np.abs(down.matrix() - _embedded_product(down)).max() < 1e-15
-        g = beamsplitter_matrix(*params)
         assert np.allclose(down.matrix()[np.ix_([2, 0], [2, 0])], g)
+        # on doubled-up channels the conjugate block acts on (5, 3)
+        doubled = records_matrix(3, True, [{
+            "kind": "beamsplitter", "channels": [2, 0],
+            "params": {"theta": theta, "psi": psi}}])
+        assert np.allclose(doubled[np.ix_([2, 0], [2, 0])], g)
+        assert np.allclose(doubled[np.ix_([5, 3], [5, 3])], g.conj())
+        assert np.allclose(doubled[np.ix_([1, 4], [1, 4])], np.eye(2))
 
     @pytest.mark.parametrize("doubled", [False, True])
     def test_random_device_list_matches_embedded_product(self, doubled):
         # overlapping, descending and non-adjacent splitters, phases and
-        # squeezers in arbitrary order: the layers must keep the order of
-        # every two devices that share a channel
+        # squeezers in arbitrary order: the layers of ``matrix()``, or the
+        # records that ``records_matrix`` applies one at a time, must keep
+        # the order of every two devices that share a channel
         rng = np.random.default_rng(77 + doubled)
         codes = [BEAMSPLITTER, PHASE] + [SQUEEZER] * doubled
         kinds = np.zeros(240, dtype=int)
         wires = np.zeros((240, 2), dtype=int)
-        params = np.zeros((240, 4))
+        params = np.zeros((240, 2))
         for k in range(240):
             kinds[k] = code = codes[rng.integers(len(codes))]
             if code == BEAMSPLITTER:
                 wires[k] = rng.choice(6, size=2, replace=False)
-                params[k] = rng.uniform(-np.pi, np.pi, 4)
+                params[k] = rng.uniform(-np.pi, np.pi, 2)
             elif code == PHASE:
                 wires[k] = int(rng.integers(6))
                 params[k, 0] = rng.uniform(-np.pi, np.pi)
             else:
                 wires[k] = int(rng.integers(6))
-                params[k, :2] = (rng.uniform(0.0, 0.1),
-                                 rng.uniform(-np.pi, np.pi))
+                params[k, 0] = rng.uniform(0.0, 0.1)
         i, j = wires[kinds == BEAMSPLITTER].T
         assert (i > j).any()
         assert (abs(i - j) > 1).any()
         schedule = DeviceSchedule(6, doubled, kinds, wires, params)
-        want = _embedded_product(schedule)
-        assert np.abs(schedule.matrix() - want).max() < 1e-12 * max(
-            1.0, np.abs(want).max())
-        # the order matters: the reversed list is a different product
         backwards = DeviceSchedule(6, doubled, kinds[::-1], wires[::-1],
                                    params[::-1])
-        assert np.abs(backwards.matrix() - want).max() > 1e-3
+        if doubled:
+            got, reversed_ = (records_matrix(6, True, s.devices)
+                              for s in (schedule, backwards))
+        else:
+            got, reversed_ = schedule.matrix(), backwards.matrix()
+        want = _embedded_product(schedule)
+        assert np.abs(got - want).max() < 1e-12 * max(
+            1.0, np.abs(want).max())
+        # the order matters: the reversed list is a different product
+        assert np.abs(reversed_ - want).max() > 1e-3
 
     @pytest.mark.parametrize("doubled", [False, True])
     def test_perturbed_splitter_exceeds_gate(self, doubled):
@@ -310,10 +374,9 @@ def _records(schedule) -> list:
     """The device records of a schedule built one device at a time from its
     arrays: each lists its first parameter, and the others only when they
     are not zero."""
-    names = {BEAMSPLITTER: ("beamsplitter", 2, ("theta", "phi", "psi",
-                                                "zeta")),
+    names = {BEAMSPLITTER: ("beamsplitter", 2, ("theta", "psi")),
              PHASE: ("phase", 1, ("theta",)),
-             SQUEEZER: ("squeezer", 1, ("x", "phi", "psi"))}
+             SQUEEZER: ("squeezer", 1, ("x",))}
     out = []
     for code, wires, row in zip(schedule.kinds.tolist(),
                                 schedule.wires.tolist(),

@@ -522,3 +522,16 @@ def test_jordan_pairing_rejects_non_hermitian_form():
     gram = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NumericalError, match="non-real"):
         _jordan_pairs(gram, np.eye(2, dtype=complex))
+
+
+def test_non_finite_gram_is_refused():
+    # a coupling that passes the model check (and j_gram's doubled-up
+    # check) has a finite Gram matrix; a library caller's overflowing
+    # N^b N is refused by name, before its Schur form
+    _, n = random_general_model(3, 2, np.random.default_rng(0))
+    big = n * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = krein.flat_adjoint(big) @ big
+    with pytest.raises(NumericalError, match="Gram matrix N\\^b N is not "
+                       "finite"):
+        krein_spectrum(gram, big)

@@ -185,6 +185,28 @@ def test_nonfinite_model_is_rejected(kind, name, value):
         Model(kind=kind, m_mat=mats["M"], n_mat=mats["N"], s_mat=mats["S"])
 
 
+@pytest.mark.parametrize("name", ["M", "N", "S"])
+@pytest.mark.parametrize("kind", ["passive", "general"])
+def test_overflowing_model_is_rejected(kind, name):
+    # finite entries whose Frobenius norm overflows: the structure checks
+    # scale their tolerances by that norm, so the model check refuses the
+    # matrix first, naming it, and without an overflow warning
+    rng = np.random.default_rng(98)
+    if kind == "passive":
+        m_mat, n_mat, s_mat = random_passive_model(3, 3, rng)
+    else:
+        m_mat, n_mat = random_general_model(2, 2, rng)
+        s_mat = np.eye(4)
+    mats = {"M": m_mat, "N": n_mat, "S": s_mat}
+    mats[name] = mats[name] * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"{NONFINITE_NAMES[name]} "
+                           "is too large: its Frobenius norm overflows"):
+            Model(kind=kind, m_mat=mats["M"], n_mat=mats["N"],
+                  s_mat=mats["S"])
+
+
 SYNTHESIZE = {"passive": synthesize_passive, "general": synthesize_general}
 
 #: malformed (M, N, S) made from a well-formed model of each kind

@@ -19,18 +19,25 @@ Bogoliubov when it passes that check and as unitary otherwise.
 Exit codes: 0 success, 1 verification failure, 2 validation error,
 3 unsupported structure, 4 numerical failure.  Set the LQSS_LOG environment
 variable (DEBUG/INFO/WARNING) to control log verbosity.
+
+``main`` runs the OpenBLAS copies that numpy and scipy load with one thread
+each, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, in which case
+that count is kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import errno
+import glob
 import logging
 import os
 import sys
 
 import numpy as np
 import orjson
+import scipy
 
 from . import modelio
 from .errors import (
@@ -59,6 +66,36 @@ def _setup_logging() -> None:
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
+
+
+#: the OpenBLAS copy each package loads from ``<package>.libs`` and the
+#: symbol that sets its thread count
+_BLAS_POOLS = ((np, "scipy_openblas_set_num_threads64_"),
+               (scipy, "scipy_openblas_set_num_threads"))
+
+
+def _pin_blas_threads() -> None:
+    """One thread in each OpenBLAS pool, unless the environment sets a count.
+
+    The CLI's work is many small BLAS and LAPACK calls, which threads slow
+    down.  numpy and scipy each load their own OpenBLAS with its own pool,
+    and both are set through ctypes.  A library or symbol that is not there
+    is skipped.  Library callers keep their own settings: only ``main``
+    calls this.
+    """
+    if any(var in os.environ
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    for package, symbol in _BLAS_POOLS:
+        root, name = os.path.split(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(root, f"{name}.libs",
+                                           "libscipy_openblas*")):
+            try:
+                setter = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -224,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
+    _pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

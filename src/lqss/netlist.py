@@ -4,18 +4,21 @@ A Bogoliubov matrix R factors as (Bloch-Messiah)
 
     R = diag(U2, U2#) [[cosh X, sinh X], [sinh X, cosh X]] diag(U1, U1#)
 
-with U1, U2 unitary and X = diag(x_1..x_m) >= 0; the unitary factors then
-break into at most m(m-1)/2 two-channel beamsplitters, each with a mixing
-angle theta and a phase psi, plus at most m output phases (triangular
-elimination, m^2 real parameters), and the middle factor into m single-mode
-squeezers, each with its squeezing x.  A ``DeviceSchedule`` is an ordered
-list of such devices whose embedded matrices multiply out (left to right)
-to the decomposed matrix.  It is stored as arrays: a kind code per device
-(an index into ``KINDS``), a (k, 2) array of channels and a (k, 2) table of
-parameters.  Schedules are only built here, by ``reck_decompose`` and
-``schedule_static`` from computed arrays, and only written: the one
-per-device view is ``devices``, the list of records (dicts) that the
-netlist and ``lqss decompose`` write.
+with U1, U2 unitary and X = diag(x_1..x_m) >= 0.  ``bloch_messiah`` finds
+it from one SVD of the block R1 and one Takagi factorization, with no
+inverse, so U1 and U2 are unitary to rounding however strong the squeezing,
+and a schedule's residual does not grow with cosh x.  The unitary factors
+then break into at most m(m-1)/2 two-channel beamsplitters, each with a
+mixing angle theta and a phase psi, plus at most m output phases
+(triangular elimination, m^2 real parameters), and the middle factor into m
+single-mode squeezers, each with its squeezing x.  A ``DeviceSchedule`` is
+an ordered list of such devices whose embedded matrices multiply out (left
+to right) to the decomposed matrix.  It is stored as arrays: a kind code
+per device (an index into ``KINDS``), a (k, 2) array of channels and a
+(k, 2) table of parameters.  Schedules are only built here, by
+``reck_decompose`` and ``schedule_static`` from computed arrays, and only
+written: the one per-device view is ``devices``, the list of records
+(dicts) that the netlist and ``lqss decompose`` write.
 
 The triangular elimination (Reck et al., PRL 73, 58, 1994) takes one step
 per column: a scalar pass over the column's magnitudes and angles finds
@@ -85,21 +88,29 @@ def bloch_messiah(r_mat: np.ndarray) -> tuple:
 
     Returns (u2, x, u1) with x the vector of squeezing parameters >= 0 and
     S(x) = [[cosh X, sinh X], [sinh X, cosh X]].
+
+    One SVD R1 = U2 diag(c) U1 of the top-left block gives c = cosh x.
+    The Bogoliubov relations make F = U2^dag R2 U1^T complex symmetric with
+    F F^dag = F^dag F = diag(c^2 - 1), so F is block-diagonal over the
+    groups of equal c.  Its Takagi factorization F = Q diag(s) Q^T (s and c
+    both descending) has Q diag(s^2) Q^dag = diag(c^2 - 1): Q mixes only
+    within those groups, where it realigns the SVD's free bases, and gives
+    U2 <- U2 Q, U1 <- Q^dag U1 and x = arcsinh(s).  No inverse is taken, so
+    both factors are products of unitaries and unitary to rounding at any
+    squeezing.
     """
     r_mat = np.asarray(r_mat, dtype=complex)
     check_bogoliubov(r_mat, tol=1e-7, what="static network")
     m = r_mat.shape[0] // 2
     r1 = r_mat[:m, :m]
     r2 = r_mat[:m, m:]
-    # R1 R1^dag = I + R2 R2^dag, so R1 is always invertible.
-    b = r2 @ np.conj(np.linalg.inv(r1))
-    tanh, u2 = takagi((b + b.T) / 2)
-    tanh = np.clip(tanh, 0.0, 1.0 - 1e-15)
-    x = np.arctanh(tanh)
-    cosh = 1.0 / np.sqrt(1.0 - tanh ** 2)
-    u1 = np.diag(1.0 / cosh) @ u2.conj().T @ r1
+    u2, _, u1 = np.linalg.svd(r1)
+    f = u2.conj().T @ r2 @ u1.T  # symmetric to the rounding of R
+    sinh, q = takagi((f + f.T) / 2)
+    u2, u1 = u2 @ q, q.conj().T @ u1
+    x = np.arcsinh(sinh)
     # residual check of both half-blocks
-    res1 = np.linalg.norm(u2 @ np.diag(cosh) @ u1 - r1)
+    res1 = np.linalg.norm(u2 @ np.diag(np.cosh(x)) @ u1 - r1)
     res2 = np.linalg.norm(u2 @ np.diag(np.sinh(x)) @ u1.conj() - r2)
     if max(res1, res2) > 1e-7 * max(1.0, np.linalg.norm(r_mat)):
         raise NumericalError("squeezer-unitary factorization residual too "

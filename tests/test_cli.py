@@ -45,6 +45,7 @@ from lqss.krein import phi_to_doubled
 from lqss.netlist import DeviceSchedule, schedule_static
 from lqss.statespace import Model, verify_realization
 from test_passive import M3, N3
+from test_netlist import strongly_squeezing
 from test_spectral import JORDAN3_WITNESS, nonneutral_coupling
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1125,6 +1126,19 @@ class TestDecompose:
         assert same_json(written["devices"], sched.devices)
         assert schedule_residual(sched, matrix) < 1e-7
 
+    def test_strong_squeezing(self, tmp_path):
+        # a Bogoliubov network with x up to 9.9 is scheduled, not refused
+        # as "static network is not unitary"
+        matrix = strongly_squeezing(36, 27)
+        path = tmp_path / "m.json"
+        write_json(path, {"matrix": modelio.encode_matrix(matrix)})
+        out = str(tmp_path / "sched.json")
+        assert main(["decompose", "--input", str(path),
+                     "--output", out]) == EXIT_OK
+        written = read_json(out)
+        assert written["kind"] == "bogoliubov"
+        assert schedule_residual(written, matrix) <= 1e-12
+
     def test_missing_matrix_field(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"rows": 2}))
@@ -1152,3 +1166,45 @@ class TestDecompose:
         assert err == {"error": "StructureError",
                        "message": "static network is not unitary"}
         assert not out.exists()
+
+
+class TestBlasThreads:
+    """``main`` runs the OpenBLAS pools of numpy and scipy with one thread
+    each, unless the environment sets a thread count."""
+
+    SCRIPT = """\
+import ctypes, glob, os, sys
+from lqss import cli
+code = cli.main(sys.argv[1:])
+counts = []
+for package, symbol in (("numpy", "scipy_openblas_get_num_threads64_"),
+                        ("scipy", "scipy_openblas_get_num_threads")):
+    root = os.path.dirname(os.path.dirname(__import__(package).__file__))
+    for path in glob.glob(os.path.join(root, package + ".libs",
+                                       "libscipy_openblas*")):
+        getter = getattr(ctypes.CDLL(path), symbol)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        counts.append(getter())
+print(code, *counts)
+"""
+
+    @pytest.mark.parametrize("setting, threads", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "2"}, 2)], ids=["unset", "openblas", "omp"])
+    def test_pools(self, setting, threads, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, {"matrix": modelio.encode_matrix(
+            random_bogoliubov(3, seed=99))})
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS")}
+        env.update(setting, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "decompose", "--input",
+             str(path), "--output", str(tmp_path / "s.json")],
+            env=env, capture_output=True, text=True, check=True)
+        code, *counts = map(int, run.stdout.splitlines()[-1].split())
+        if len(counts) != 2:
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS here")
+        assert code == EXIT_OK
+        assert counts == [threads, threads]

@@ -10,13 +10,14 @@ from scipy.linalg import block_diag
 from helpers import (
     bogoliubov_reference,
     random_bogoliubov,
+    random_general_model,
     random_unitary,
     reck_reference,
     records_matrix,
     schedule_residual,
     squeezer_matrix,
 )
-from lqss import modelio, netlist
+from lqss import modelio, netlist, synthesize_general
 from lqss.errors import NumericalError, StructureError
 from lqss.krein import bogoliubov_residual
 from lqss.netlist import (
@@ -58,6 +59,24 @@ class TestTakagi:
             takagi(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def _bloch_messiah_product(u2, x, u1):
+    """diag(U2, U2#) S(x) diag(U1, U1#)."""
+    cosh, sinh = np.diag(np.cosh(x)), np.diag(np.sinh(x))
+    return (block_diag(u2, u2.conj()) @ np.block([[cosh, sinh], [sinh, cosh]])
+            @ block_diag(u1, u1.conj()))
+
+
+#: strongly squeezing networks, largest x 8.2-9.9, as (m, k) of
+#: ``random_bogoliubov(m, seed=k, scale=0.2 + k / 30)``: their Reck
+#: schedules exist only while both Bloch-Messiah factors stay unitary to
+#: about 1e-8
+STRONG_SQUEEZING = [(36, 20), (36, 27), (25, 28), (21, 29)]
+
+
+def strongly_squeezing(m, k):
+    return random_bogoliubov(m, seed=k, scale=0.2 + k / 30)
+
+
 class TestBlochMessiah:
     @pytest.mark.parametrize("seed", [62, 63, 64])
     def test_factorization(self, seed):
@@ -65,17 +84,33 @@ class TestBlochMessiah:
         u2, x, u1 = bloch_messiah(r)
         m = 3
         assert np.all(x >= 0)
-        assert np.linalg.norm(u1 @ u1.conj().T - np.eye(m)) < 1e-8
-        assert np.linalg.norm(u2 @ u2.conj().T - np.eye(m)) < 1e-8
-        mid = np.block([
-            [np.diag(np.cosh(x)), np.diag(np.sinh(x))],
-            [np.diag(np.sinh(x)), np.diag(np.cosh(x))],
-        ])
-        left = np.block([[u2, np.zeros((m, m))],
-                         [np.zeros((m, m)), u2.conj()]])
-        right = np.block([[u1, np.zeros((m, m))],
-                          [np.zeros((m, m)), u1.conj()]])
-        assert np.linalg.norm(left @ mid @ right - r) < 1e-7
+        assert np.linalg.norm(u1 @ u1.conj().T - np.eye(m)) < 1e-12
+        assert np.linalg.norm(u2 @ u2.conj().T - np.eye(m)) < 1e-12
+        assert np.linalg.norm(_bloch_messiah_product(u2, x, u1) - r) < 1e-7
+
+    @pytest.mark.parametrize("planted", [(1.3, 1.3, 1.3, 0.4, 0.0, 0.0),
+                                         (9.0, 9.0, 0.1)])
+    def test_tied_squeezing(self, planted):
+        # a group of equal x is one group of equal cosh x, inside which the
+        # SVD of R1 picks any basis; the Takagi factorization realigns it
+        planted = np.array(planted)
+        m = len(planted)
+        rng = np.random.default_rng(65)
+        r = _bloch_messiah_product(random_unitary(m, rng), planted,
+                                   random_unitary(m, rng))
+        u2, x, u1 = bloch_messiah(r)
+        assert np.abs(x - planted).max() < 1e-12
+        assert np.linalg.norm(u1 @ u1.conj().T - np.eye(m)) < 1e-13
+        assert np.linalg.norm(u2 @ u2.conj().T - np.eye(m)) < 1e-13
+        assert (np.linalg.norm(_bloch_messiah_product(u2, x, u1) - r)
+                < 1e-12 * np.linalg.norm(r))
+
+    @pytest.mark.parametrize("m, k", STRONG_SQUEEZING)
+    def test_strong_squeezing_schedules(self, m, k):
+        r = strongly_squeezing(m, k)
+        schedule = schedule_static(r)
+        assert schedule.doubled and schedule.residual <= 1e-12
+        assert schedule_residual(schedule, r) <= 1e-12
 
     def test_identity_has_no_squeezing(self):
         _, x, _ = bloch_messiah(np.eye(4, dtype=complex))
@@ -515,6 +550,17 @@ class TestScheduleStatic:
     def test_arbitrary_matrix_rejected(self):
         with pytest.raises(StructureError):
             schedule_static(np.ones((2, 2)))
+
+
+def test_general_model_networks_schedule_to_rounding():
+    # the 48x48 general model of the benchmark's cli-general panel, whose
+    # pre and post networks squeeze with cosh x up to 135: the schedules'
+    # residual must not grow with the squeezing
+    real = synthesize_general(
+        *random_general_model(48, 48, np.random.default_rng(3)))
+    for network in (real.pre, real.post, real.r_feedback):
+        schedule = schedule_static(network, kind="bogoliubov")
+        assert schedule_residual(schedule, network) <= 1e-13
 
 
 def test_schedule_sweep():

@@ -28,16 +28,13 @@ that count is kept.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import errno
-import glob
 import logging
 import os
 import sys
 
 import numpy as np
 import orjson
-import scipy
 
 from . import modelio
 from .errors import (
@@ -49,6 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .general import synthesize
+from .lapack import OPENBLAS_THREAD_SETTERS
 from .netlist import schedule_static
 from .statespace import verify_realization
 
@@ -68,34 +66,19 @@ def _setup_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s")
 
 
-#: the OpenBLAS copy each package loads from ``<package>.libs`` and the
-#: symbol that sets its thread count
-_BLAS_POOLS = ((np, "scipy_openblas_set_num_threads64_"),
-               (scipy, "scipy_openblas_set_num_threads"))
-
-
 def _pin_blas_threads() -> None:
     """One thread in each OpenBLAS pool, unless the environment sets a count.
 
     The CLI's work is many small BLAS and LAPACK calls, which threads slow
     down.  numpy and scipy each load their own OpenBLAS with its own pool,
-    and both are set through ctypes.  A library or symbol that is not there
-    is skipped.  Library callers keep their own settings: only ``main``
-    calls this.
+    and ``lapack`` finds both setters once, at import.  Library callers
+    keep their own settings: only ``main`` calls this.
     """
     if any(var in os.environ
            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
         return
-    for package, symbol in _BLAS_POOLS:
-        root, name = os.path.split(os.path.dirname(package.__file__))
-        for path in glob.glob(os.path.join(root, f"{name}.libs",
-                                           "libscipy_openblas*")):
-            try:
-                setter = getattr(ctypes.CDLL(path), symbol)
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    for setter in OPENBLAS_THREAD_SETTERS:
+        setter(1)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -275,7 +258,8 @@ def main(argv=None) -> int:
     except StructureError as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # a LAPACK routine behind numpy that fails to converge
         _emit_error(exc)
         return EXIT_NUMERICAL
     except LqssError as exc:  # ParameterError and anything else

@@ -15,7 +15,8 @@ Conventions for the indefinite geometry used throughout the toolkit:
 
 ``schur_form`` is the one Schur reduction of the toolkit: it reduces a
 doubled-up matrix (a general drift, a Gram matrix N^b N) in real arithmetic
-through Phi, and any other matrix by the complex Schur form.
+through Phi, and any other matrix by the complex Schur form, each with
+LAPACK's ``gees`` through ``lapack.schur``.
 
 All functions are pure and operate on plain ``numpy`` arrays.
 """
@@ -23,9 +24,9 @@ All functions are pure and operate on plain ``numpy`` arrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import StructureError
+from .lapack import schur
 
 DEFAULT_STRUCTURE_TOL = 1e-9
 
@@ -133,7 +134,7 @@ def schur_form(a: np.ndarray) -> tuple:
     n = a.shape[0]
     if n % 2 or not (doubled_up_residual(a)
                      <= n * np.finfo(float).eps * np.linalg.norm(a)):
-        return schur(a, output="complex")
+        return schur(np.asarray(a, dtype=complex))
     phi = phimat(n)
     t_r, q = schur((phi @ a @ phi.conj().T).real)
     t, z = t_r.astype(complex), phi.conj().T @ q

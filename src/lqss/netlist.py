@@ -41,10 +41,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .errors import NumericalError, StructureError
 from .krein import check_bogoliubov
+from .lapack import sqrtm
 
 ANGLE_EPS = 1e-12
 #: the upper end of the branch (-pi/2, pi/2] of a beamsplitter's psi, moved
@@ -57,8 +57,8 @@ def takagi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Works for complex symmetric A, including repeated singular values:
     within each group of equal singular values the left/right singular
-    bases differ only by a unitary whose symmetric square root realigns
-    them.
+    bases differ only by a unitary whose symmetric square root
+    (``lapack.sqrtm``; ``np.sqrt`` for a group of one) realigns them.
     """
     a = np.asarray(a, dtype=complex)
     if np.linalg.norm(a - a.T) > 1e-9 * max(1.0, np.linalg.norm(a)):

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
-from scipy.linalg.lapack import ztrsen
 
 from .errors import (
     DegeneracyError,
@@ -62,6 +61,7 @@ from .krein import (
     schur_form,
     swap_conj,
 )
+from .lapack import ztrsen
 
 # Classification bands, relative to max(1, ||G||_2).  Eigenvalues within
 # TOL_CLUSTER of each other form one cluster, and a cluster within TOL_CLUSTER

@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs, ztrtrs
 
 from .errors import (
     NumericalError,
@@ -61,6 +60,7 @@ from .krein import (
     flat_adjoint,
     schur_form,
 )
+from .lapack import zgecon, zgetrf, zgetrs, ztrtrs
 
 
 def adjoint(kind: str, x: np.ndarray) -> np.ndarray:

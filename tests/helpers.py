@@ -73,13 +73,13 @@ def counted_builds(monkeypatch):
 def recorded_schur_routes(monkeypatch):
     """The list to which every Schur reduction from now on, in the test
     that owns ``monkeypatch``, appends the form ``krein.schur_form`` asks
-    of ``scipy.linalg.schur``: "real" for the route through Phi A Phi^dag,
-    "complex" for the other."""
+    of ``lapack.schur``, read from the dtype of the matrix it passes:
+    "real" for the route through Phi A Phi^dag, "complex" for the other."""
     routes, original = [], krein.schur
 
-    def recorded(a, output="real"):
-        routes.append(output)
-        return original(a, output=output)
+    def recorded(a):
+        routes.append("complex" if np.iscomplexobj(a) else "real")
+        return original(a)
 
     monkeypatch.setattr(krein, "schur", recorded)
     return routes

@@ -27,6 +27,7 @@ from helpers import (
 from lqss import (
     cli,
     krein,
+    lapack,
     modelio,
     synthesize,
     synthesize_general,
@@ -1166,6 +1167,57 @@ class TestDecompose:
         assert err == {"error": "StructureError",
                        "message": "static network is not unitary"}
         assert not out.exists()
+
+
+class TestLapackFailures:
+    """A LAPACK routine that reports failure ends the command with exit 4
+    and one JSON line on stderr, never with exit 1 (verification failed):
+    a Schur reduction through ``lapack.schur`` raises ``NumericalError``,
+    and numpy's ``LinAlgError`` is mapped to the same exit."""
+
+    @staticmethod
+    def failing_gees(monkeypatch):
+        # the routine runs, then reports that the QR algorithm failed
+        for name in ("dgees", "zgees"):
+            original = getattr(lapack, name)
+            monkeypatch.setattr(lapack, name, lambda *args, _original=original,
+                                **kwargs: _original(*args, **kwargs)[:-1]
+                                + (1,))
+
+    @staticmethod
+    def failing_numpy(monkeypatch, command):
+        # the first call that each command makes of numpy's LAPACK
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg,
+                            "svd" if command == "synth" else "norm", fail)
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("gees", "NumericalError",
+         "Schur form of a 4 x 4 matrix not found (LAPACK dgees info 1)"),
+        ("numpy", "LinAlgError", "SVD did not converge")])
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_exit_code(self, command, fault, error, message,
+                       general_model_file, tmp_path, monkeypatch, capsys):
+        netlist = str(tmp_path / "net.json")
+        if command == "verify":
+            assert main(["synth", "--input", general_model_file,
+                         "--output", netlist]) == EXIT_OK
+            argv = ["verify", "--model", general_model_file,
+                    "--netlist", netlist]
+        else:
+            argv = ["synth", "--input", general_model_file,
+                    "--output", netlist]
+        if fault == "gees":
+            self.failing_gees(monkeypatch)
+        else:
+            self.failing_numpy(monkeypatch, command)
+        capsys.readouterr()
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": error, "message": message}
 
 
 class TestBlasThreads:

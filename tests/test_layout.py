@@ -6,12 +6,14 @@ exported in ``lqss.__all__`` or referenced from elsewhere in the package,
 every defaulted parameter is set by some call in the package, no module
 imports the standard library's ``json``, every import sits at module
 level, none inside a function, and no module reaches an underscore name
-of another: a helper shared across modules has a public name.  ``krein``
-is the one module that takes a Schur form from ``scipy.linalg``: its
-``schur_form`` serves every doubled-up eigenproblem.  Test-only helpers
-belong in ``tests/helpers.py``, and no test seeds anything with the
-built-in ``hash``.  Importing the CLI loads no third-party module beyond
-numpy, scipy.linalg and orjson.  Every name that the benchmark's tracer
+of another: a helper shared across modules has a public name.  No module
+imports from the ``scipy.linalg`` package: compiled LAPACK comes through
+``lapack``, and ``krein`` is the one module that takes a Schur form from
+it: its ``schur_form`` serves every doubled-up eigenproblem.  Test-only
+helpers belong in ``tests/helpers.py``, and no test seeds anything with
+the built-in ``hash``.  Importing the CLI loads no third-party module
+beyond numpy, the top-level scipy package and orjson, and no
+``scipy.linalg``.  Every name that the benchmark's tracer
 (``perfbench/spans.py``) wraps or reads exists.
 """
 
@@ -230,10 +232,36 @@ def test_no_private_names_across_modules():
     assert not reached, f"underscore names of other modules: {reached}"
 
 
+def imported_modules(tree) -> list:
+    """(line, module) of every import in a module's tree; ``from . import
+    x`` and ``from .x import y`` name ``lqss.x``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "lqss." * (node.level > 0) + (node.module or "")
+            found.append((node.lineno, base.rstrip(".")))
+            found += [(node.lineno, f"{base.rstrip('.')}.{a.name}")
+                      for a in node.names]
+    return found
+
+
+def test_no_scipy_linalg_imports():
+    # the scipy.linalg package costs more than half of a cold start; its
+    # compiled LAPACK is loaded by lapack without it
+    found = [f"{module}.py:{line} {name}"
+             for module, tree in MODULES.items()
+             for line, name in imported_modules(tree)
+             if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert not found, f"imports from scipy.linalg: {found}"
+
+
 def test_krein_is_the_only_schur_caller():
     # one Schur reduction, with its real route for doubled-up matrices,
-    # serves the drift of every StateSpace and every Gram matrix
-    importers = []
+    # serves the drift of every StateSpace and every Gram matrix; inside
+    # lapack, sqrtm takes the complex form of a complex matrix
+    importers, callers = [], set()
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and any(
@@ -241,13 +269,20 @@ def test_krein_is_the_only_schur_caller():
                 importers.append(f"{module}:{node.module}")
             elif isinstance(node, ast.Attribute) and node.attr == "schur":
                 importers.append(f"{module}:.schur")
-    assert importers == ["krein:scipy.linalg"], importers
+        callers |= {f"{module}.{func.name}" for func in tree.body
+                    if isinstance(func, ast.FunctionDef)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "schur"}
+    assert importers == ["krein:lapack"], importers
+    assert callers == {"krein.schur_form", "lapack.sqrtm"}, callers
 
 
 def test_cli_import_adds_only_lqss_and_stdlib():
-    # numpy, scipy.linalg and orjson are loaded first: what scipy pulls in
-    # is its own cost, not the CLI's
-    script = ("import sys, numpy, scipy.linalg, orjson\n"
+    # numpy, the top-level scipy package and orjson are loaded first: what
+    # they pull in is their own cost, not the CLI's
+    script = ("import sys, numpy, scipy, orjson\n"
               "before = set(sys.modules)\n"
               "import lqss.cli\n"
               "print(' '.join(sorted(set(sys.modules) - before)))\n")
@@ -260,19 +295,13 @@ def test_cli_import_adds_only_lqss_and_stdlib():
                if name.split(".")[0] not in sys.stdlib_module_names
                and name.split(".")[0] != "lqss"]
     assert not foreign, f"importing lqss.cli also loads {foreign}"
+    assert "scipy.linalg" not in added
 
 
 def test_modelio_imports_no_synthesis_module():
     # a netlist is written and read through statespace.Realization alone,
     # whichever routine synthesized it
-    modules = set()
-    for node in ast.walk(MODULES["modelio"]):
-        if isinstance(node, ast.Import):
-            modules |= {a.name for a in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            base = "lqss." * (node.level > 0) + (node.module or "")
-            modules |= {base.rstrip(".")}
-            modules |= {f"{base.rstrip('.')}.{a.name}" for a in node.names}
+    modules = {name for _, name in imported_modules(MODULES["modelio"])}
     found = modules & {"lqss.passive", "lqss.general"}
     assert not found, f"modelio imports {sorted(found)}"
 

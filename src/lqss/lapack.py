@@ -132,6 +132,7 @@ def sqrtm(a: np.ndarray) -> np.ndarray:
         shifted = root[:j, :j] + root[j, j] * np.eye(j)
         root[:j, j], info = ztrtrs(shifted, t[:j, j])
         if info:
-            raise NumericalError("the matrix has no principal square root: "
-                                 "it has eigenvalues of opposite roots")
+            raise NumericalError(
+                "no principal square root: r_ii + r_jj = 0 for a zero or "
+                "negative real eigenvalue")
     return z @ root @ z.conj().T

@@ -125,6 +125,12 @@ class TestSqrtm:
         assert np.abs(root @ root - a).max() <= 1e-12 * np.abs(a).max()
         assert np.abs(root - scipy.linalg.sqrtm(a)).max() <= 1e-12
 
+    def test_no_principal_root_is_a_numerical_error(self):
+        # a nilpotent block has no square root: the recurrence divides by
+        # r_00 + r_11 = 0
+        with pytest.raises(NumericalError, match="no principal square root"):
+            lapack.sqrtm(np.array([[0, 1], [0, 0]], dtype=complex))
+
     def test_one_by_one_is_scipy_bit_for_bit(self):
         rng = np.random.default_rng(11)
         values = np.concatenate([

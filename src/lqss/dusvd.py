@@ -253,14 +253,15 @@ def degenerate_factor(coupling: np.ndarray, z_off: list) -> ModeBlock:
 
 
 def _build_blocks(coupling: np.ndarray, spectrum: KreinSpectrum) -> list:
-    """Every block of the classified spectrum, in canonical order: nonzero
-    classes first, then the degenerate zero modes, kernel modes last.
+    """Every block of the classified spectrum, in the canonical order of its
+    classes: nonzero classes first, then the degenerate zero modes, kernel
+    modes last.
 
     A complex pair or Jordan pair (z1, z2) takes the W columns
     [z1 + z2, s Sigma (z1 - z2)#] / sqrt(2), with s = 1 for a complex pair
     and the sign ``jordan2_factor`` returns for a Jordan pair.
     """
-    blocks, z_off = [], []
+    blocks = []
     for cls in spectrum.classes:
         lam = cls.value
         if cls.jordan_size == 2 or cls.kind == "complex_pair":
@@ -279,7 +280,7 @@ def _build_blocks(coupling: np.ndarray, spectrum: KreinSpectrum) -> list:
                 blocks.append(mode_block(coupling, kind, lam, w_cols,
                                          nbar1, nbar2))
         elif cls.kind == "zero_off_kernel":
-            z_off.extend(cls.vectors)
+            blocks.append(degenerate_factor(coupling, cls.vectors))
         else:
             root = np.sqrt(abs(float(np.real(lam))))
             kind, nbar1, nbar2 = {
@@ -291,12 +292,6 @@ def _build_blocks(coupling: np.ndarray, spectrum: KreinSpectrum) -> list:
                 blocks.append(mode_block(
                     coupling, kind, lam, z.reshape(-1, 1),
                     np.array(nbar1), np.array(nbar2)))
-    if z_off:
-        blocks.append(degenerate_factor(coupling, z_off))
-    order = {"real_positive": 0, "real_negative": 1, "complex_pair": 2,
-             "jordan2": 3, "degenerate_zero": 4, "kernel": 5}
-    blocks.sort(key=lambda b: (order[b.kind], -abs(b.value),
-                               -np.real(b.value)))
     return blocks
 
 
@@ -352,7 +347,7 @@ def _v_columns(m: int, blocks: list) -> np.ndarray:
         return v_first
     known = v_first[:, fixed]
     doubled = np.column_stack([known, swap_conj(known)])
-    basis = null_space(doubled.conj().T @ jmat(2 * m), 1e-10)
+    basis = null_space(doubled.conj().T @ jmat(2 * m))
     if basis.shape[1] != 2 * (m - known.shape[1]):
         raise NumericalError(
             "J-orthogonal complement has unexpected dimension "

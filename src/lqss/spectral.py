@@ -35,9 +35,14 @@ U D U^dag, one eigendecomposition, the best-conditioned basis E U+ D+^(-1/2).
 A one-pair cluster gets the vector of earlier versions, a cluster of several
 pairs another basis of the same span, so such models' netlists differ.
 
-Zero modes outside Ker N are supported only when their image under N is
-J-neutral; ``neutral_image`` is that one test, for ``check_degeneracy`` and
-for the factorization in ``dusvd``.
+A real cluster is zero when its mean lies within the kernel cutoff TOL_RANK
+of the origin; a larger eigenvalue, however small, is real positive or
+negative.  Zero modes outside Ker N are supported only when their image
+under N is J-neutral, the one test ``neutral_image``.  The classes of
+``krein_spectrum`` answer every question asked of the spectrum: the
+factorization in ``dusvd`` builds one block per class in their canonical
+order, and ``check_degeneracy`` reads its verdict off the
+``zero_off_kernel`` classes.
 """
 
 from __future__ import annotations
@@ -65,10 +70,11 @@ from .lapack import ztrsen
 
 # Classification bands, relative to max(1, ||G||_2).  Eigenvalues within
 # TOL_CLUSTER of each other form one cluster, and a cluster within TOL_CLUSTER
-# of the real axis / origin is treated as real / zero.  The band is wider than
-# the kernel cutoff TOL_RANK because the eigenvalues of a defective (Jordan)
-# matrix split like sqrt(machine eps) under rounding; 1e-8 would fail to
-# re-merge them.
+# of the real axis is treated as real.  The band is wider than the kernel
+# cutoff TOL_RANK because the eigenvalues of a defective (Jordan) matrix
+# split like sqrt(machine eps) under rounding; 1e-8 would fail to re-merge
+# them.  A real cluster is zero only within TOL_RANK of the origin, the
+# cutoff at which its generalized directions are read.
 TOL_RANK = 1e-8
 TOL_CLUSTER = 1e-6
 
@@ -103,20 +109,9 @@ class KreinSpectrum:
     eigenvalue cluster."""
 
     classes: list
-    dim: int  # 2n
     #: largest ||(G - lam I) E||_2 / (TOL_RANK * scale) over the semisimple
     #: clusters, each read off as ||B||_2 (at most 1)
     certificate_ratio: float
-
-    def by_kind(self, kind: str, jordan_size: int | None = None) -> list:
-        out = []
-        for c in self.classes:
-            if c.kind != kind:
-                continue
-            if jordan_size is not None and c.jordan_size != jordan_size:
-                continue
-            out.append(c)
-        return out
 
 
 def j_gram(n: np.ndarray) -> np.ndarray:
@@ -125,34 +120,18 @@ def j_gram(n: np.ndarray) -> np.ndarray:
     return flat_adjoint(n) @ n
 
 
-def null_space(a: np.ndarray, rtol: float,
-               scale: float | None = None) -> np.ndarray:
+def null_space(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the (numerical) kernel of a.
 
-    The cutoff is ``rtol * scale``; by default ``scale`` is the largest
+    The cutoff is ``1e-10 * scale``; by default ``scale`` is the largest
     singular value of ``a`` itself.  Pass an external scale when ``a`` is a
     shifted matrix that may be close to zero as a whole.
     """
     u, s, vh = np.linalg.svd(a)
     if scale is None:
         scale = s[0] if s.size else 0.0
-    cutoff = rtol * scale
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > 1e-10 * scale))
     return vh[rank:].conj().T
-
-
-def numeric_rank(a: np.ndarray, scale: float | None = None) -> int:
-    """Rank with cutoff 1e-10 * scale (scale defaults to the largest
-    singular value; pass the natural scale of the problem when ``a`` may be
-    a numerically-zero residue of larger quantities)."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    if scale is None:
-        scale = s[0]
-    if scale == 0.0:
-        return 0
-    return int(np.sum(s > 1e-10 * scale))
 
 
 def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
@@ -287,7 +266,7 @@ def _real_cluster_classes(gram, coupling, lam, scale, e1, cand, block):
     """
     classes = []
     n_jordan = cand.shape[1]
-    zero = abs(lam) < TOL_CLUSTER * scale
+    zero = lam == 0.0
     if n_jordan > 0:
         if np.linalg.norm(block @ block, 2) > 1e-6 * scale ** 2:
             raise UnsupportedStructureError(
@@ -346,9 +325,9 @@ def _zero_semisimple_classes(coupling, e1):
     # neutral image, so the kernel pair count is the positive signature of
     # J restricted to it, not half its dimension.
     kn = _orthonormal_columns(
-        e1 @ null_space(coupling @ e1, 1e-10, scale=nnorm))
+        e1 @ null_space(coupling @ e1, scale=nnorm))
     kn2 = _orthonormal_columns(
-        kn @ null_space(coupling @ swap_conj(kn), 1e-10, scale=nnorm))
+        kn @ null_space(coupling @ swap_conj(kn), scale=nnorm))
     # genuine kernel pairs contribute a +/- eigenvalue pair of magnitude
     # bounded away from zero; neutral pollution sits at machine precision
     kernel_vecs = j_positive_vectors(kn2, None)
@@ -442,7 +421,7 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
         real = abs(lam.imag) < TOL_CLUSTER * scale
         if real:
             lam = lam.real
-            if abs(lam) < TOL_CLUSTER * scale:
+            if abs(lam) < cutoff:
                 lam = 0.0
         elif lam.imag < 0:
             # Im < 0 clusters are the conjugates of the Im > 0 ones; skip.
@@ -470,7 +449,7 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
             classes.append(_complex_cluster_class(lam, mult, basis))
 
     _order_classes(classes)
-    spec = KreinSpectrum(classes=classes, dim=dim, certificate_ratio=worst)
+    spec = KreinSpectrum(classes=classes, certificate_ratio=worst)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("krein_spectrum %s", orjson.dumps({
             "dim": dim, "clusters": len(groups), "classes": len(classes),
@@ -519,17 +498,20 @@ def neutral_image(coupling: np.ndarray, z_off: list) -> np.ndarray:
 def check_degeneracy(coupling: np.ndarray) -> str:
     """Classify the kernel structure of a coupling matrix.
 
-    Returns 'nondegenerate' when Ker(N^b N) = Ker N, 'degenerate_special'
-    when the extra kernel directions have a J-neutral image (P P^b = 0, see
-    ``neutral_image``), and 'degenerate_unsupported' otherwise.
+    Reads the classes of ``krein_spectrum``, so it agrees with the
+    factorization: 'nondegenerate' when no class is ``zero_off_kernel``
+    (Ker(N^b N) = Ker N), 'degenerate_unsupported' when every such class is
+    a Jordan block, and otherwise 'degenerate_special' or
+    'degenerate_unsupported' as the semisimple zero modes outside Ker N
+    pass or fail ``neutral_image`` (P P^b = 0).  Raises what
+    ``krein_spectrum`` raises.
     """
     coupling = np.asarray(coupling, dtype=complex)
-    gram = j_gram(coupling)
-    nnorm = max(1.0, float(np.linalg.norm(coupling, 2)))
-    if numeric_rank(coupling) == numeric_rank(gram, scale=nnorm ** 2):
+    off = [c for c in krein_spectrum(j_gram(coupling), coupling).classes
+           if c.kind == "zero_off_kernel"]
+    if not off:
         return "nondegenerate"
-    spec = krein_spectrum(gram, coupling)
-    z_off = [z for c in spec.by_kind("zero_off_kernel", 1) for z in c.vectors]
+    z_off = [z for c in off if c.jordan_size == 1 for z in c.vectors]
     if not z_off:
         return "degenerate_unsupported"
     try:

@@ -41,12 +41,13 @@ PairCounts = namedtuple("PairCounts",
 
 def pair_counts(spec):
     """The ``PairCounts`` of a ``spectral.KreinSpectrum``."""
-    def pairs(kind, jordan_size=None):
-        return sum(c.pair_count for c in spec.by_kind(kind, jordan_size))
+    def pairs(kind):
+        return sum(c.pair_count for c in spec.classes
+                   if c.kind == kind and c.jordan_size == 1)
 
-    return PairCounts(pairs("real_positive", 1), pairs("real_negative", 1),
-                      pairs("complex_pair"), pairs("zero_off_kernel", 1),
-                      pairs("zero_in_kernel", 1))
+    return PairCounts(pairs("real_positive"), pairs("real_negative"),
+                      pairs("complex_pair"), pairs("zero_off_kernel"),
+                      pairs("zero_in_kernel"))
 
 
 def jordan_pairs(spec):

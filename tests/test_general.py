@@ -361,6 +361,12 @@ def test_cavity_ports_rebuild_nhat(specs, extra):
     real = synthesize_general(m_mat, n_mat)
     assert np.allclose(nhat_from_cavities(real), real.nhat, rtol=0,
                        atol=1e-12)
+    if extra:
+        # the all-kinds case: the blocks keep the canonical order of the
+        # spectrum's classes
+        assert [b.kind for b in bogoliubov_svd(n_mat).blocks] == [
+            "real_positive", "real_negative", "complex_pair", "jordan2",
+            "degenerate_zero", "kernel"]
 
 
 def test_cavity_ports_rebuild_nhat_of_random_model():

@@ -23,6 +23,7 @@ from lqss.errors import (
     NumericalError,
     UnsupportedStructureError,
 )
+from lqss.general import synthesize
 from lqss.krein import (
     doubled_up_residual,
     j_inner,
@@ -39,8 +40,9 @@ from lqss.spectral import (
     j_positive_vectors,
     krein_spectrum,
     null_space,
-    numeric_rank,
 )
+from lqss.statespace import Model, verify_realization
+from test_general import N4
 
 # real 6x6 matrix whose doubled-up image has (X^s X) nilpotent of index 3;
 # exercises the Jordan-block size limit
@@ -52,6 +54,12 @@ JORDAN3_WITNESS = np.array([
     [1, 0, 0, 0, 0, -1],
     [0, 0, -1, 0, 0, 0],
 ], dtype=float)
+
+# one cavity coupled to 3 channels with equal passive and active weights:
+# the Gram vanishes but N does not, and its image is J-neutral
+_KAPPA = np.sqrt(np.array([1.0, 2.0, 3.0])).reshape(3, 1)
+CRITERION3 = np.block([[_KAPPA, _KAPPA], [_KAPPA, _KAPPA]]).astype(complex)
+
 
 def nonneutral_coupling():
     # doubled-up image of a real 4x2 matrix with extra Gram-kernel
@@ -71,7 +79,7 @@ def passive_doubled(n1):
 class TestUtilities:
     def test_null_space_of_projector(self):
         a = np.diag([1.0, 1.0, 0.0])
-        ns = null_space(a, 1e-10)
+        ns = null_space(a)
         assert ns.shape == (3, 1)
         assert np.linalg.norm(a @ ns) < 1e-12
 
@@ -79,11 +87,7 @@ class TestUtilities:
         # a tiny residue matrix has full "relative" rank but no kernel
         # relative to the problem scale
         a = 1e-14 * np.ones((2, 2))
-        assert null_space(a, 1e-10, scale=1.0).shape[1] == 2
-
-    def test_numeric_rank(self):
-        assert numeric_rank(np.diag([3.0, 1e-14])) == 1
-        assert numeric_rank(np.zeros((2, 2))) == 0
+        assert null_space(a, scale=1.0).shape[1] == 2
 
 
 class TestJPositiveVectors:
@@ -147,10 +151,7 @@ class TestClassification:
         n1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         n = passive_doubled(n1)
         spec = krein_spectrum(j_gram(n), n)
-        assert pair_counts(spec).r_plus == 3
-        assert pair_counts(spec).r_minus == 0
-        assert pair_counts(spec).r_c == 0
-        assert spec.dim == 6
+        assert pair_counts(spec) == (3, 0, 0, 0, 0)
 
     def test_active_coupling_all_negative(self):
         rng = np.random.default_rng(23)
@@ -176,7 +177,7 @@ class TestClassification:
         n, expected, _, _ = planted_coupling([("pair", 1.5 + 2.0j)], rng)
         spec = krein_spectrum(j_gram(n), n)
         assert pair_counts(spec).r_c == 1
-        (cls,) = spec.by_kind("complex_pair")
+        (cls,) = [c for c in spec.classes if c.kind == "complex_pair"]
         assert abs(cls.value - (1.5 + 2.0j)) < 1e-8
         # pair normalization: <z1, z2> = 1, self-inner-products vanish
         z1, z2 = cls.vectors[0]
@@ -197,7 +198,9 @@ class TestClassification:
         n, _, _, _ = planted_coupling([("pos", 4.0), ("pos", 1.0)], rng)
         gram = j_gram(n)
         spec = krein_spectrum(gram, n)
-        for cls in spec.by_kind("real_positive", 1):
+        assert {(c.kind, c.jordan_size) for c in spec.classes} == {
+            ("real_positive", 1)}
+        for cls in spec.classes:
             for z in cls.vectors:
                 assert abs(j_inner(z, z) - 1.0) < 1e-8
                 assert np.linalg.norm(gram @ z - cls.value * z) < 1e-7
@@ -242,14 +245,40 @@ class TestCheckDegeneracy:
         assert check_degeneracy(passive_doubled(n1)) == "nondegenerate"
 
     def test_special(self):
-        kappa = np.sqrt(np.array([1.0, 2.0, 3.0])).reshape(3, 1)
-        n = np.block([[kappa, kappa], [kappa, kappa]]).astype(complex)
-        assert check_degeneracy(n) == "degenerate_special"
+        assert check_degeneracy(CRITERION3) == "degenerate_special"
 
     def test_unsupported(self):
         n = nonneutral_coupling()
         result = check_degeneracy(n)
         assert result == "degenerate_unsupported"
+
+    @pytest.mark.parametrize("coupling, verdict, error", [
+        (N4, "nondegenerate", None),
+        (CRITERION3, "degenerate_special", None),
+        (nonneutral_coupling(), "degenerate_unsupported",
+         UnsupportedStructureError),
+        # ||P P^b|| = 1.4e-8 for the zero mode of Gram eigenvalue 1e-8
+        (passive_doubled(np.diag([1.0, 1e-4])), "degenerate_unsupported",
+         DegeneracyError),
+        # small semisimple eigenvalues 1e-6 and 9e-8, above the kernel
+        # cutoff but inside the cluster band
+        (passive_doubled(np.diag([1.0, 1e-3])), "nondegenerate", None),
+        (passive_doubled(np.diag([1.0, 3e-4])), "nondegenerate", None),
+    ], ids=["N4", "criterion3", "nonneutral", "sigma1e-4", "sigma1e-3",
+            "sigma3e-4"])
+    def test_agrees_with_synthesis(self, coupling, verdict, error):
+        # the verdict and the factorization read one classification:
+        # a refusal is "degenerate_unsupported", a supported kernel verifies
+        assert check_degeneracy(coupling) == verdict
+        model = Model(kind="general",
+                      m_mat=np.zeros((coupling.shape[1],) * 2),
+                      n_mat=coupling)
+        if error is not None:
+            with pytest.raises(error):
+                synthesize(model)
+            return
+        report = verify_realization(model, synthesize(model))
+        assert report.passed, report.summary()
 
 
 def test_spectrum_dimension_accounting():

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dusvd import DuSvdResult, bogoliubov_svd
+from .errors import ParameterError
 from .krein import unit_phases
 from .statespace import Model, Realization, mode_values, realize
 
@@ -109,7 +110,12 @@ def synthesize(model: Model, detunings: np.ndarray | None = None,
     classification holds the rank of N and its singular values (passive),
     or the rank and residual of the Bogoliubov factorization and its
     canonical blocks, each with kind, size and eigenvalue (general).
+    A model with no modes is a ``ParameterError``: there is no cavity to
+    realize, and the factorizations below do not accept an empty coupling.
     """
+    if model.n_modes == 0:
+        raise ParameterError("the model has no modes (M is 0x0): there is "
+                             "no cavity bank to synthesize")
     detunings, rates = mode_values(model.n_modes, detunings,
                                    interconnect_kappa)
     if model.kind == "passive":

@@ -38,10 +38,18 @@ are) is reduced in real arithmetic: the real Schur form of Phi A Phi^dag,
 made triangular by one rotation per 2 x 2 block.  Any other A takes the
 complex Schur form, which costs more than twice as much.  Each point is
 then one LAPACK triangular solve (``ztrtrs``) with sI - T and one product.
+Each side has its own instance.  For large models
+(``THREADED_SWEEP_MIN_SIZE``) the realized side is swept on a worker thread
+and the model side on the calling thread, so that one side's solve, which
+holds the GIL, overlaps the other side's product, which releases it; every
+point and error is the same as in the one-thread loop.
 """
 
 from __future__ import annotations
 
+import contextlib
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +69,11 @@ from .krein import (
     schur_form,
 )
 from .lapack import zgecon, zgetrf, zgetrs, ztrtrs
+
+#: ``verify_realization`` sweeps the two sides on two threads when the
+#: model's B (state dimension x inputs) has at least this many entries;
+#: below it the thread hand-offs cost more than the overlap saves (README).
+THREADED_SWEEP_MIN_SIZE = 112 * 112
 
 
 def adjoint(kind: str, x: np.ndarray) -> np.ndarray:
@@ -202,7 +215,8 @@ class StateSpace:
     inputs and q outputs, instead of a dense LU.
     A, B, C and D must not be modified after the first ``eval``, and since
     every ``eval`` writes into the same buffer, one instance must not be
-    evaluated from two threads at once.
+    evaluated from two threads at once: ``verify_realization`` evaluates
+    each side's instance on one thread only.
     """
 
     a: np.ndarray
@@ -476,7 +490,13 @@ def verify_realization(model: Model, realization: Realization,
                        num_freqs: int = 20,
                        seed: int = 42, tol: float = 1e-8) -> VerifyReport:
     """Compare the model transfer function against the realized one on a
-    frequency grid; the error metric is ||dG||_F / (1 + ||G||_F)."""
+    frequency grid; the error metric is ||dG||_F / (1 + ||G||_F).
+
+    A point where either side has a pole is nudged off it.  When the model's
+    B has at least ``THREADED_SWEEP_MIN_SIZE`` entries, the realized side is
+    swept on a second thread (``_threaded_sweep``); the report is the same
+    on either route, and no thread outlives the call.
+    """
     if num_freqs < 1:
         raise ParameterError(f"num_freqs must be at least 1, not {num_freqs}")
     if seed < 0:
@@ -515,22 +535,91 @@ def verify_realization(model: Model, realization: Realization,
     realized = StateSpace(closed.a, closed.b @ pre, post @ closed.c,
                           post @ pre)
     pts = frequency_grid(model.m_mat, num_freqs, seed)
-    points, errors = [], []
-    for s in pts:
-        for attempt in range(4):
-            try:
-                g_model = model_ss.eval(s)
-                g_real = realized.eval(s)
-                break
-            except PoleError:
-                s = s * 1.0137 + 1e-3j  # nudge off the pole and retry
-        else:
-            raise PoleError(s, "could not move evaluation point off a pole")
-        err = (np.linalg.norm(g_model - g_real)
-               / (1.0 + np.linalg.norm(g_model)))
-        points.append(complex(s))
-        errors.append(float(err))
+    if model_ss.b.size >= THREADED_SWEEP_MIN_SIZE:
+        results = _threaded_sweep(model_ss, realized, pts)
+    else:
+        results = [_point(model_ss, realized, s) for s in pts]
+    points = [s for s, _ in results]
+    errors = [err for _, err in results]
     max_error = max(errors) if errors else 0.0
     return VerifyReport(points=points, errors=errors, max_error=max_error,
                         tol=tol, passed=max_error <= tol,
                         num_freqs=num_freqs, seed=seed)
+
+
+def _point(model_ss: StateSpace, realized: StateSpace, s: complex) -> tuple:
+    """(s, error) at s, or at s nudged off a pole of either side, which
+    raises ``PoleError`` after four tries."""
+    for _ in range(4):
+        try:
+            g_model = model_ss.eval(s)
+            g_real = realized.eval(s)
+            break
+        except PoleError:
+            s = s * 1.0137 + 1e-3j  # nudge off the pole and retry
+    else:
+        raise PoleError(s, "could not move evaluation point off a pole")
+    return complex(s), _error(g_model, g_real)
+
+
+def _error(g_model: np.ndarray, g_real: np.ndarray) -> float:
+    """||G_model - G_real||_F / (1 + ||G_model||_F)."""
+    return float(np.linalg.norm(g_model - g_real)
+                 / (1.0 + np.linalg.norm(g_model)))
+
+
+def _threaded_sweep(model_ss: StateSpace, realized: StateSpace,
+                    pts: np.ndarray) -> list:
+    """``_point`` at every point of ``pts``, the realized side evaluated on a
+    worker thread while the calling thread evaluates the model side.
+
+    Each side's instance stays on one thread.  The worker hands each G(s)
+    over through a one-slot queue and the caller forms that point's error at
+    once.  A point where either side raised ``PoleError`` is re-run through
+    ``_point`` from its original s once the worker has been joined.  The
+    worker hands any other exception to the caller, which raises it after
+    its own side's; on every exit the caller stops the worker, drains the
+    queue so that a blocked put returns, and joins it.
+    """
+    handoff = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def sweep_realized():
+        for s in pts:
+            if stop.is_set():
+                return
+            try:
+                g_real = realized.eval(s)
+            except PoleError:
+                g_real = None
+            except BaseException as exc:  # raised by the caller
+                handoff.put(exc)
+                return
+            handoff.put(g_real)
+
+    worker = threading.Thread(target=sweep_realized, name="lqss-verify")
+    worker.start()
+    results, retries = [], []
+    try:
+        for k, s in enumerate(pts):
+            try:
+                g_model = model_ss.eval(s)
+            except PoleError:
+                g_model = None
+            g_real = handoff.get()
+            if isinstance(g_real, BaseException):
+                raise g_real
+            if g_model is None or g_real is None:
+                retries.append(k)
+                results.append(None)
+            else:
+                results.append((complex(s), _error(g_model, g_real)))
+    finally:
+        stop.set()  # before the drain: the worker puts at most once more
+        with contextlib.suppress(queue.Empty):
+            while True:
+                handoff.get_nowait()
+        worker.join()
+    for k in retries:
+        results[k] = _point(model_ss, realized, pts[k])
+    return results

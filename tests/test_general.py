@@ -136,6 +136,15 @@ class TestSynthesize:
             assert np.array_equal(getattr(real, name),
                                   getattr(direct, name)), name
 
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_model_without_modes_refused(self, kind, capfd):
+        # Model accepts M = 0x0; synthesis refuses it before any LAPACK
+        # call, which would print an error for a 0 x 0 matrix
+        model = Model(kind, np.zeros((0, 0)), np.zeros((2, 0)))
+        with pytest.raises(ParameterError, match="no modes"):
+            synthesize(model)
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("rates", [np.inf, [1.0, np.inf, 1.0], np.nan])
     def test_non_finite_rates_refused(self, rates):
         # an infinite rate has no cavity and no netlist value (JSON has no

@@ -1,5 +1,8 @@
 """Tests for state-space models, feedback closure and verification."""
 
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -24,7 +27,7 @@ from lqss.errors import (
     StructureError,
     UnitEigenvalueError,
 )
-from lqss.general import synthesize_general
+from lqss.general import synthesize, synthesize_general
 from lqss.krein import doubled_up_residual, phi_to_doubled, schur_form
 from lqss.passive import synthesize_passive
 from lqss.statespace import (
@@ -535,7 +538,12 @@ class TestVerifyRealization:
         assert np.allclose(report.errors, expected, rtol=1e-10, atol=0)
         assert not report.passed
 
-    def test_two_evals_per_point(self, monkeypatch):
+    @pytest.fixture(params=["serial", "threaded"])
+    def route(self, request, monkeypatch):
+        use_route(monkeypatch, request.param)
+        return request.param
+
+    def test_two_evals_per_point(self, route, monkeypatch):
         rng = np.random.default_rng(87)
         m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
         real = synthesize_passive(m_mat, n_mat, s_mat)
@@ -553,7 +561,7 @@ class TestVerifyRealization:
         assert report.points == list(frequency_grid(m_mat, 7, 42))
         assert len(calls) == 2 * len(report.points)
 
-    def test_point_on_a_pole_is_nudged(self, monkeypatch):
+    def test_point_on_a_pole_is_nudged(self, route, monkeypatch):
         # mode 0 is coupled to no port and no other mode, so A has the
         # eigenvalue -i omega; a grid point there must be moved off it
         rng = np.random.default_rng(89)
@@ -578,7 +586,7 @@ class TestVerifyRealization:
         assert moved == -1j * omega * 1.0137 + 1e-3j
         assert report.passed, report.summary()
 
-    def test_worst_point(self):
+    def test_worst_point(self, route):
         rng = np.random.default_rng(88)
         m_mat, n_mat, s_mat = random_passive_model(3, 3, rng)
         real = synthesize_passive(m_mat, n_mat, s_mat)
@@ -589,6 +597,91 @@ class TestVerifyRealization:
         assert report.worst_point == worst
         assert report.errors[report.points.index(worst)] == report.max_error
         assert f"at s = {worst.real:.6g}{worst.imag:+.6g}j" in report.summary()
+
+    @pytest.mark.parametrize("kind", ["passive", "general"])
+    def test_routes_give_identical_reports(self, kind, monkeypatch):
+        # both models are at least as large as the gate, so they take the
+        # threaded route unpatched
+        rng = np.random.default_rng(0)
+        if kind == "passive":
+            m_mat, n_mat, s_mat = random_passive_model(128, 128, rng)
+        else:
+            m_mat, n_mat = random_general_model(64, 64, rng)
+            s_mat = np.eye(128)
+        model = Model(kind, m_mat, n_mat, s_mat)
+        real = synthesize(model)
+        assert model.statespace().b.size >= statespace.THREADED_SWEEP_MIN_SIZE
+        reports = {}
+        for route in ("serial", "threaded"):
+            use_route(monkeypatch, route)
+            reports[route] = verify_realization(model, real)
+        serial, threaded = reports["serial"], reports["threaded"]
+        assert threaded.points == serial.points
+        assert threaded.errors == serial.errors
+        assert threaded.max_error == serial.max_error
+        assert threaded.passed == serial.passed
+
+    @pytest.mark.parametrize("side", ["model", "realized", "both"])
+    @pytest.mark.parametrize("at", [0, 5])
+    @pytest.mark.parametrize("slow", ["model", "realized"])
+    def test_failing_side_raises_as_on_the_serial_route(self, side, at, slow,
+                                                        monkeypatch):
+        # an eval that fails at the grid point ``at`` on one side or both;
+        # the model side's instance is the one holding the model's S as D.
+        # A slow model side leaves the worker blocked on a full hand-off when
+        # the caller raises, a slow realized side leaves it mid-point.
+        rng = np.random.default_rng(87)
+        m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        failing_point = frequency_grid(m_mat, 20, 42)[at]
+        original = StateSpace.eval
+
+        def failing(self, s):
+            which = "model" if self.d is model.s_mat else "realized"
+            if side in (which, "both") and s == failing_point:
+                raise NumericalError(f"{which} side failed at {s}")
+            if which == slow:
+                time.sleep(0.005)
+            return original(self, s)
+
+        monkeypatch.setattr(StateSpace, "eval", failing)
+        raised = {}
+        for route in ("serial", "threaded"):
+            use_route(monkeypatch, route)
+            with pytest.raises(NumericalError) as info:
+                returns_promptly(lambda: verify_realization(model, real))
+            raised[route] = str(info.value)
+        assert raised["threaded"] == raised["serial"]
+        assert raised["serial"].startswith(
+            "realized" if side == "realized" else "model")
+
+    def test_concurrent_threaded_sweeps(self, monkeypatch):
+        # more sweeping threads than cores, switching as often as the
+        # interpreter allows: a lost or reordered hand-off changes a report
+        rng = np.random.default_rng(87)
+        m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        use_route(monkeypatch, "serial")
+        expected = verify_realization(model, real)
+        use_route(monkeypatch, "threaded")
+        reports = []
+
+        def sweep():
+            for _ in range(5):
+                reports.append(verify_realization(model, real))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            returns_promptly(lambda: run_concurrently(sweep, 3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports) == 15
+        for report in reports:
+            assert report.points == expected.points
+            assert report.errors == expected.errors
 
     @pytest.fixture
     def general4(self):
@@ -628,6 +721,57 @@ class TestVerifyRealization:
                       n_mat=np.zeros((2, 2)), s_mat=np.eye(2))
         with pytest.raises(ParameterError):
             verify_realization(model, real)
+
+
+def use_route(monkeypatch, route):
+    """Send ``verify_realization`` to the serial or the threaded sweep
+    whatever the model's size."""
+    monkeypatch.setattr(statespace, "THREADED_SWEEP_MIN_SIZE",
+                        0 if route == "threaded" else np.inf)
+
+
+def returns_promptly(call, timeout=30.0):
+    """call() on a helper thread: its result, or its exception raised here.
+
+    Fails when the call has not returned within ``timeout`` seconds, or when
+    it leaves a thread running.
+    """
+    before = threading.active_count()
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # raised below, on the test's thread
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), f"no return within {timeout} s"
+    assert threading.active_count() == before
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+def run_concurrently(work, threads):
+    """work() on ``threads`` threads at once; the first exception raised."""
+    errors = []
+
+    def target():
+        try:
+            work()
+        except BaseException as exc:  # raised below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=target) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def doubled_passive(n, m):

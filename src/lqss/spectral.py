@@ -431,7 +431,7 @@ def krein_spectrum(gram: np.ndarray, coupling: np.ndarray) -> KreinSpectrum:
                 f"complex eigenvalue {lam:.6g} has odd multiplicity")
         select = np.zeros(dim, dtype=np.int32)
         select[idx] = 1
-        ts, qs = ztrsen(select, t, q, job="N")[:2]
+        ts, qs = ztrsen(select, t, q)[:2]
         q1 = qs[:, :mult]
         block = ts[:mult, :mult] - lam * np.eye(mult)
         _, sv, vh = np.linalg.svd(block)

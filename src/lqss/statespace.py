@@ -40,9 +40,11 @@ complex Schur form, which costs more than twice as much.  Each point is
 then one LAPACK triangular solve (``ztrtrs``) with sI - T and one product.
 Each side has its own instance.  For large models
 (``THREADED_SWEEP_MIN_SIZE``) the realized side is swept on a worker thread
-and the model side on the calling thread, so that one side's solve, which
-holds the GIL, overlaps the other side's product, which releases it; every
-point and error is the same as in the one-thread loop.
+and the model side on the calling thread.  ``lapack`` calls LAPACK without
+the GIL and numpy's product releases it too, so the two sides' Schur
+reductions, which their first ``eval`` runs, overlap, and so do their
+solves and products; every point and error is the same as in the
+one-thread loop.
 """
 
 from __future__ import annotations
@@ -212,7 +214,9 @@ class StateSpace:
     when A is doubled-up), and keeps (-T, Z^dag B, C Z).  Every point
     writes s - diag(T) into the diagonal of the kept -T and costs one LAPACK
     triangular solve (``ztrtrs``) and one product, O(n^2 p + n p q) for p
-    inputs and q outputs, instead of a dense LU.
+    inputs and q outputs, instead of a dense LU.  The reduction and the
+    solves run without the GIL, so instances evaluated on different threads
+    run at once.
     A, B, C and D must not be modified after the first ``eval``, and since
     every ``eval`` writes into the same buffer, one instance must not be
     evaluated from two threads at once: ``verify_realization`` evaluates
@@ -571,7 +575,9 @@ def _error(g_model: np.ndarray, g_real: np.ndarray) -> float:
 def _threaded_sweep(model_ss: StateSpace, realized: StateSpace,
                     pts: np.ndarray) -> list:
     """``_point`` at every point of ``pts``, the realized side evaluated on a
-    worker thread while the calling thread evaluates the model side.
+    worker thread while the calling thread evaluates the model side: the
+    first point's ``eval`` on each thread runs that side's Schur reduction,
+    so the two reductions overlap as well as the solves.
 
     Each side's instance stays on one thread.  The worker hands each G(s)
     over through a one-slot queue and the caller forms that point's error at

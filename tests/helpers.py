@@ -7,8 +7,9 @@ decomposition one rotation at a time used as a reference for
 ``reck_decompose`` and ``schedule_static``, planted factorization cases,
 the pair counts and Jordan classes of a Krein spectrum, a count of the
 ``Model`` objects a call builds, a record of the route each Schur
-reduction takes, a record of the functions that call a given one, and
-JSON file reads and writes that close their files.
+reduction takes, a LAPACK Schur reduction made to report failure, a record
+of the functions that call a given one, and JSON file reads and writes
+that close their files.
 
 A planted case starts from a hand-built canonical coupling Nhat (whose Gram
 eigenvalues are known exactly) and hides it behind random Bogoliubov
@@ -17,6 +18,7 @@ the planted eigenvalue multiset and reconstruct N.
 """
 
 import cmath
+import ctypes
 import json
 import math
 import sys
@@ -25,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.linalg import expm
 
-from lqss import krein
+from lqss import krein, lapack
 from lqss.dusvd import SIGMA2, jordan2_factor, pair_weights
 from lqss.errors import StructureError
 from lqss.krein import flat_adjoint, jmat
@@ -84,6 +86,20 @@ def recorded_schur_routes(monkeypatch):
 
     monkeypatch.setattr(krein, "schur", recorded)
     return routes
+
+
+def failing_gees(monkeypatch, info: int):
+    """Make every Schur reduction from now on, in the test that owns
+    ``monkeypatch``, fail in LAPACK: the bound ``dgees`` and ``zgees`` run,
+    then write ``info`` where they return theirs, the last argument."""
+    for name in ("dgees", "zgees"):
+        original = lapack._ROUTINES[name]
+
+        def failing(*addresses, _original=original):
+            _original(*addresses)
+            ctypes.c_int.from_address(addresses[-1]).value = info
+
+        monkeypatch.setitem(lapack._ROUTINES, name, failing)
 
 
 def recorded_callers(monkeypatch, owner, name):

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     counted_builds,
+    failing_gees,
     model_to_dict,
     planted_coupling,
     random_bogoliubov,
@@ -27,7 +28,6 @@ from helpers import (
 from lqss import (
     cli,
     krein,
-    lapack,
     modelio,
     synthesize,
     synthesize_general,
@@ -1176,15 +1176,6 @@ class TestLapackFailures:
     and numpy's ``LinAlgError`` is mapped to the same exit."""
 
     @staticmethod
-    def failing_gees(monkeypatch):
-        # the routine runs, then reports that the QR algorithm failed
-        for name in ("dgees", "zgees"):
-            original = getattr(lapack, name)
-            monkeypatch.setattr(lapack, name, lambda *args, _original=original,
-                                **kwargs: _original(*args, **kwargs)[:-1]
-                                + (1,))
-
-    @staticmethod
     def failing_numpy(monkeypatch, command):
         # the first call that each command makes of numpy's LAPACK
         def fail(*args, **kwargs):
@@ -1210,7 +1201,8 @@ class TestLapackFailures:
             argv = ["synth", "--input", general_model_file,
                     "--output", netlist]
         if fault == "gees":
-            self.failing_gees(monkeypatch)
+            # the QR algorithm failed, as LAPACK reports it
+            failing_gees(monkeypatch, 1)
         else:
             self.failing_numpy(monkeypatch, command)
         capsys.readouterr()

@@ -8,12 +8,14 @@ imports the standard library's ``json``, every import sits at module
 level, none inside a function, and no module reaches an underscore name
 of another: a helper shared across modules has a public name.  No module
 imports from the ``scipy.linalg`` package: compiled LAPACK comes through
-``lapack``, and ``krein`` is the one module that takes a Schur form from
-it: its ``schur_form`` serves every doubled-up eigenproblem.  Test-only
+``lapack``, the one module that imports scipy, ctypes or importlib, and
+``krein`` is the one module that takes a Schur form from it: its
+``schur_form`` serves every doubled-up eigenproblem.  Test-only
 helpers belong in ``tests/helpers.py``, and no test seeds anything with
 the built-in ``hash``.  Importing the CLI loads no third-party module
-beyond numpy, the top-level scipy package and orjson, and no
-``scipy.linalg``.  Every name that the benchmark's tracer
+beyond numpy, the top-level scipy package and orjson, save the scipy
+extension that ``lapack`` binds, and no ``scipy.linalg`` or
+``_flapack``.  Every name that the benchmark's tracer
 (``perfbench/spans.py``) wraps or reads exists.
 """
 
@@ -281,21 +283,40 @@ def test_krein_is_the_only_schur_caller():
 
 def test_cli_import_adds_only_lqss_and_stdlib():
     # numpy, the top-level scipy package and orjson are loaded first: what
-    # they pull in is their own cost, not the CLI's
+    # they pull in is their own cost, not the CLI's.  The one scipy module
+    # added is the Cython extension that lapack loads, which registers
+    # itself under its scipy name as well; neither the scipy.linalg
+    # package nor its f2py extension _flapack is loaded
     script = ("import sys, numpy, scipy, orjson\n"
               "before = set(sys.modules)\n"
               "import lqss.cli\n"
-              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+              "print(' '.join(sorted(set(sys.modules) - before)))\n"
+              "print(sys.modules['scipy.linalg.cython_lapack']\n"
+              "      is sys.modules['lqss.lapack']._cython_lapack)\n")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    added = subprocess.run([sys.executable, "-c", script], env=env,
-                           capture_output=True, text=True,
-                           check=True).stdout.split()
+    added, shared = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout.splitlines()
+    added = added.split()
     assert "lqss.cli" in added
     foreign = [name for name in added
                if name.split(".")[0] not in sys.stdlib_module_names
                and name.split(".")[0] != "lqss"]
-    assert not foreign, f"importing lqss.cli also loads {foreign}"
+    assert foreign == ["scipy.linalg.cython_lapack"], (
+        f"importing lqss.cli also loads {foreign}")
+    assert shared == "True"
     assert "scipy.linalg" not in added
+    assert not [name for name in added if name.endswith("_flapack")]
+
+
+def test_lapack_alone_binds_scipy():
+    # one binding path: lapack alone loads scipy's compiled extension
+    # (importlib) and calls into it (ctypes)
+    found = [f"{module}.py:{line} {name}"
+             for module, tree in MODULES.items() if module != "lapack"
+             for line, name in imported_modules(tree)
+             if name.split(".")[0] in ("scipy", "ctypes", "importlib")]
+    assert not found, f"imports outside lapack: {found}"
 
 
 def test_modelio_imports_no_synthesis_module():

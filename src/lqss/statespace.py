@@ -39,19 +39,19 @@ made triangular by one rotation per 2 x 2 block.  Any other A takes the
 complex Schur form, which costs more than twice as much.  Each point is
 then one LAPACK triangular solve (``ztrtrs``) with sI - T and one product.
 Each side has its own instance.  For large models
-(``THREADED_SWEEP_MIN_SIZE``) the realized side is swept on a worker thread
-and the model side on the calling thread.  ``lapack`` calls LAPACK without
-the GIL and numpy's product releases it too, so the two sides' Schur
-reductions, which their first ``eval`` runs, overlap, and so do their
-solves and products; every point and error is the same as in the
-one-thread loop.
+(``THREADED_SWEEP_MIN_SIZE``) on more than one CPU the realized side is
+evaluated by a one-worker executor, two points ahead of the model side on
+the calling thread.  ``lapack`` calls LAPACK without the GIL and numpy's
+product releases it too, so the two sides' Schur reductions, which their
+first ``eval`` runs, overlap, and so do their solves and products; every
+point and error is the same as in the one-thread loop.
 """
 
 from __future__ import annotations
 
-import contextlib
-import queue
-import threading
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,7 +220,7 @@ class StateSpace:
     A, B, C and D must not be modified after the first ``eval``, and since
     every ``eval`` writes into the same buffer, one instance must not be
     evaluated from two threads at once: ``verify_realization`` evaluates
-    each side's instance on one thread only.
+    the realized instance, pole retries included, on its worker only.
     """
 
     a: np.ndarray
@@ -497,9 +497,9 @@ def verify_realization(model: Model, realization: Realization,
     frequency grid; the error metric is ||dG||_F / (1 + ||G||_F).
 
     A point where either side has a pole is nudged off it.  When the model's
-    B has at least ``THREADED_SWEEP_MIN_SIZE`` entries, the realized side is
-    swept on a second thread (``_threaded_sweep``); the report is the same
-    on either route, and no thread outlives the call.
+    B has at least ``THREADED_SWEEP_MIN_SIZE`` entries and the process may
+    use two CPUs, one worker thread evaluates the realized side two points
+    ahead; the report, or the exception raised, is the same on either route.
     """
     if num_freqs < 1:
         raise ParameterError(f"num_freqs must be at least 1, not {num_freqs}")
@@ -539,8 +539,15 @@ def verify_realization(model: Model, realization: Realization,
     realized = StateSpace(closed.a, closed.b @ pre, post @ closed.c,
                           post @ pre)
     pts = frequency_grid(model.m_mat, num_freqs, seed)
-    if model_ss.b.size >= THREADED_SWEEP_MIN_SIZE:
-        results = _threaded_sweep(model_ss, realized, pts)
+    if model_ss.b.size >= THREADED_SWEEP_MIN_SIZE and _cpus() > 1:
+        with ThreadPoolExecutor(1, thread_name_prefix="lqss-verify") as worker:
+            ahead = deque(worker.submit(realized.eval, s) for s in pts[:2])
+            results = []
+            for k, s in enumerate(pts):
+                if k + 2 < len(pts):
+                    ahead.append(worker.submit(realized.eval, pts[k + 2]))
+                results.append(_point(model_ss, realized, s, worker,
+                                      ahead.popleft()))
     else:
         results = [_point(model_ss, realized, s) for s in pts]
     points = [s for s, _ in results]
@@ -551,81 +558,33 @@ def verify_realization(model: Model, realization: Realization,
                         num_freqs=num_freqs, seed=seed)
 
 
-def _point(model_ss: StateSpace, realized: StateSpace, s: complex) -> tuple:
+def _point(model_ss: StateSpace, realized: StateSpace, s: complex,
+           worker: ThreadPoolExecutor | None = None,
+           pending: Future | None = None) -> tuple:
     """(s, error) at s, or at s nudged off a pole of either side, which
-    raises ``PoleError`` after four tries."""
+    raises ``PoleError`` after four tries.  With a ``worker``, ``pending`` is
+    its ``realized.eval(s)``, and each retry's realized side goes to it too."""
     for _ in range(4):
         try:
             g_model = model_ss.eval(s)
-            g_real = realized.eval(s)
+            g_real = pending.result() if worker else realized.eval(s)
             break
         except PoleError:
             s = s * 1.0137 + 1e-3j  # nudge off the pole and retry
+            if worker:
+                pending = worker.submit(realized.eval, s)
     else:
         raise PoleError(s, "could not move evaluation point off a pole")
     return complex(s), _error(g_model, g_real)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _error(g_model: np.ndarray, g_real: np.ndarray) -> float:
     """||G_model - G_real||_F / (1 + ||G_model||_F)."""
     return float(np.linalg.norm(g_model - g_real)
                  / (1.0 + np.linalg.norm(g_model)))
-
-
-def _threaded_sweep(model_ss: StateSpace, realized: StateSpace,
-                    pts: np.ndarray) -> list:
-    """``_point`` at every point of ``pts``, the realized side evaluated on a
-    worker thread while the calling thread evaluates the model side: the
-    first point's ``eval`` on each thread runs that side's Schur reduction,
-    so the two reductions overlap as well as the solves.
-
-    Each side's instance stays on one thread.  The worker hands each G(s)
-    over through a one-slot queue and the caller forms that point's error at
-    once.  A point where either side raised ``PoleError`` is re-run through
-    ``_point`` from its original s once the worker has been joined.  The
-    worker hands any other exception to the caller, which raises it after
-    its own side's; on every exit the caller stops the worker, drains the
-    queue so that a blocked put returns, and joins it.
-    """
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
-
-    def sweep_realized():
-        for s in pts:
-            if stop.is_set():
-                return
-            try:
-                g_real = realized.eval(s)
-            except PoleError:
-                g_real = None
-            except BaseException as exc:  # raised by the caller
-                handoff.put(exc)
-                return
-            handoff.put(g_real)
-
-    worker = threading.Thread(target=sweep_realized, name="lqss-verify")
-    worker.start()
-    results, retries = [], []
-    try:
-        for k, s in enumerate(pts):
-            try:
-                g_model = model_ss.eval(s)
-            except PoleError:
-                g_model = None
-            g_real = handoff.get()
-            if isinstance(g_real, BaseException):
-                raise g_real
-            if g_model is None or g_real is None:
-                retries.append(k)
-                results.append(None)
-            else:
-                results.append((complex(s), _error(g_model, g_real)))
-    finally:
-        stop.set()  # before the drain: the worker puts at most once more
-        with contextlib.suppress(queue.Empty):
-            while True:
-                handoff.get_nowait()
-        worker.join()
-    for k in retries:
-        results[k] = _point(model_ss, realized, pts[k])
-    return results

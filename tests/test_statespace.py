@@ -1,9 +1,13 @@
 """Tests for state-space models, feedback closure and verification."""
 
+import os
 import sys
 import threading
 import time
 import warnings
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -541,7 +545,9 @@ class TestVerifyRealization:
     @pytest.fixture(params=["serial", "threaded"])
     def route(self, request, monkeypatch):
         use_route(monkeypatch, request.param)
-        return request.param
+        overlaps = guard_overlapping_evals(monkeypatch)
+        yield request.param
+        assert not overlaps, "an instance was evaluated on two threads at once"
 
     def test_two_evals_per_point(self, route, monkeypatch):
         rng = np.random.default_rng(87)
@@ -628,7 +634,7 @@ class TestVerifyRealization:
                                                         monkeypatch):
         # an eval that fails at the grid point ``at`` on one side or both;
         # the model side's instance is the one holding the model's S as D.
-        # A slow model side leaves the worker blocked on a full hand-off when
+        # A slow model side leaves the worker done with the points ahead when
         # the caller raises, a slow realized side leaves it mid-point.
         rng = np.random.default_rng(87)
         m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
@@ -646,6 +652,7 @@ class TestVerifyRealization:
             return original(self, s)
 
         monkeypatch.setattr(StateSpace, "eval", failing)
+        overlaps = guard_overlapping_evals(monkeypatch)
         raised = {}
         for route in ("serial", "threaded"):
             use_route(monkeypatch, route)
@@ -655,6 +662,91 @@ class TestVerifyRealization:
         assert raised["threaded"] == raised["serial"]
         assert raised["serial"].startswith(
             "realized" if side == "realized" else "model")
+        assert not overlaps
+
+    def test_failure_at_a_model_pole_is_not_raised(self, monkeypatch):
+        # at grid point 5 the model side has a pole and the realized side
+        # fails: the serial route nudges the point off the pole before it
+        # evaluates the realized side there, and so must the threaded route,
+        # which has evaluated it ahead
+        rng = np.random.default_rng(87)
+        m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        failing_point = frequency_grid(m_mat, 20, 42)[5]
+        original = StateSpace.eval
+
+        def failing(self, s):
+            if s == failing_point:
+                if self.d is model.s_mat:
+                    raise PoleError(s)
+                raise NumericalError(f"realized side failed at {s}")
+            return original(self, s)
+
+        monkeypatch.setattr(StateSpace, "eval", failing)
+        overlaps = guard_overlapping_evals(monkeypatch)
+        reports = {}
+        for route in ("serial", "threaded"):
+            use_route(monkeypatch, route)
+            reports[route] = returns_promptly(
+                lambda: verify_realization(model, real))
+        serial, threaded = reports["serial"], reports["threaded"]
+        assert serial.points[5] == failing_point * 1.0137 + 1e-3j
+        assert threaded.points == serial.points
+        assert threaded.errors == serial.errors
+        assert serial.passed, serial.summary()
+        assert not overlaps
+
+    def test_worker_keeps_at_most_two_points_ahead(self, monkeypatch):
+        # each realized G(s) is dropped once its error is formed: when an
+        # error is formed, alive are that point's and at most two evaluated
+        # ahead of it
+        rng = np.random.default_rng(87)
+        m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        use_route(monkeypatch, "threaded")
+        outputs, alive = [], []
+        original_eval, original_error = StateSpace.eval, statespace._error
+
+        def recorded(self, s):
+            out = original_eval(self, s)
+            if self.d is not model.s_mat:
+                outputs.append(weakref.ref(out))
+            return out
+
+        def counted(g_model, g_real):
+            alive.append(sum(ref() is not None for ref in outputs))
+            return original_error(g_model, g_real)
+
+        monkeypatch.setattr(StateSpace, "eval", recorded)
+        monkeypatch.setattr(statespace, "_error", counted)
+        report = returns_promptly(lambda: verify_realization(model, real))
+        assert len(alive) == len(report.points) == 40
+        assert max(alive) <= 3, alive
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_worker_only_with_two_cpus(self, cpus, monkeypatch):
+        rng = np.random.default_rng(87)
+        m_mat, n_mat, s_mat = random_passive_model(5, 4, rng)
+        real = synthesize_passive(m_mat, n_mat, s_mat)
+        model = Model(kind="passive", m_mat=m_mat, n_mat=n_mat, s_mat=s_mat)
+        use_route(monkeypatch, "serial")
+        expected = verify_realization(model, real)
+        use_route(monkeypatch, "threaded")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        built = []
+
+        def executor(*args, **kwargs):
+            built.append(args)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(statespace, "ThreadPoolExecutor", executor)
+        report = verify_realization(model, real)
+        assert len(built) == (len(cpus) > 1)
+        assert report.points == expected.points
+        assert report.errors == expected.errors
 
     def test_concurrent_threaded_sweeps(self, monkeypatch):
         # more sweeping threads than cores, switching as often as the
@@ -725,9 +817,40 @@ class TestVerifyRealization:
 
 def use_route(monkeypatch, route):
     """Send ``verify_realization`` to the serial or the threaded sweep
-    whatever the model's size."""
+    whatever the model's size and the CPUs the process may run on."""
     monkeypatch.setattr(statespace, "THREADED_SWEEP_MIN_SIZE",
                         0 if route == "threaded" else np.inf)
+    if route == "threaded":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+
+def guard_overlapping_evals(monkeypatch):
+    """Wrap ``StateSpace.eval`` to record every call that starts while
+    another thread is inside ``eval`` on the same instance; the list it
+    records into.
+
+    Each call that returns holds its instance for a millisecond after the
+    evaluation, so that an overlap the code allows is likely to happen.
+    """
+    busy, overlaps, lock = Counter(), [], threading.Lock()
+    wrapped = StateSpace.eval
+
+    def guarded(self, s):
+        with lock:
+            busy[id(self)] += 1
+            if busy[id(self)] > 1:
+                overlaps.append(s)
+        try:
+            out = wrapped(self, s)
+            time.sleep(1e-3)
+            return out
+        finally:
+            with lock:
+                busy[id(self)] -= 1
+
+    monkeypatch.setattr(StateSpace, "eval", guarded)
+    return overlaps
 
 
 def returns_promptly(call, timeout=30.0):

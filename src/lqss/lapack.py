@@ -11,25 +11,23 @@ of a cold start of the CLI.  The seven routines lqss calls are bound with
 ``ctypes.CFUNCTYPE``, which releases the GIL for the duration of each
 call, so that two threads reduce or solve at once.
 
-A raw pointer carries no shape, so each wrapper checks its inputs and
-passes LAPACK only buffers of the routine's dtype, aligned, in Fortran
-order and of the sizes LAPACK reads, copying the input where it is not so
-and always where LAPACK overwrites it.  Input that does not fit raises
-``ValueError`` before the call: no illegal argument reaches LAPACK.  Each
-wrapper returns the tuple of the f2py wrapper of the same name in
-``scipy.linalg.lapack``, with the options lqss uses fixed, and makes the
-same LAPACK call with the same workspace, so every result is bit for bit
-the one scipy gives:
+A raw pointer carries no shape, so each call checks its inputs and passes
+LAPACK only buffers of the routine's dtype, aligned, in Fortran order and
+of the sizes LAPACK reads, copying the input where it is not so and always
+where LAPACK overwrites it.  Input that does not fit raises ``ValueError``
+before the call: no illegal argument reaches LAPACK.  Each call makes the
+LAPACK calls that scipy's f2py wrappers make for the options lqss uses,
+with the same workspace, so every result is bit for bit the one scipy
+gives.  The five calls:
 
-* ``ztrtrs(a, b)``: an upper triangular solve, b one column or several;
+* ``schur(a)``: (T, Z), what ``scipy.linalg.schur(a)`` computes
+  (``dgees`` for a real A, ``zgees`` for a complex one);
 * ``ztrsen(select, t, q)``: the reordering of a complex Schur form
   (``job="N"``);
-* ``zgetrf(a)``, ``zgecon(a, anorm)`` (1-norm) and ``zgetrs(lu, piv, b)``,
-  with scipy's 0-based pivots;
-* ``gees(a)``: ``dgees`` for a real A, ``zgees`` for a complex one, a
-  workspace query and then the unsorted Schur reduction;
-* ``schur``, what ``scipy.linalg.schur(a)`` computes, from ``gees``;
-* ``sqrtm``, the principal square root from the complex Schur form
+* ``ztrtrs(a, b)``: an upper triangular solve;
+* ``solve(a, b)``: a square solve with the reciprocal 1-norm condition
+  estimate of A (``zgetrf``, ``zgecon``, ``zgetrs``);
+* ``sqrtm(a)``: the principal square root from the complex Schur form
   (Bjorck and Hammarling, Linear Algebra Appl. 52, 127, 1983).
 
 The checks and ctypes cost each call 8 to 10 us more than scipy's f2py
@@ -157,15 +155,14 @@ def _call(name: str, *args) -> int:
     return info.value
 
 
-def _array(value, dtype, name: str, ndim=(2,), copy: bool = False):
+def _array(value, dtype, name: str, ndim: int = 2, copy: bool = False):
     """``value`` as an aligned Fortran-ordered array of ``dtype``, a new one
     when ``copy`` (LAPACK overwrites it) or when ``value`` is not such an
     array already; ``ValueError`` when its entries do not convert without
     loss or it does not have ``ndim`` dimensions."""
     arr = np.asarray(value)
-    if arr.ndim not in ndim:
-        raise ValueError(f"{name} has {arr.ndim} dimensions, not "
-                         f"{' or '.join(map(str, ndim))}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} has {arr.ndim} dimensions, not {ndim}")
     if arr.dtype != dtype:
         if not np.can_cast(arr.dtype, dtype, "same_kind"):
             raise ValueError(f"{name} has {arr.dtype} entries, not "
@@ -182,130 +179,102 @@ def _square(value, dtype, name: str, copy: bool = False):
     return a
 
 
-def _right_side(value, rows: int) -> tuple:
-    """A copy of the right-hand side b, one column or several, of a system
-    of ``rows`` equations, and its number of columns."""
-    b = _array(value, complex, "b", ndim=(1, 2), copy=True)
+def _right_side(value, rows: int):
+    """A copy of the right-hand side B, one column or more, of a system of
+    ``rows`` equations."""
+    b = _array(value, complex, "b", copy=True)
     if b.shape[0] != rows:
         raise ValueError(f"b has {b.shape[0]} rows, not {rows}")
-    return b, b.shape[1] if b.ndim == 2 else 1
+    return b
 
 
-def gees(a) -> tuple:
-    """The unsorted Schur reduction of a copy of a square A with its
-    optimal workspace, which a query finds first: ``dgees`` for a real A,
-    ``zgees`` for a complex one, returning the tuple of scipy's wrapper,
-    (T, sdim, wr, wi, Z, work, info) or (T, sdim, w, Z, work, info)."""
+def schur(a) -> tuple:
+    """(T, Z) with A = Z T Z^dag: the real Schur form of a real A, the
+    complex one of a complex A, as ``scipy.linalg.schur(a)`` gives them.
+
+    ``dgees`` or ``zgees`` reduces a copy of A, unsorted, with the optimal
+    workspace, which a query finds first; ``NumericalError`` when A is not
+    finite or LAPACK reports failure.
+    """
     real = not np.iscomplexobj(a)
     dtype = float if real else complex
     t = _square(a, dtype, "a", copy=True)
     n = len(t)
-    lead = max(1, n)
-    sdim = np.zeros(1, np.int32)
+    z = np.zeros((n, n), dtype, order="F")
+    if not np.isfinite(t).all():
+        raise NumericalError("Schur form of a matrix with non-finite entries")
+    if n == 0:
+        return t, z
+    name = "dgees" if real else "zgees"
     values = [np.zeros(n), np.zeros(n)] if real else [np.zeros(n, complex)]
-    z = np.zeros((lead, n), dtype, order="F")
-    rwork = [] if real else [np.zeros(lead)]
-    bwork = np.zeros(lead, np.int32)
+    rwork = [] if real else [np.zeros(n)]
+    sdim, bwork = np.zeros(1, np.int32), np.zeros(n, np.int32)
 
     def reduce(work, lwork):
-        return _call("dgees" if real else "zgees", b"V", b"N", None, n, t,
-                     lead, sdim, *values, z, lead, work, lwork, *rwork,
-                     bwork)
+        return _call(name, b"V", b"N", None, n, t, n, sdim, *values, z, n,
+                     work, lwork, *rwork, bwork)
 
     query = np.zeros(1, dtype)
     reduce(query, -1)
     lwork = int(query[0].real)
-    work = np.zeros(max(1, lwork), dtype)
-    info = reduce(work, lwork)
-    return (t, int(sdim[0]), *values, z, work, info)
-
-
-def ztrtrs(a, b) -> tuple:
-    """(X, info): the solution of A X = B for an upper triangular A, X of
-    B's shape; info > 0 names a zero diagonal entry, and X is then B."""
-    a = _square(a, complex, "a")
-    n = len(a)
-    x, columns = _right_side(b, n)
-    info = _call("ztrtrs", b"U", b"N", b"N", n, columns, a, max(1, n), x,
-                 max(1, n))
-    return x, info
+    info = reduce(np.zeros(max(1, lwork), dtype), lwork)
+    if info:
+        raise NumericalError(f"Schur form of a {n} x {n} matrix not found "
+                             f"(LAPACK {name} info {info})")
+    return t, z
 
 
 def ztrsen(select, t, q) -> tuple:
-    """(T', Q', w, m, s, sep, info): the Schur form T = Q^dag A Q reordered
-    so that the m eigenvalues that ``select`` marks come first, with Q
-    updated; s and sep are not computed and read 0."""
+    """(T', Q'): the Schur form T = Q^dag A Q reordered so that the
+    eigenvalues that ``select`` marks come first, with Q updated."""
     t = _square(t, complex, "t", copy=True)
     q = _square(q, complex, "q", copy=True)
-    select = _array(select, np.int32, "select", ndim=(1,))
+    select = _array(select, np.int32, "select", ndim=1)
     n = len(t)
     if q.shape != t.shape or select.shape != (n,):
         raise ValueError(f"t, q and select do not fit: {t.shape}, "
                          f"{q.shape}, {select.shape}")
-    w = np.zeros(n, complex)
-    m, s, sep = np.zeros(1, np.int32), np.zeros(1), np.zeros(1)
-    lwork = max(1, n)
-    info = _call("ztrsen", b"N", b"V", select, n, t, lwork, q, lwork, w, m,
-                 s, sep, np.zeros(lwork, complex), lwork)
-    return t, q, w, int(m[0]), float(s[0]), float(sep[0]), info
+    lead = max(1, n)
+    # w, m, s and sep are scratch; complex ztrsen reports info != 0 only
+    # for an illegal argument, which the checks above rule out
+    _call("ztrsen", b"N", b"V", select, n, t, lead, q, lead,
+          np.zeros(n, complex), np.zeros(1, np.int32), np.zeros(1),
+          np.zeros(1), np.zeros(lead, complex), lead)
+    return t, q
 
 
-def zgetrf(a) -> tuple:
-    """(LU, piv, info): the LU factors of A with partial pivoting, row i
-    swapped with row piv[i] (0-based); info > 0 names a zero pivot."""
-    lu = _array(a, complex, "a", copy=True)
-    rows, cols = lu.shape
-    piv = np.zeros(min(rows, cols), np.int32)
-    info = _call("zgetrf", rows, cols, lu, max(1, rows), piv)
-    piv -= 1
-    return lu, piv, info
-
-
-def zgecon(a, anorm) -> tuple:
-    """(rcond, info): the reciprocal 1-norm condition estimate of A from its
-    LU factors ``a`` and the 1-norm ``anorm`` of A."""
+def ztrtrs(a, b) -> tuple:
+    """(X, info): the solution of A X = B for an upper triangular A and a
+    2-D B, X of B's shape; info > 0 names a zero diagonal entry, and X is
+    then B."""
     a = _square(a, complex, "a")
     n = len(a)
-    anorm = float(anorm)
-    if anorm < 0:
-        raise ValueError(f"anorm is {anorm}, not a norm")
-    rcond = np.zeros(1)
-    info = _call("zgecon", b"1", n, a, max(1, n), anorm, rcond,
-                 np.zeros(max(1, 2 * n), complex), np.zeros(max(1, 2 * n)))
-    return float(rcond[0]), info
-
-
-def zgetrs(lu, piv, b) -> tuple:
-    """(X, info): the solution of A X = B from the LU factors and 0-based
-    pivots that ``zgetrf`` gives, X of B's shape."""
-    lu = _square(lu, complex, "lu")
-    n = len(lu)
-    piv = _array(piv, np.int32, "piv", ndim=(1,))
-    if piv.shape != (n,) or not np.all((piv >= 0) & (piv < n)):
-        raise ValueError(f"piv must hold {n} row indices from 0 to {n - 1}")
-    x, columns = _right_side(b, n)
-    info = _call("zgetrs", b"N", n, columns, lu, max(1, n), piv + 1, x,
+    x = _right_side(b, n)
+    info = _call("ztrtrs", b"U", b"N", b"N", n, x.shape[1], a, max(1, n), x,
                  max(1, n))
     return x, info
 
 
-def schur(a: np.ndarray) -> tuple:
-    """(T, Z) with A = Z T Z^dag: the real Schur form of a real A, the
-    complex one of a complex A, as ``scipy.linalg.schur(a)`` gives them."""
+def solve(a, b) -> tuple:
+    """(X, rcond): the solution of A X = B for a square A and a 2-D B, X of
+    B's shape, and the reciprocal 1-norm condition estimate of A.
+
+    ``zgetrf`` factors a copy of A, ``zgecon`` estimates from the factors
+    and ||A||_1, and ``zgetrs`` solves; a zero pivot returns (None, 0.0).
+    """
     a = np.asarray(a)
-    complex_input = np.iscomplexobj(a)
-    if not np.isfinite(a).all():
-        raise NumericalError("Schur form of a matrix with non-finite entries")
-    if a.size == 0:
-        empty = np.empty_like(a, dtype=complex if complex_input else float)
-        return empty, empty.copy()
-    result = gees(a)
-    if result[-1]:
-        raise NumericalError(
-            f"Schur form of a {len(a)} x {len(a)} matrix not found "
-            f"(LAPACK {'z' if complex_input else 'd'}gees info "
-            f"{result[-1]})")
-    return result[0], result[-3]
+    lu = _square(a, complex, "a", copy=True)
+    n, lead = len(lu), max(1, len(lu))
+    x = _right_side(b, n)
+    piv = np.zeros(n, np.int32)
+    if _call("zgetrf", n, n, lu, lead, piv):
+        return None, 0.0
+    # zgecon and zgetrs report info != 0 only for an illegal argument
+    rcond = np.zeros(1)
+    _call("zgecon", b"1", n, lu, lead, float(np.linalg.norm(a, 1)), rcond,
+          np.zeros(max(1, 2 * n), complex), np.zeros(max(1, 2 * n)))
+    _call("zgetrs", b"N", n, x.shape[1], lu, lead, piv, x, lead)
+    return x, float(rcond[0])
 
 
 def sqrtm(a: np.ndarray) -> np.ndarray:
@@ -323,7 +292,7 @@ def sqrtm(a: np.ndarray) -> np.ndarray:
     root = np.diag(np.sqrt(t.diagonal()))
     for j in range(1, len(t)):
         shifted = root[:j, :j] + root[j, j] * np.eye(j)
-        root[:j, j], info = ztrtrs(shifted, t[:j, j])
+        root[:j, j:j + 1], info = ztrtrs(shifted, t[:j, j:j + 1])
         if info:
             raise NumericalError(
                 "no principal square root: r_ii + r_jj = 0 for a zero or "

@@ -70,7 +70,7 @@ from .krein import (
     flat_adjoint,
     schur_form,
 )
-from .lapack import zgecon, zgetrf, zgetrs, ztrtrs
+from .lapack import solve, ztrtrs
 
 #: ``verify_realization`` sweeps the two sides on two threads when the
 #: model's B (state dimension x inputs) has at least this many entries;
@@ -95,38 +95,30 @@ def drift(kind: str, m_mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lu(a: np.ndarray) -> tuple:
-    """LAPACK LU factors (``zgetrf``) of a complex square matrix and their
-    reciprocal 1-norm condition estimate (``zgecon``), 0 for a zero pivot."""
-    lu, piv, info = zgetrf(a)
-    rcond = zgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
-    return lu, piv, rcond
-
-
 def cayley(r_mat: np.ndarray) -> np.ndarray:
     """X = (I - R)^-1 (I + R); raises when R has an eigenvalue at +1.
 
     The formula does not depend on the kind: I + R commutes with
-    (I - R)^-1, so this also equals (I + R)(I - R)^-1.  It is one LU solve;
-    only when I - R is singular to working precision (a zero pivot, or a
-    reciprocal condition estimate below eps) are the eigenvalues of R
-    computed, to name the one nearest +1.
+    (I - R)^-1, so this also equals (I + R)(I - R)^-1.  It is one
+    ``lapack.solve``; only when I - R is singular to working precision (a
+    zero pivot, or a reciprocal condition estimate below eps) are the
+    eigenvalues of R computed, to name the one nearest +1.
     """
     r_mat = np.asarray(r_mat, dtype=complex)
     eye = np.eye(r_mat.shape[0])
-    lu, piv, rcond = _lu(eye - r_mat)
+    x_mat, rcond = solve(eye - r_mat, eye + r_mat)
     if not rcond >= np.finfo(float).eps:  # NaN included
         evals = np.linalg.eigvals(r_mat)
         raise UnitEigenvalueError(
             complex(evals[np.argmin(np.abs(evals - 1.0))]))
-    return zgetrs(lu, piv, eye + r_mat)[0]
+    return x_mat
 
 
 def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
     """R = (X - I)(X + I)^-1 for a feedback generator X with X^dag = -X
     (passive) or X doubled-up and X^b = -X (general).
 
-    X commutes with (X + I)^-1, so R is one LU solve with X + I.  A
+    X commutes with (X + I)^-1, so R is one ``lapack.solve`` with X + I.  A
     skew-Hermitian X never makes X + I singular, and R is unitary.  For
     general models R is Bogoliubov, but X + I is singular when X has the
     eigenvalue -1, which takes ||X||_2 >= 1.  A zero pivot or a reciprocal
@@ -151,14 +143,14 @@ def inv_cayley(kind: str, x_mat: np.ndarray) -> np.ndarray:
             "feedback generator is not doubled-up within tolerance 1e-09")
     eye = np.eye(x_mat.shape[0])
     shifted = x_mat + eye
-    lu, piv, rcond = _lu(shifted)
+    r_mat, rcond = solve(shifted, x_mat - eye)
     if not rcond >= 1e-12:  # NaN included
         raise NumericalError(
             "X + I is numerically singular (condition number "
             f"{np.linalg.cond(shifted):.1e}, ||X||_2 = "
             f"{np.linalg.norm(x_mat, 2):.3g}); the Cayley transform of the "
             "feedback generator does not exist")
-    return zgetrs(lu, piv, x_mat - eye)[0]
+    return r_mat
 
 
 def mode_values(modes: int, detunings, interconnect_kappa) -> tuple:
@@ -248,9 +240,7 @@ class StateSpace:
         if np.any(np.abs(pivots) <= tiny):
             raise PoleError(s)
         np.fill_diagonal(shifted, pivots)
-        # ztrtrs rejects a system with no states
-        core = ztrtrs(shifted, zb)[0] if zb.size else zb
-        out = cz @ core
+        out = cz @ ztrtrs(shifted, zb)[0]
         out += self.d
         if not np.all(np.isfinite(out)):
             raise PoleError(s)

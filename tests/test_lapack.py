@@ -1,14 +1,15 @@
 """The compiled LAPACK routines, bound without ``scipy.linalg``.
 
 ``lapack`` loads scipy's ``linalg/cython_lapack`` extension itself and
-calls the routines its capsules hold through ctypes.  Its routines must
-give, bit for bit, what the public ``scipy.linalg`` gives: the seven
-wrappers against scipy's f2py wrappers on C-ordered, Fortran-ordered and
-strided input, on one right-hand side or several, and when LAPACK reports
-failure; ``schur`` against ``scipy.linalg.schur``, and ``sqrtm`` against
-``scipy.linalg.sqrtm`` on the 1 x 1 tie groups of ``netlist.takagi`` (to
-1e-13 on larger groups).  Input that does not fit raises before LAPACK is
-called.  The calls release the GIL: Python runs on another thread while
+calls the routines its capsules hold through ctypes.  Its calls must give,
+bit for bit, what the public ``scipy.linalg`` gives: ``schur`` against
+``scipy.linalg.schur`` and scipy's ``dgees``/``zgees``, ``ztrsen`` and
+``ztrtrs`` against scipy's f2py wrappers, and ``solve`` against scipy's
+``zgetrf``, ``zgecon`` and ``zgetrs`` in turn, on C-ordered,
+Fortran-ordered and strided input, on one right-hand side or several, and
+when LAPACK reports failure; ``sqrtm`` against ``scipy.linalg.sqrtm`` on
+the 1 x 1 tie groups of ``netlist.takagi`` (to 1e-13 on larger groups).
+Input that does not fit raises before LAPACK is called.  The calls release the GIL: Python runs on another thread while
 one reduces or solves, and two reductions at once give what one thread
 gives.  A failed reduction, a missing extension file and a routine of an
 unexpected signature are reported, and ``scipy.linalg``, imported later,
@@ -52,13 +53,28 @@ def all_same(got, expected) -> bool:
 
 
 def scipy_gees(a) -> tuple:
-    """scipy's ``dgees`` or ``zgees`` of A with the optimal workspace, as
-    ``scipy.linalg.schur`` calls it."""
+    """(T, Z, info) of scipy's ``dgees`` or ``zgees`` of A with the optimal
+    workspace, as ``scipy.linalg.schur`` calls it."""
     complex_input = np.iscomplexobj(a)
     routine = scipy_lapack.zgees if complex_input else scipy_lapack.dgees
     no_sort = (lambda x: None) if complex_input else (lambda x, y: None)
     lwork = int(routine(no_sort, a, lwork=-1)[-2][0].real)
-    return routine(no_sort, a, lwork=lwork)
+    result = routine(no_sort, a, lwork=lwork)
+    return result[0], result[-3], result[-1]
+
+
+def scipy_solve(a, b) -> tuple:
+    """(X, rcond) from scipy's ``zgetrf``, ``zgecon`` on ||A||_1 and
+    ``zgetrs``."""
+    lu, piv, info = scipy_lapack.zgetrf(a)
+    assert info == 0
+    rcond = scipy_lapack.zgecon(lu, np.linalg.norm(a, 1))[0]
+    return scipy_lapack.zgetrs(lu, piv, b)[0], rcond
+
+
+def scipy_ztrsen(select, t, q) -> tuple:
+    """(T', Q') from scipy's ``ztrsen``."""
+    return scipy_lapack.ztrsen(select, t, q, job="N")[:2]
 
 
 def laid_out(a, layout: str) -> np.ndarray:
@@ -106,31 +122,26 @@ class TestSchur:
 @pytest.mark.parametrize("seed", range(3))
 def test_routines_equal_scipy_lapack(seed):
     rng = np.random.default_rng(seed)
-    a = random_complex((9, 9), rng)
-    b = random_complex((9, 4), rng)
-    upper = np.triu(a) + 4 * np.eye(9)
-    assert all_same(lapack.ztrtrs(upper, b),
-                    scipy_lapack.ztrtrs(upper, b))
-    lu = lapack.zgetrf(a)
-    assert all_same(lu, scipy_lapack.zgetrf(a))
-    norm = np.linalg.norm(a, 1)
-    assert all_same(lapack.zgecon(lu[0], norm),
-                    scipy_lapack.zgecon(lu[0], norm))
-    assert all_same(lapack.zgetrs(lu[0], lu[1], b),
-                    scipy_lapack.zgetrs(lu[0], lu[1], b))
-    t, q = map(np.asfortranarray,
-               scipy.linalg.schur(a, output="complex"))
-    select = rng.random(9) < 0.5
-    assert all_same(lapack.ztrsen(select, t, q),
-                    scipy_lapack.ztrsen(select, t, q, job="N"))
-    assert all_same(lapack.gees(a), scipy_gees(a))
-    assert all_same(lapack.gees(a.real), scipy_gees(a.real))
+    for n in (1, 9, 30):
+        a = random_complex((n, n), rng)
+        b = random_complex((n, 4), rng)
+        upper = np.triu(a) + 4 * np.eye(n)
+        assert all_same(lapack.ztrtrs(upper, b),
+                        scipy_lapack.ztrtrs(upper, b))
+        assert all_same(lapack.solve(a, b), scipy_solve(a, b))
+        t, q = map(np.asfortranarray,
+                   scipy.linalg.schur(a, output="complex"))
+        select = rng.random(n) < 0.5
+        assert all_same(lapack.ztrsen(select, t, q),
+                        scipy_ztrsen(select, t, q))
+        assert all_same(lapack.schur(a), scipy_gees(a)[:2])
+        assert all_same(lapack.schur(a.real), scipy_gees(a.real)[:2])
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 class TestLayouts:
-    """Each wrapper gives scipy's result whatever the order and strides of
-    its input, and leaves the input as it was."""
+    """Each call gives scipy's result whatever the order and strides of its
+    input, and leaves the input as it was."""
 
     @staticmethod
     def check(routine, scipy_routine, *args):
@@ -141,43 +152,33 @@ class TestLayouts:
     def test_gees(self, layout):
         rng = np.random.default_rng(1)
         for a in (rng.normal(size=(12, 12)), random_complex((12, 12), rng)):
-            self.check(lapack.gees, scipy_gees, laid_out(a, layout))
+            self.check(lapack.schur, lambda a: scipy_gees(a)[:2],
+                       laid_out(a, layout))
 
-    @pytest.mark.parametrize("columns", [None, 1, 3])
+    @pytest.mark.parametrize("columns", [1, 3])
     def test_solves(self, layout, columns):
-        # None: a 1-D right-hand side, as sqrtm passes one
+        # one column: what sqrtm passes
         rng = np.random.default_rng(2)
         a = random_complex((8, 8), rng) + 3 * np.eye(8)
-        b = random_complex((8,) if columns is None else (8, columns), rng)
-        a_in, b_in = laid_out(a, layout), laid_out(b, layout)
+        b = laid_out(random_complex((8, columns), rng), layout)
         self.check(lapack.ztrtrs, scipy_lapack.ztrtrs,
-                   laid_out(np.triu(a), layout), b_in)
-        lu, piv, _ = lapack.zgetrf(a_in)
-        self.check(lapack.zgetrf, scipy_lapack.zgetrf, a_in)
-        self.check(lapack.zgecon, scipy_lapack.zgecon,
-                   laid_out(lu, layout), np.linalg.norm(a, 1))
-        self.check(lapack.zgetrs, scipy_lapack.zgetrs,
-                   laid_out(lu, layout), laid_out(piv, layout), b_in)
+                   laid_out(np.triu(a), layout), b)
+        self.check(lapack.solve, scipy_solve, laid_out(a, layout), b)
 
     def test_ztrsen(self, layout):
         rng = np.random.default_rng(3)
         t, q = scipy.linalg.schur(random_complex((10, 10), rng),
                                   output="complex")
         select = (rng.random(10) < 0.4).astype(np.int32)
-        self.check(lapack.ztrsen,
-                   lambda *args: scipy_lapack.ztrsen(*args, job="N"),
-                   laid_out(select, layout), laid_out(t, layout),
-                   laid_out(q, layout))
-
-    def test_rectangular_zgetrf(self, layout):
-        a = random_complex((7, 4), np.random.default_rng(4))
-        self.check(lapack.zgetrf, scipy_lapack.zgetrf, laid_out(a, layout))
-        self.check(lapack.zgetrf, scipy_lapack.zgetrf,
-                   laid_out(a.T, layout))
+        self.check(lapack.ztrsen, scipy_ztrsen, laid_out(select, layout),
+                   laid_out(t, layout), laid_out(q, layout))
 
 
 class TestFailureReports:
-    """info > 0 comes back as scipy reports it, with the same outputs."""
+    """LAPACK's failures come back as scipy reports them: a zero diagonal
+    entry as ``ztrtrs``'s info with the same outputs, a zero pivot as
+    (None, 0.0), and a failed reduction as a ``NumericalError`` that names
+    the info."""
 
     def test_singular_triangle(self):
         rng = np.random.default_rng(5)
@@ -191,55 +192,59 @@ class TestFailureReports:
     def test_singular_lu(self):
         a = random_complex((6, 6), np.random.default_rng(6))
         a[:, 2] = 0
-        got = lapack.zgetrf(a)
-        assert got[2] > 0
-        assert all_same(got, scipy_lapack.zgetrf(a))
+        assert scipy_lapack.zgetrf(a)[2] > 0
+        assert lapack.solve(a, np.ones((6, 2))) == (None, 0.0)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [3, 5])
-    def test_failed_gees(self, n, dtype):
-        # a NaN keeps the QR iteration from converging
+    def test_failed_gees(self, n, dtype, monkeypatch):
+        # a NaN keeps the QR iteration from converging; schur's own check
+        # would refuse it before LAPACK, so that check is switched off
         a = np.random.default_rng(n).normal(size=(n, n)).astype(dtype)
         a[1, 0] = np.nan
-        got = lapack.gees(a)
-        assert got[-1] > 0
-        assert all_same(got, scipy_gees(a))
+        info = scipy_gees(a)[2]
+        assert info > 0
+        monkeypatch.setattr(np, "isfinite", lambda x: np.ones(x.shape, bool))
+        name = "zgees" if dtype is complex else "dgees"
+        with pytest.raises(NumericalError, match=rf"^Schur form of a {n} x "
+                           rf"{n} matrix not found \(LAPACK {name} info "
+                           rf"{info}\)$"):
+            lapack.schur(a)
 
 
 class TestRefusedInput:
     """Input that LAPACK would reject, or read past, raises ``ValueError``
-    before any routine is called, and nothing is printed."""
+    before any routine is called, and nothing is printed.  Each case is
+    named after the routine that would read the refused argument: ``gees``
+    in ``schur``, and ``zgetrf``, ``zgecon`` or ``zgetrs`` in ``solve``."""
 
     CASES = {
-        "gees not square": lambda: lapack.gees(np.ones((3, 4))),
-        "gees 1-D": lambda: lapack.gees(np.ones(3)),
-        "gees 3-D": lambda: lapack.gees(np.ones((2, 2, 2))),
-        "gees text": lambda: lapack.gees(np.array([["a"]])),
+        "gees not square": lambda: lapack.schur(np.ones((3, 4))),
+        "gees 1-D": lambda: lapack.schur(np.ones(3)),
+        "gees 3-D": lambda: lapack.schur(np.ones((2, 2, 2))),
+        "gees text": lambda: lapack.schur(np.array([["a"]])),
         "ztrtrs not square": lambda: lapack.ztrtrs(np.eye(3)[:, :2],
-                                                   np.ones(3)),
-        "ztrtrs short b": lambda: lapack.ztrtrs(np.eye(3), np.ones(2)),
+                                                   np.ones((3, 1))),
+        "ztrtrs short b": lambda: lapack.ztrtrs(np.eye(3), np.ones((2, 1))),
+        "ztrtrs 1-D b": lambda: lapack.ztrtrs(np.eye(2), np.ones(2)),
         "ztrtrs 3-D b": lambda: lapack.ztrtrs(np.eye(2), np.ones((2, 1, 1))),
         "ztrtrs object b": lambda: lapack.ztrtrs(
-            np.eye(2), np.array([None, None])),
+            np.eye(2), np.array([[None], [None]])),
         "ztrsen short select": lambda: lapack.ztrsen(
             np.ones(2, np.int32), np.eye(3), np.eye(3)),
         "ztrsen q mismatch": lambda: lapack.ztrsen(
             np.ones(3, np.int32), np.eye(3), np.eye(2)),
         "ztrsen complex select": lambda: lapack.ztrsen(
             np.ones(3, complex), np.eye(3), np.eye(3)),
-        "zgetrf 1-D": lambda: lapack.zgetrf(np.ones(3)),
-        "zgecon not square": lambda: lapack.zgecon(np.ones((2, 3)), 1.0),
-        "zgecon negative norm": lambda: lapack.zgecon(np.eye(2), -1.0),
-        "zgetrs short piv": lambda: lapack.zgetrs(np.eye(3), np.zeros(2),
-                                                  np.ones(3)),
-        "zgetrs pivot past the end": lambda: lapack.zgetrs(
-            np.eye(3), np.array([0, 5, 2]), np.ones(3)),
-        "zgetrs negative pivot": lambda: lapack.zgetrs(
-            np.eye(3), np.array([0, -1, 2]), np.ones(3)),
-        "zgetrs real piv": lambda: lapack.zgetrs(
-            np.eye(3), np.array([0.0, 1.0, 2.0]), np.ones(3)),
-        "zgetrs short b": lambda: lapack.zgetrs(
-            np.eye(3), np.arange(3), np.ones((2, 2))),
+        "zgetrf 1-D": lambda: lapack.solve(np.ones(3), np.ones((3, 1))),
+        "zgetrf object a": lambda: lapack.solve(
+            np.array([[None, None], [None, None]]), np.ones((2, 1))),
+        "zgecon not square": lambda: lapack.solve(np.ones((2, 3)),
+                                                  np.ones((2, 1))),
+        "zgetrs short b": lambda: lapack.solve(np.eye(3), np.ones((2, 2))),
+        "zgetrs 3-D b": lambda: lapack.solve(np.eye(2), np.ones((2, 1, 1))),
+        "zgetrs object b": lambda: lapack.solve(
+            np.eye(2), np.array([[None], [None]])),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -8,9 +8,10 @@ imports the standard library's ``json``, every import sits at module
 level, none inside a function, and no module reaches an underscore name
 of another: a helper shared across modules has a public name.  No module
 imports from the ``scipy.linalg`` package: compiled LAPACK comes through
-``lapack``, the one module that imports scipy, ctypes or importlib, and
-``krein`` is the one module that takes a Schur form from it: its
-``schur_form`` serves every doubled-up eigenproblem.  Test-only
+``lapack``, the one module that imports scipy, ctypes or importlib, each
+of whose public functions another module imports, and ``krein`` is the
+one module that takes a Schur form from it: its ``schur_form`` serves
+every doubled-up eigenproblem.  Test-only
 helpers belong in ``tests/helpers.py``, and no test seeds anything with
 the built-in ``hash``.  Importing the CLI loads no third-party module
 beyond numpy, the top-level scipy package and orjson, save the scipy
@@ -317,6 +318,21 @@ def test_lapack_alone_binds_scipy():
              for line, name in imported_modules(tree)
              if name.split(".")[0] in ("scipy", "ctypes", "importlib")]
     assert not found, f"imports outside lapack: {found}"
+
+
+def test_lapack_offers_only_what_lqss_calls():
+    # a binding that only the tests call is code kept for the tests alone:
+    # every public function of lapack is imported by another lqss module
+    functions = {node.name for node in MODULES["lapack"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and not private(node.name)}
+    imported = {name.removeprefix("lqss.lapack.")
+                for module, tree in MODULES.items() if module != "lapack"
+                for _, name in imported_modules(tree)
+                if name.startswith("lqss.lapack.")}
+    assert functions <= imported, (
+        f"lapack functions no other module imports: "
+        f"{sorted(functions - imported)}")
 
 
 def test_modelio_imports_no_synthesis_module():

@@ -387,11 +387,20 @@ class TestStateSpace:
 
     @pytest.mark.parametrize("kind", ["passive", "general"])
     def test_no_modes(self, kind, capfd):
-        # G(s) = S; no LAPACK call, which would print an error for a
-        # 0 x 0 system
+        # G(s) = S; LAPACK's triangular solve takes the 0 x 0 system without
+        # printing an error
         model = Model(kind=kind, m_mat=np.zeros((0, 0)),
                       n_mat=np.zeros((2, 0)))
         assert np.array_equal(model.tf(1j), np.eye(2))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("states, inputs", [(3, 0), (0, 2)],
+                             ids=["no inputs", "no states"])
+    def test_empty_solve(self, states, inputs, capfd):
+        # the solve runs on an empty right-hand side or an empty system
+        ss = StateSpace(a=-np.eye(states), b=np.ones((states, inputs)),
+                        c=np.ones((2, states)), d=np.ones((2, inputs)))
+        assert np.array_equal(ss.eval(1j), np.ones((2, inputs)))
         assert capfd.readouterr() == ("", "")
 
     def test_non_finite_a_is_a_pole(self):
